@@ -92,33 +92,6 @@ class GapInterval:
         return out
 
 
-@dataclass(frozen=True)
-class ShiftSpec:
-    """What is known about the deployment shift.
-
-    atomic: do(z) with known values; unknown: only the affected variables;
-    covariate-informed: unknown mechanism but known shifted covariate table.
-    """
-
-    mode: str
-    variables: tuple[str, ...]
-    values: dict[str, Value] | None = None
-    covariates: DistTable | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("atomic", "unknown", "covariate-informed"):
-            raise InputError(f"unknown shift mode {self.mode!r}")
-        object.__setattr__(self, "variables", tuple(self.variables))
-        if self.mode == "unknown" and not self.variables:
-            raise InputError("an unknown shift needs a non-empty variable set")
-        if self.mode == "atomic" and (
-            self.values is None or set(self.values) != set(self.variables)
-        ):
-            raise InputError("atomic shift values must cover exactly its variables")
-        if self.mode == "covariate-informed" and self.covariates is None:
-            raise InputError("covariate-informed shift needs the shifted covariate table")
-
-
 def digest(payload: object) -> str:
     """Stable short digest of bound inputs, for report provenance."""
 

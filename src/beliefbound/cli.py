@@ -23,6 +23,7 @@ from .errors import AtomLimitError, BeliefBoundError, InputError
 from .oracle import SkeletonVariable, build_polytope, optimize_gap
 from .predictability import strong_verdict, weak_verdict
 from .report import Report
+from .scm import scm_dataset
 from .tables import BehaviouralDataset, DistTable, Value
 
 THEOREMS = (
@@ -108,7 +109,7 @@ def _dataset_from_args(args) -> BehaviouralDataset:
     if kind == "dataset":
         return payload
     if kind == "scm":
-        return fileio.scm_to_dataset(payload, args.decision_var, args.utility_var)
+        return scm_dataset(payload, args.decision_var, args.utility_var)
     if kind == "log":
         rows, weights = payload
         context = [s for s in (args.context_vars or "").split(",") if s]
@@ -267,7 +268,9 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _skeleton_from_args(args, data: BehaviouralDataset) -> list[SkeletonVariable]:
+def _skeleton_from_args(
+    args, data: BehaviouralDataset, z: dict[str, Value], c: dict[str, Value]
+) -> list[SkeletonVariable]:
     if args.skeleton:
         doc = json.loads(Path(args.skeleton).read_text(encoding="utf-8"))
         refs = {r.name: r for r in data.scope}
@@ -284,14 +287,18 @@ def _skeleton_from_args(args, data: BehaviouralDataset) -> list[SkeletonVariable
             )
         return out
     # Default: the utility responds to the decision and every other variable;
-    # everything else is a root.
+    # a context variable outside the shift responds to the shift variables, so
+    # do(z) can move it; everything else is a root.
+    shifted = [r.name for r in data.scope if r.name in z and r.name != data.utility]
     out = []
     for ref in data.scope:
         if ref.name == data.utility:
             parents = (data.decision.name, *[r.name for r in data.scope if r.name != ref.name])
-            out.append(SkeletonVariable(ref.name, ref.domain, parents))
+        elif ref.name in c and ref.name not in z:
+            parents = tuple(shifted)
         else:
-            out.append(SkeletonVariable(ref.name, ref.domain))
+            parents = ()
+        out.append(SkeletonVariable(ref.name, ref.domain, parents))
     return out
 
 
@@ -302,7 +309,7 @@ def cmd_oracle(args) -> int:
     z = parse_assignment(args.shift)
     d = _parse_value(args.decision)
     d0 = _parse_value(args.baseline)
-    skeleton = _skeleton_from_args(args, data)
+    skeleton = _skeleton_from_args(args, data, z, c)
     polytope = build_polytope(data, skeleton, args.atom_limit)
     lp_value = optimize_gap(polytope, z, c, d, d0, args.direction)
     closed = bnd.thm1_gap_interval(data, c, z, d, d0)

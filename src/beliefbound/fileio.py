@@ -277,14 +277,3 @@ def dataset_from_log(
 
 def joint_from_log(rows, weights=None) -> DistTable:
     return estimate_from_samples(list(rows), weights)
-
-
-def scm_to_dataset(
-    scm: Scm,
-    decision: str,
-    utility: str = "Y",
-    domains: Sequence[tuple[str, Mapping[str, Value]]] = (),
-) -> BehaviouralDataset:
-    from .scm import scm_dataset
-
-    return scm_dataset(scm, decision, utility=utility, domains=domains)

@@ -5,6 +5,8 @@ Solves  min c'x  s.t.  A x = b, x >= 0.
 Bland's anti-cycling rule throughout: the polytopes built from canonical
 response types are highly degenerate (many zero cells), and problem sizes stay
 in the hundreds of variables, so a plain dense tableau beats anything fancier.
+Each phase stops after MAX_PIVOTS pivots with LpIterationLimit, so a solve
+always terminates.
 """
 
 from __future__ import annotations
@@ -16,6 +18,11 @@ import numpy as np
 PIVOT_EPS = 1e-10
 COST_EPS = 1e-10
 FEAS_EPS = 1e-8
+# Pivots allowed per phase.  Bland's rule needs about one pivot per row on the
+# package's programs (at most 51 in a phase across the benchmark's oracle and
+# TV-ball programs, whose rows number in the tens), so this cap only stops a
+# runaway solve.
+MAX_PIVOTS = 10_000
 
 
 class LpInfeasible(Exception):
@@ -24,6 +31,10 @@ class LpInfeasible(Exception):
 
 class LpUnbounded(Exception):
     """The objective decreases without bound on the feasible set."""
+
+
+class LpIterationLimit(Exception):
+    """A phase reached MAX_PIVOTS pivots without reaching an optimum."""
 
 
 @dataclass(frozen=True)
@@ -58,6 +69,7 @@ def _ratio_row(tableau: np.ndarray, basis: list[int], col: int, m: int) -> int:
 
 
 def _run_simplex(tableau: np.ndarray, basis: list[int], m: int, ncols: int) -> None:
+    pivots = 0
     while True:
         col = -1
         for j in range(ncols):
@@ -66,10 +78,13 @@ def _run_simplex(tableau: np.ndarray, basis: list[int], m: int, ncols: int) -> N
                 break
         if col < 0:
             return
+        if pivots == MAX_PIVOTS:
+            raise LpIterationLimit(f"no optimum after {MAX_PIVOTS} pivots")
         row = _ratio_row(tableau, basis, col, m)
         if row < 0:
             raise LpUnbounded(f"column {col} has no blocking row")
         _pivot(tableau, basis, row, col)
+        pivots += 1
 
 
 def solve_lp(c, a_eq, b_eq) -> LpSolution:

@@ -6,6 +6,11 @@ equality per observed per-decision cell.  The optimum of the gap objective
 over that polytope is the exact partial-identification envelope, so matching
 it certifies a closed-form bound as tight.
 
+A canonical space is a structural model whose exogenous R_v picks v's
+response function, so it runs on `Scm`'s kernel (`scm.evaluate_columns`): one
+call per (decision, intervention) evaluates every atom, and constraint rows
+and objective coefficients are raveled from the value-index columns.
+
 Also houses the constructive side: extracting a concrete model from any
 feasible point, the bound-achieving witness models for atomic shifts, and the
 row-preserving reshuffles that realise the +/-1 extremes under unknown shifts.
@@ -25,11 +30,10 @@ from .errors import (
     AtomLimitError,
     DataError,
     InputError,
-    ModelError,
     OracleError,
     UnsupportedError,
 )
-from .scm import ExoDistribution, Mechanism, Scm
+from .scm import ExoDistribution, Mechanism, Scm, evaluate_columns, toposort
 from .tables import (
     Assignment,
     BehaviouralDataset,
@@ -89,101 +93,70 @@ class CanonicalAtomSpace:
         names = [v.name for v in variables]
         if len(set(names)) != len(names) or decision.name in names:
             raise InputError(f"bad skeleton variable names: {names}")
-        by_name = {v.name: v for v in variables}
         known = set(names) | {decision.name}
         for v in variables:
             for p in v.parents:
                 if p not in known:
                     raise InputError(f"{v.name!r} has unknown parent {p!r}")
         self.variables = tuple(sorted(variables, key=lambda v: v.name))
-        self.order = self._toposort(by_name)
+        self.refs = {v.name: VariableRef(v.name, v.domain) for v in self.variables}
+        self.refs[decision.name] = decision
+        self._parents = {v.name: v.parents for v in self.variables}
+        self.order = toposort(self._parents)
 
         cap = atom_limit(limit)
-        total = 1
+        self.dimension = 1
         self.parent_combos: dict[str, tuple[tuple[Value, ...], ...]] = {}
-        counts: dict[str, int] = {}
+        self.responses: dict[str, tuple[tuple[Value, ...], ...]] = {}
+        self._lookup: dict[str, np.ndarray] = {}
         for v in self.variables:
-            doms = [
-                decision.domain if p == decision.name else by_name[p].domain
-                for p in v.parents
-            ]
-            combos = tuple(product(*doms))
-            self.parent_combos[v.name] = combos
-            counts[v.name] = len(v.domain) ** len(combos)
-            total *= counts[v.name]
-            if total > cap:
+            combos = tuple(product(*[self.refs[p].domain for p in v.parents]))
+            k, n = len(v.domain), len(combos)
+            self.dimension *= k**n
+            if self.dimension > cap:
                 raise AtomLimitError(
-                    f"canonical space needs {total}+ atoms, over the cap of {cap} "
+                    f"canonical space needs {self.dimension}+ atoms, over the cap of {cap} "
                     f"(set {ATOM_LIMIT_ENV} to raise it)"
                 )
-        self.responses: dict[str, tuple[tuple[Value, ...], ...]] = {
-            v.name: tuple(product(v.domain, repeat=len(self.parent_combos[v.name])))
-            for v in self.variables
-        }
-        self.dimension = total
-        self._combo_index = {
-            name: {combo: i for i, combo in enumerate(combos)}
-            for name, combos in self.parent_combos.items()
-        }
-        self._by_name = by_name
-
-    def _toposort(self, by_name: dict[str, SkeletonVariable]) -> tuple[str, ...]:
-        order: list[str] = []
-        state: dict[str, int] = {}
-
-        def visit(name: str) -> None:
-            if state.get(name) == 2 or name == self.decision.name:
-                return
-            if state.get(name) == 1:
-                raise ModelError(f"cyclic skeleton at {name!r}")
-            state[name] = 1
-            for p in by_name[name].parents:
-                visit(p)
-            state[name] = 2
-            order.append(name)
-
-        for v in self.variables:
-            visit(v.name)
-        return tuple(order)
+            self.parent_combos[v.name] = combos
+            self.responses[v.name] = tuple(product(v.domain, repeat=n))
+            # Response r is r's base-k digits, most significant first, one per
+            # parent combination (the order of `product`).
+            self._lookup[v.name] = np.arange(k**n)[:, None] // k ** np.arange(n - 1, -1, -1) % k
+        self._sizes = {name: len(ref.domain) for name, ref in self.refs.items()}
+        counts = [len(self.responses[v.name]) for v in self.variables]
+        self._atom_responses = dict(
+            zip(self._parents, np.unravel_index(np.arange(self.dimension), counts))
+        )
 
     def atoms(self):
         """Deterministic enumeration of response-index tuples (name-sorted vars)."""
         return product(*[range(len(self.responses[v.name])) for v in self.variables])
 
-    def atom_index(self) -> dict[str, int]:
-        return {v.name: i for i, v in enumerate(self.variables)}
+    def columns(
+        self, d: Value, intervention: Assignment | None = None, atoms=None
+    ) -> dict[str, np.ndarray]:
+        """Value-index columns under do(intervention) and decision d, one row
+        per atom of `atoms` (response-index tuples; default: all, in order)."""
+        if atoms is None:
+            responses, rows = self._atom_responses, self.dimension
+        else:
+            responses = dict(zip(self._parents, np.asarray(atoms, dtype=np.intp).T))
+            rows = len(atoms)
+        fixed = {self.decision.name: self.decision.index(d)}
+        for name, value in (intervention or {}).items():
+            if name in self._parents:
+                fixed[name] = self.refs[name].index(value)
+        return evaluate_columns(
+            self.order, self._parents, self._sizes, self._lookup, responses, rows, fixed
+        )
 
     def evaluate(
         self, atom: Sequence[int], d: Value, intervention: Assignment | None = None
     ) -> dict[str, Value]:
         """Potential response of one atom under do(intervention) and decision d."""
-        iv = dict(intervention or {})
-        pos = self.atom_index()
-        values: dict[str, Value] = {self.decision.name: d}
-        for name in self.order:
-            if name in iv:
-                values[name] = iv[name]
-                continue
-            combo = tuple(values[p] for p in self._by_name[name].parents)
-            response = self.responses[name][atom[pos[name]]]
-            values[name] = response[self._combo_index[name][combo]]
-        del values[self.decision.name]
-        return values
-
-    def ancestors(self, name: str) -> frozenset[str]:
-        """All (decision included) ancestors of a skeleton variable."""
-        seen: set[str] = set()
-
-        def walk(n: str) -> None:
-            if n == self.decision.name:
-                return
-            for p in self._by_name[n].parents:
-                if p not in seen:
-                    seen.add(p)
-                    walk(p)
-
-        walk(name)
-        return frozenset(seen)
+        columns = self.columns(d, intervention, [atom])
+        return {name: self.refs[name].domain[columns[name][0]] for name in self.order}
 
 
 @dataclass(eq=False)
@@ -199,12 +172,21 @@ class Polytope:
     def feasible_point(self, objective: Sequence[float] | None = None) -> np.ndarray:
         """A feasible atom-probability vector, optionally optimizing a direction."""
         c = np.zeros(self.space.dimension) if objective is None else np.asarray(objective, float)
-        try:
-            return lp.solve_lp(c, self.a_eq, self.b_eq).x
-        except lp.LpInfeasible as exc:
-            raise DataError(f"infeasible polytope: {exc}") from exc
-        except lp.LpUnbounded as exc:  # pragma: no cover - simplex is bounded
-            raise OracleError(f"unbounded feasibility solve: {exc}") from exc
+        return _solve(c, self.a_eq, self.b_eq).x
+
+
+def _solve(
+    cost, a_eq, b_eq, infeasible="infeasible polytope", unbounded="unbounded solve"
+) -> lp.LpSolution:
+    """solve_lp with solver failures mapped to the package's errors."""
+    try:
+        return lp.solve_lp(cost, a_eq, b_eq)
+    except lp.LpInfeasible as exc:
+        raise DataError(f"{infeasible}: {exc}") from exc
+    except lp.LpUnbounded as exc:
+        raise OracleError(f"{unbounded}: {exc}") from exc
+    except lp.LpIterationLimit as exc:
+        raise OracleError(f"simplex stopped: {exc}") from exc
 
 
 def build_polytope(
@@ -234,31 +216,28 @@ def build_polytope(
                 f"domain mismatch for {v.name!r}: skeleton {v.domain} vs data {ref.domain}"
             )
 
-    atoms = list(space.atoms())
-    rows: list[np.ndarray] = []
+    cells = list(product(*[v.domain for v in space.variables]))
+    sizes = [len(v.domain) for v in space.variables]
+    blocks = [(dom, d) for dom in data.all_domains() for d in data.decisions]
+    a_eq = np.zeros((len(blocks) * len(cells) + 1, space.dimension))
     rhs: list[float] = []
     labels: list[str] = []
-    for dom in data.all_domains():
-        for d in data.decisions:
-            table = dom.per_decision[d]
-            evaluated = [space.evaluate(atom, d, dom.intervened) for atom in atoms]
-            for cell in product(*[v.domain for v in space.variables]):
-                assignment = dict(zip(scope_names, cell))
-                row = np.fromiter(
-                    (1.0 if ev == assignment else 0.0 for ev in evaluated),
-                    dtype=float,
-                    count=len(atoms),
-                )
-                rows.append(row)
-                rhs.append(float(table.prob(assignment)))
-                labels.append(f"{dom.label or 'base'}: P_{d}({assignment})")
-    rows.append(np.ones(len(atoms)))
+    for b, (dom, d) in enumerate(blocks):
+        columns = space.columns(d, dom.intervened)
+        cell = np.ravel_multi_index([columns[name] for name in scope_names], sizes)
+        a_eq[b * len(cells) + cell, np.arange(space.dimension)] = 1.0
+        table = dom.per_decision[d]
+        for values in cells:
+            assignment = dict(zip(scope_names, values))
+            rhs.append(float(table.prob(assignment)))
+            labels.append(f"{dom.label or 'base'}: P_{d}({assignment})")
+    a_eq[-1] = 1.0
     rhs.append(1.0)
     labels.append("total mass")
     polytope = Polytope(
         space=space,
         data=data,
-        a_eq=np.vstack(rows),
+        a_eq=a_eq,
         b_eq=np.asarray(rhs),
         row_labels=tuple(labels),
     )
@@ -275,35 +254,26 @@ def _objective_terms(
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Per-atom numerator coefficients and context indicators for the gap."""
     space = polytope.space
-    data = polytope.data
-    utility = data.utility
-    names = {v.name for v in space.variables}
+    utility = polytope.data.utility
     for key in (*z, *c):
-        if key not in names:
+        if key not in space._parents:
             raise InputError(f"{key!r} is not a modelled variable")
     merge_assignments(c, z)
-    for name in c:
-        if name in z:
-            continue
-        if data.decision.name in space.ancestors(name):
+    degenerate = all(name in z for name in c)
+    ev_d = space.columns(d, z)
+    ev_s = space.columns(d_star, z)
+    sat = np.ones(space.dimension, dtype=bool)
+    for name, value in c.items():
+        if np.any(ev_d[name] != ev_s[name]):
             raise UnsupportedError(
-                f"context variable {name!r} is downstream of the decision; the "
+                f"context variable {name!r} responds to the decision under do(z); the "
                 "conditional objective is not a single-denominator program"
             )
-    num = np.zeros(space.dimension)
-    den = np.zeros(space.dimension)
-    degenerate = all(name in z for name in c)
-    for i, atom in enumerate(space.atoms()):
-        ev_d = space.evaluate(atom, d, z)
-        ev_s = space.evaluate(atom, d_star, z)
-        sat_d = all(ev_d[k] == v for k, v in c.items())
-        sat_s = all(ev_s[k] == v for k, v in c.items())
-        if sat_d != sat_s:  # pragma: no cover - excluded by the ancestry check
-            raise OracleError("context indicator depends on the decision")
-        den[i] = 1.0 if sat_d else 0.0
-        y_d = ev_d[utility]
-        y_s = ev_s[utility]
-        num[i] = (float(y_d) - float(y_s)) * den[i]
+        domain = space.refs[name].domain
+        sat &= ev_d[name] == (domain.index(value) if value in domain else -1)
+    den = sat.astype(float)
+    y = np.array([float(v) for v in space.refs[utility].domain])
+    num = (y[ev_d[utility]] - y[ev_s[utility]]) * den
     return num, den, degenerate
 
 
@@ -335,13 +305,7 @@ def optimize_gap(
     if degenerate:
         if c and any(z[name] != c[name] for name in c):
             raise InputError(f"context {dict(c)} conflicts with the shift {dict(z)}")
-        try:
-            sol = lp.solve_lp(sign * num, polytope.a_eq, polytope.b_eq)
-        except lp.LpInfeasible as exc:
-            raise DataError(f"infeasible polytope: {exc}") from exc
-        except lp.LpUnbounded as exc:  # pragma: no cover
-            raise OracleError(str(exc)) from exc
-        return sign * sol.value
+        return sign * _solve(sign * num, polytope.a_eq, polytope.b_eq).value
 
     # Charnes-Cooper: q = p / (den . p), t = 1 / (den . p).
     n = polytope.space.dimension
@@ -351,18 +315,14 @@ def optimize_gap(
     b_eq = np.zeros(rows.shape[0] + 1)
     b_eq[-1] = 1.0
     cost = np.hstack([sign * num, [0.0]])
-    try:
-        sol = lp.solve_lp(cost, a_eq, b_eq)
-    except lp.LpInfeasible as exc:
-        raise DataError(
-            f"context {dict(c)} has zero probability under do({dict(z)}) for every "
-            f"compatible model: {exc}"
-        ) from exc
-    except lp.LpUnbounded as exc:
-        raise OracleError(
-            f"fractional reduction unbounded; context probability is not bounded "
-            f"away from zero: {exc}"
-        ) from exc
+    sol = _solve(
+        cost,
+        a_eq,
+        b_eq,
+        f"context {dict(c)} has zero probability under do({dict(z)}) for every "
+        "compatible model",
+        "fractional reduction unbounded; context probability is not bounded away from zero",
+    )
     if sol.x[n] <= lp.FEAS_EPS:
         raise OracleError("degenerate rescaling (t = 0); context mass collapses")
     return sign * sol.value
@@ -381,18 +341,12 @@ def feasible_scm(polytope: Polytope) -> Scm:
         VariableRef(f"R_{v.name}", tuple(range(len(space.responses[v.name]))))
         for v in space.variables
     )
-    kept = [
-        (tuple(atom), p)
-        for atom, p in zip(space.atoms(), x)
-        if p > 1e-12
-    ]
-    total = sum(p for _, p in kept)
-    atoms = tuple((atom, p / total) for atom, p in kept)
-    exo = ExoDistribution(exo_refs, atoms)
+    kept = np.flatnonzero(x > 1e-12).tolist()
+    total = sum(x[i] for i in kept)
+    keys = zip(*[space._atom_responses[v.name][kept].tolist() for v in space.variables])
+    exo = ExoDistribution(exo_refs, tuple((key, x[i] / total) for key, i in zip(keys, kept)))
 
-    decision = polytope.data.decision
-    refs = {v.name: VariableRef(v.name, v.domain) for v in space.variables}
-    refs[decision.name] = decision
+    decision = space.decision
     mechanisms: dict[str, Mechanism] = {
         decision.name: Mechanism.constant(decision, decision.domain[0])
     }
@@ -402,9 +356,9 @@ def feasible_scm(polytope: Polytope) -> Scm:
             for ci, combo in enumerate(space.parent_combos[v.name]):
                 table[(*combo, r)] = response[ci]
         mechanisms[v.name] = Mechanism(
-            refs[v.name], v.parents, (exo_refs[i].name,), table
+            space.refs[v.name], v.parents, (exo_refs[i].name,), table
         )
-    return Scm(tuple(refs.values()), mechanisms, exo)
+    return Scm(tuple(space.refs.values()), mechanisms, exo)
 
 
 def witness_thm1_scm(

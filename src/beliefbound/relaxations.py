@@ -34,21 +34,15 @@ class GroundingBall:
     """Total-variation neighbourhood of the observed per-decision tables.
 
     `centres` may pin explicit centre tables; by default the ball sits on the
-    dataset the bound is called with.  Only the total-variation discrepancy
-    ships; the field exists so reports can name the metric.
+    dataset the bound is called with.
     """
 
     delta: float
-    discrepancy: str = "tv"
     centres: dict[Value, DistTable] | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.delta <= 1.0:
             raise InputError(f"delta must lie in [0, 1], got {self.delta}")
-        if self.discrepancy != "tv":
-            raise UnsupportedError(
-                f"only the total-variation discrepancy is implemented, got {self.discrepancy!r}"
-            )
 
     def centre(self, data: BehaviouralDataset, d: Value) -> DistTable:
         if self.centres is not None:
@@ -121,7 +115,7 @@ def _ball_minimum(
     cost[:n] = coeffs
     try:
         return lp.solve_lp(cost, np.vstack(rows), np.asarray(rhs)).value
-    except (lp.LpInfeasible, lp.LpUnbounded) as exc:  # pragma: no cover
+    except (lp.LpInfeasible, lp.LpUnbounded, lp.LpIterationLimit) as exc:  # pragma: no cover
         raise OracleError(f"TV-ball program failed: {exc}") from exc
 
 
@@ -197,6 +191,9 @@ def approx_grounding_lower(
         for t in (d, d_star)
     }
     index = {t: [cells.index(k) for k in support[t]] for t in (d, d_star)}
+    centre_vecs = {
+        t: np.array([float(centres[t].entries.get(k, 0)) for k in cells]) for t in (d, d_star)
+    }
     best = np.inf
     accepted = 0
     for _ in range(n_samples):
@@ -206,8 +203,7 @@ def approx_grounding_lower(
             draw = rng.dirichlet(alphas[t])
             full = np.zeros(len(cells))
             full[index[t]] = draw
-            centre_vec = np.array([float(centres[t].entries.get(k, 0)) for k in cells])
-            tv = 0.5 * float(np.abs(full - centre_vec).sum())
+            tv = 0.5 * float(np.abs(full - centre_vecs[t]).sum())
             if tv > ball.delta:
                 ok = False
             value += float(coeff[t] @ full)

@@ -8,13 +8,22 @@ concurrent use is safe.
 Mechanisms are tables rather than expressions: the whole package relies on
 exhaustive exogenous enumeration, and tables keep that exact (rationals pass
 through untouched).
+
+The package's one topological sort (`toposort`) and one evaluation kernel
+(`evaluate_columns`, exogenous atoms in, one value-index column per variable
+out) live here and serve `Scm` and the oracle's canonical space alike.  Only
+value indices enter numpy; masses are summed in Python, so rationals stay exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from itertools import product
+from math import prod
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import InputError, ModelError, UnsupportedError
 from .tables import (
@@ -134,16 +143,6 @@ class ExoDistribution:
 
 
 @dataclass(frozen=True)
-class Intervention:
-    """Atomic do-assignment on endogenous variables."""
-
-    assignments: dict[str, Value]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "assignments", dict(self.assignments))
-
-
-@dataclass(frozen=True)
 class Shift:
     """Mechanism/exogenous replacement for a set of endogenous variables.
 
@@ -159,10 +158,51 @@ class Shift:
         object.__setattr__(self, "targets", tuple(self.targets))
 
 
-def _as_assignments(iv: Intervention | Assignment) -> dict[str, Value]:
-    if isinstance(iv, Intervention):
-        return dict(iv.assignments)
-    return dict(iv)
+def toposort(parents: Mapping[str, Sequence[str]]) -> tuple[str, ...]:
+    """Evaluation order of the mapping's keys; raises ModelError on a cycle.
+
+    Parents that are not keys are inputs fixed from outside (the decision of
+    a canonical space) and impose no order.
+    """
+    graph = {name: [p for p in ps if p in parents] for name, ps in parents.items()}
+    try:
+        return tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        raise ModelError(f"cyclic dependencies among {sorted(set(exc.args[1]))}") from None
+
+
+def _ravel(
+    columns: Mapping[str, np.ndarray], names: Sequence[str], sizes: Mapping[str, int], rows: int
+) -> np.ndarray:
+    """C-order flat index of the named columns (zeros when there are none)."""
+    if not names:
+        return np.zeros(rows, dtype=np.intp)
+    return np.ravel_multi_index([columns[n] for n in names], [sizes[n] for n in names])
+
+
+def evaluate_columns(
+    order: Sequence[str],
+    parents: Mapping[str, Sequence[str]],
+    sizes: Mapping[str, int],
+    lookup: Mapping[str, np.ndarray],
+    exo: Mapping[str, np.ndarray],
+    rows: int,
+    fixed: Mapping[str, int] | None = None,
+) -> dict[str, np.ndarray]:
+    """Value-index column of every variable over `rows` exogenous atoms.
+
+    ``lookup[v][e, k]`` is v's domain index when its exogenous input is e
+    (``exo[v]`` holds e per atom) and its parents' indices ravel to k.
+    Variables in `fixed` (do-assignments, outside inputs) keep the given index.
+    """
+    columns = {
+        name: np.full(rows, index, dtype=np.intp) for name, index in (fixed or {}).items()
+    }
+    for name in order:
+        if name not in columns:
+            combo = _ravel(columns, parents[name], sizes, rows)
+            columns[name] = lookup[name][exo[name], combo]
+    return columns
 
 
 @dataclass(frozen=True)
@@ -177,6 +217,7 @@ class Scm:
     mechanisms: dict[str, Mechanism]
     exo: ExoDistribution
     order: tuple[str, ...] = field(default=(), compare=False)
+    lookup: dict[str, np.ndarray] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         refs = tuple(self.variables)
@@ -189,6 +230,7 @@ class Scm:
             )
         by_name = {r.name: r for r in refs}
         exo_by_name = {r.name: r for r in self.exo.variables}
+        lookup = {}
         for name, mech in self.mechanisms.items():
             if mech.target.name != name or mech.target != by_name[name]:
                 raise ModelError(f"mechanism for {name!r} targets {mech.target}")
@@ -198,47 +240,30 @@ class Scm:
             for e in mech.exo_parents:
                 if e not in exo_by_name:
                     raise ModelError(f"{name!r} has unknown exogenous parent {e!r}")
-            self._check_total(mech, by_name, exo_by_name)
+            lookup[name] = self._compile(mech, by_name, exo_by_name)
         object.__setattr__(self, "variables", refs)
         object.__setattr__(self, "mechanisms", dict(self.mechanisms))
-        object.__setattr__(self, "order", self._toposort(names))
+        parents = {name: mech.parents for name, mech in self.mechanisms.items()}
+        object.__setattr__(self, "order", toposort(parents))
+        object.__setattr__(self, "lookup", lookup)
 
     @staticmethod
-    def _check_total(mech: Mechanism, by_name, exo_by_name) -> None:
-        doms = [by_name[p].domain for p in mech.parents]
-        doms += [exo_by_name[e].domain for e in mech.exo_parents]
-        for combo in product(*doms):
+    def _compile(mech: Mechanism, by_name, exo_by_name) -> np.ndarray:
+        """Check the table is total into the target domain; return its lookup array."""
+        parent_doms = [by_name[p].domain for p in mech.parents]
+        exo_doms = [exo_by_name[e].domain for e in mech.exo_parents]
+        flat = []
+        for combo in product(*parent_doms, *exo_doms):
             if combo not in mech.table:
-                raise ModelError(
-                    f"mechanism for {mech.target.name!r} is missing input {combo}"
-                )
+                raise ModelError(f"mechanism for {mech.target.name!r} is missing input {combo}")
             out = mech.table[combo]
             if out not in mech.target.domain:
                 raise ModelError(
                     f"mechanism for {mech.target.name!r} outputs {out!r} outside domain"
                 )
-
-    def _toposort(self, names: list[str]) -> tuple[str, ...]:
-        indeg = {n: 0 for n in names}
-        children: dict[str, list[str]] = {n: [] for n in names}
-        for name, mech in self.mechanisms.items():
-            for p in mech.parents:
-                indeg[name] += 1
-                children[p].append(name)
-        ready = sorted(n for n in names if indeg[n] == 0)
-        order: list[str] = []
-        while ready:
-            n = ready.pop(0)
-            order.append(n)
-            for c in sorted(children[n]):
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
-            ready.sort()
-        if len(order) != len(names):
-            cyclic = sorted(set(names) - set(order))
-            raise ModelError(f"cyclic dependencies among {cyclic}")
-        return tuple(order)
+            flat.append(mech.target.domain.index(out))
+        shape = (prod(map(len, parent_doms)), prod(map(len, exo_doms)))
+        return np.array(flat, dtype=np.intp).reshape(shape).T
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -251,30 +276,38 @@ class Scm:
         raise InputError(f"no endogenous variable {name!r}")
 
 
+def _evaluate_keys(scm: Scm, keys: Sequence[tuple[Value, ...]]) -> dict[str, np.ndarray]:
+    """One kernel call over exogenous keys (values in `scm.exo.names` order)."""
+    units, exo_sizes = {}, {}
+    for j, ref in enumerate(scm.exo.variables):
+        units[ref.name] = np.array([ref.domain.index(key[j]) for key in keys], dtype=np.intp)
+        exo_sizes[ref.name] = len(ref.domain)
+    exo = {
+        name: _ravel(units, m.exo_parents, exo_sizes, len(keys))
+        for name, m in scm.mechanisms.items()
+    }
+    parents = {name: m.parents for name, m in scm.mechanisms.items()}
+    sizes = {ref.name: len(ref.domain) for ref in scm.variables}
+    return evaluate_columns(scm.order, parents, sizes, scm.lookup, exo, len(keys))
+
+
 def evaluate(scm: Scm, u: Assignment) -> dict[str, Value]:
-    """Unique potential response V(u): apply mechanisms in topological order."""
-    exo = {}
+    """Unique potential response V(u): one kernel row."""
     for ref in scm.exo.variables:
         if ref.name not in u:
             raise InputError(f"exogenous variable {ref.name!r} unassigned")
         if u[ref.name] not in ref.domain:
             raise InputError(f"value {u[ref.name]!r} outside domain of {ref.name!r}")
-        exo[ref.name] = u[ref.name]
-    values: dict[str, Value] = {}
-    for name in scm.order:
-        mech = scm.mechanisms[name]
-        key = tuple(values[p] for p in mech.parents) + tuple(exo[e] for e in mech.exo_parents)
-        values[name] = mech.table[key]
-    return values
+    columns = _evaluate_keys(scm, [tuple(u[name] for name in scm.exo.names)])
+    return {name: scm.ref(name).domain[columns[name][0]] for name in scm.order}
 
 
-def submodel(scm: Scm, iv: Intervention | Assignment) -> Scm:
+def submodel(scm: Scm, iv: Assignment) -> Scm:
     """Sub-model under do(x): targeted mechanisms become constants."""
-    assignments = _as_assignments(iv)
-    if not assignments:
+    if not iv:
         return scm
     mechanisms = dict(scm.mechanisms)
-    for name, value in assignments.items():
+    for name, value in iv.items():
         ref = scm.ref(name)
         mechanisms[name] = Mechanism.constant(ref, value)
     return Scm(scm.variables, mechanisms, scm.exo)
@@ -308,39 +341,32 @@ def apply_shift(scm: Scm, shift: Shift) -> Scm:
 
 def joint_distribution(scm: Scm) -> DistTable:
     """Push the exogenous distribution through the mechanisms."""
-    names = sorted(scm.names)
+    refs = tuple(scm.ref(n) for n in sorted(scm.names))
+    columns = _evaluate_keys(scm, [key for key, _ in scm.exo.atoms])
+    values = zip(*(np.array(r.domain, dtype=object)[columns[r.name]] for r in refs))
     cells: dict[tuple[Value, ...], Number] = {}
-    for u, p in scm.exo.assignments():
-        values = evaluate(scm, u)
-        key = tuple(values[n] for n in names)
+    for key, (_, p) in zip(values, scm.exo.atoms):
         cells[key] = cells.get(key, 0) + p
-    refs = tuple(scm.ref(n) for n in names)
     return DistTable(refs, cells)
 
 
 def counterfactual_probability(
     scm: Scm,
-    events: Sequence[tuple[Intervention | Assignment, Assignment]],
+    events: Sequence[tuple[Assignment, Assignment]],
 ) -> Number:
     """Probability that every (do(x), partial assignment) event holds jointly.
 
     Sums P(u) over exogenous atoms whose potential responses satisfy all the
     listed counterfactual events simultaneously.
     """
-    prepared = []
+    keys = [key for key, _ in scm.exo.atoms]
+    holds = np.ones(len(keys), dtype=bool)
     for iv, event in events:
-        sub = submodel(scm, iv)
-        for name in event:
-            scm.ref(name)
-        prepared.append((sub, dict(event)))
-    total: Number = 0
-    for u, p in scm.exo.assignments():
-        if all(
-            all(evaluate(sub, u)[name] == value for name, value in event.items())
-            for sub, event in prepared
-        ):
-            total = total + p
-    return total
+        columns = _evaluate_keys(submodel(scm, iv), keys)
+        for name, value in event.items():
+            domain = scm.ref(name).domain
+            holds &= columns[name] == (domain.index(value) if value in domain else -1)
+    return sum((p for (_, p), ok in zip(scm.exo.atoms, holds.tolist()) if ok), start=0)
 
 
 # -- stochastic policies and induced data ---------------------------------

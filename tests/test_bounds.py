@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from beliefbound.bounds import (
     GapInterval,
-    ShiftSpec,
     causal_harm_interval,
     direct_discrimination_interval,
     fairness_gap_interval,
@@ -363,18 +362,6 @@ def test_gap_interval_validation():
         GapInterval(0.0, 0.5, "nonsense", "t", True, "x")
     with pytest.raises(InputError):
         GapInterval(-0.5, 0.5, "harm", "t", True, "x")
-
-
-def test_shift_spec_validation(medai):
-    ShiftSpec("atomic", ("Z",), values={"Z": 1})
-    ShiftSpec("unknown", ("Z",))
-    ShiftSpec("covariate-informed", ("Z",), covariates=sigma_table("0.9"))
-    with pytest.raises(InputError):
-        ShiftSpec("unknown", ())
-    with pytest.raises(InputError):
-        ShiftSpec("atomic", ("Z",))
-    with pytest.raises(InputError):
-        ShiftSpec("covariate-informed", ("Z",))
 
 
 def test_interval_ranges_hold_on_random_data():

@@ -9,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from beliefbound import fileio
 from beliefbound.cli import main
+from beliefbound.scm import ExoDistribution, Mechanism, Scm, scm_dataset
+from beliefbound.tables import VariableRef
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = "src/beliefbound/fixtures"
@@ -204,6 +207,36 @@ def test_exit_two_on_parse_error():
     assert result.stderr.count("\n") == 1
 
 
+def test_default_skeleton_lets_context_respond_to_shift(tmp_path, capsys, monkeypatch):
+    # Hidden model: W <- (Z, U), Y <- (D, W, U).  The default skeleton must let
+    # the context W respond to do(Z=1), or the LP optimises over a model class
+    # that excludes the closed form's witness and reports a false mismatch.
+    d, z, w, y = (VariableRef(name, (0, 1)) for name in "DZWY")
+    u = VariableRef("U", (0, 1, 2, 3))
+    w_out = [[0, 1, 1, 1], [0, 0, 1, 1]]
+    y_out = [[[0, 0, 1, 0], [0, 1, 0, 0]], [[1, 1, 0, 0], [1, 1, 1, 1]]]
+    model = Scm(
+        (d, w, y, z),
+        {
+            "D": Mechanism.constant(d, 0),
+            "Z": Mechanism.from_function(z, (), (u,), lambda a: a["U"] % 2),
+            "W": Mechanism.from_function(w, (z,), (u,), lambda a: w_out[a["Z"]][a["U"]]),
+            "Y": Mechanism.from_function(
+                y, (d, w), (u,), lambda a: y_out[a["D"]][a["W"]][a["U"]]
+            ),
+        },
+        ExoDistribution((u,), tuple(((i,), 0.25) for i in range(4))),
+    )
+    path = tmp_path / "wyz.json"
+    path.write_text(json.dumps(fileio.dump_dataset(scm_dataset(model, "D"))))
+    for direction in ("min", "max"):
+        argv = ["oracle", "--data", str(path), "--shift", "Z=1", "--context", "Z=1,W=1",
+                "--direction", direction, "--decision", "1", "--baseline", "0"]
+        code, out, _ = run_inprocess(argv, capsys, monkeypatch)
+        assert code == 0
+        assert json.loads(out)["oracle"]["certified"] is True
+
+
 def test_exit_two_on_domain_error(tmp_path):
     # Skew the treated Z-marginal away from the untreated one: no
     # decision-independent Z root can generate both tables.
@@ -220,6 +253,17 @@ def test_exit_two_on_domain_error(tmp_path):
     )
     assert result.returncode == 2
     assert "infeasible" in result.stderr
+
+
+def test_exit_two_when_simplex_hits_pivot_cap(capsys, monkeypatch):
+    from beliefbound import lp
+
+    monkeypatch.setattr(lp, "MAX_PIVOTS", 0)
+    code, out, err = run_inprocess(GOLDEN_CASES["oracle_min"], capsys, monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "pivots" in err
+    assert err.count("\n") == 1
 
 
 def test_exit_three_when_verdict_required(capsys, monkeypatch):

@@ -7,7 +7,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from beliefbound.lp import LpInfeasible, LpUnbounded, solve_lp
+from beliefbound import lp
+from beliefbound.lp import LpInfeasible, LpIterationLimit, LpUnbounded, solve_lp
 
 
 def brute_force_min(c, a, b, tol=1e-9):
@@ -115,3 +116,35 @@ def test_solution_satisfies_constraints_exactly_enough():
         sol = solve_lp(c, a, b)
         assert np.allclose(a @ sol.x, b, atol=1e-9)
         assert float(c @ sol.x) <= float(c @ x0) + 1e-9
+
+
+def test_pivot_cap_stops_the_solve(monkeypatch):
+    c = np.array([-1.0, -2.0, 0.0, 0.0])
+    a = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 3.0, 0.0, 1.0]])
+    b = np.array([4.0, 6.0])
+    assert solve_lp(c, a, b).value == pytest.approx(-5.0, abs=1e-12)
+    monkeypatch.setattr(lp, "MAX_PIVOTS", 1)
+    with pytest.raises(LpIterationLimit):
+        solve_lp(c, a, b)
+
+
+def test_matches_highs_on_random_degenerate_programs():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(23)
+    for _ in range(80):
+        m, n = int(rng.integers(2, 7)), int(rng.integers(4, 24))
+        # 0/1 rows like the oracle's cell indicators, a duplicated row and a
+        # total-mass row; a sparse generating point makes the optimum degenerate.
+        a = rng.integers(0, 2, size=(m, n)).astype(float)
+        a = np.vstack([a, a[:1], np.ones(n)])
+        x0 = np.zeros(n)
+        support = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+        x0[support] = rng.dirichlet(np.ones(len(support)))
+        b = a @ x0
+        c = rng.integers(-2, 3, size=n).astype(float)
+        ours = solve_lp(c, a, b)
+        ref = optimize.linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+        assert ref.status == 0
+        assert ours.value == pytest.approx(ref.fun, abs=1e-9)
+        assert np.abs(a @ ours.x - b).max() <= 1e-9
+        assert ours.x.min() >= -1e-12

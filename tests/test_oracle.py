@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from beliefbound.bounds import thm1_gap_interval
-from beliefbound.errors import AtomLimitError, DataError, UnsupportedError
+from beliefbound.errors import AtomLimitError, DataError, ModelError, UnsupportedError
 from beliefbound.oracle import (
+    _objective_terms,
     CanonicalAtomSpace,
     SkeletonVariable,
     build_polytope,
@@ -70,6 +72,106 @@ def test_atom_limit_guard(medai, monkeypatch):
         CanonicalAtomSpace(medai.decision, SKELETON)
     monkeypatch.setenv("BELIEFBOUND_ATOM_LIMIT", "1e6")
     assert CanonicalAtomSpace(medai.decision, SKELETON).dimension == 32
+
+
+def test_cyclic_skeleton_rejected(medai):
+    skeleton = [
+        SkeletonVariable("W", (0, 1), ("Z",)),
+        SkeletonVariable("Z", (0, 1), ("W",)),
+        SkeletonVariable("Y", (0, 1), ("D", "Z")),
+    ]
+    with pytest.raises(ModelError):
+        CanonicalAtomSpace(medai.decision, skeleton)
+
+
+def reference_evaluate(skeleton, decision, atom, d, intervention):
+    """One atom's potential response, straight from the response-type definition."""
+    variables = sorted(skeleton, key=lambda v: v.name)
+    domains = {v.name: v.domain for v in variables}
+    domains[decision.name] = decision.domain
+    values = {decision.name: d}
+    while len(values) <= len(variables):
+        for i, v in enumerate(variables):
+            if v.name in values or any(p not in values for p in v.parents):
+                continue
+            if v.name in intervention:
+                values[v.name] = intervention[v.name]
+                continue
+            combos = list(product(*[domains[p] for p in v.parents]))
+            response = list(product(v.domain, repeat=len(combos)))[atom[i]]
+            values[v.name] = response[combos.index(tuple(values[p] for p in v.parents))]
+    del values[decision.name]
+    return values
+
+
+def chained_dataset(seed, sizes):
+    """Data from a random model with Z -> W -> Y <- D and a do(Z=1) domain."""
+    rng = np.random.default_rng(seed)
+    d = VariableRef("D", (0, 1))
+    z, w = (VariableRef(n, tuple(range(sizes[n]))) for n in "ZW")
+    y = VariableRef("Y", (0, 1))
+    u = VariableRef("U", tuple(range(6)))
+    weights = [int(w) for w in rng.integers(1, 9, size=6)]
+    z_out = rng.integers(0, sizes["Z"], size=6)
+    w_out = rng.integers(0, sizes["W"], size=(sizes["Z"], 6))
+    y_out = rng.integers(0, 2, size=(2, sizes["W"], 6))
+    model = Scm(
+        (d, w, y, z),
+        {
+            "D": Mechanism.constant(d, 0),
+            "Z": Mechanism.from_function(z, (), (u,), lambda a: int(z_out[a["U"]])),
+            "W": Mechanism.from_function(w, (z,), (u,), lambda a: int(w_out[a["Z"], a["U"]])),
+            "Y": Mechanism.from_function(
+                y, (d, w), (u,), lambda a: int(y_out[a["D"], a["W"], a["U"]])
+            ),
+        },
+        ExoDistribution(
+            (u,), tuple(((i,), Fraction(w, sum(weights))) for i, w in enumerate(weights))
+        ),
+    )
+    skeleton = [
+        SkeletonVariable("Z", z.domain),
+        SkeletonVariable("W", w.domain, ("Z",)),
+        SkeletonVariable("Y", y.domain, ("D", "W")),
+    ]
+    return scm_dataset(model, "D", domains=[("exp", Z1)]), skeleton
+
+
+@pytest.mark.parametrize("sizes", [{"Z": 3, "W": 2}, {"Z": 2, "W": 3}])
+def test_vectorised_build_matches_per_atom_reference(sizes):
+    for seed in range(2):
+        data, skeleton = chained_dataset(seed, sizes)
+        poly = build_polytope(data, skeleton)
+        space = poly.space
+        atoms = list(space.atoms())
+        names = [v.name for v in space.variables]
+        rows = []
+        for dom in data.all_domains():
+            for d in data.decisions:
+                evaluated = [
+                    reference_evaluate(skeleton, data.decision, a, d, dom.intervened)
+                    for a in atoms
+                ]
+                for cell in product(*[v.domain for v in space.variables]):
+                    assignment = dict(zip(names, cell))
+                    rows.append([1.0 if ev == assignment else 0.0 for ev in evaluated])
+        rows.append([1.0] * len(atoms))
+        assert np.array_equal(poly.a_eq, np.array(rows))
+        for c in (Z1, {"W": 1}, {"Z": 1, "W": 0}):
+            num, den, _ = _objective_terms(poly, Z1, c, 1, 0)
+            want_num, want_den = [], []
+            for a in atoms:
+                ev1 = reference_evaluate(skeleton, data.decision, a, 1, Z1)
+                ev0 = reference_evaluate(skeleton, data.decision, a, 0, Z1)
+                sat = 1.0 if all(ev1[k] == v for k, v in c.items()) else 0.0
+                want_num.append((float(ev1["Y"]) - float(ev0["Y"])) * sat)
+                want_den.append(sat)
+            assert np.array_equal(num, np.array(want_num))
+            assert np.array_equal(den, np.array(want_den))
+        for a in atoms[:: max(1, len(atoms) // 50)]:
+            assert space.evaluate(a, 1, Z1) == reference_evaluate(
+                skeleton, data.decision, a, 1, Z1
+            )
 
 
 # -- polytope -----------------------------------------------------------------

@@ -10,7 +10,6 @@ import pytest
 from beliefbound.errors import InputError, ModelError, UnsupportedError
 from beliefbound.scm import (
     ExoDistribution,
-    Intervention,
     Mechanism,
     Scm,
     Shift,
@@ -57,7 +56,7 @@ def test_submodel_replaces_only_target(m1):
 
 def test_submodel_empty_is_identity(m1):
     assert submodel(m1, {}) is m1
-    assert submodel(m1, Intervention({})) is m1
+    assert submodel(m1, {}) is m1
 
 
 def test_submodel_rejects_bad_value(m1):
