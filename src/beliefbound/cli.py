@@ -329,7 +329,7 @@ def cmd_oracle(args) -> int:
         },
         oracle={
             "atoms": polytope.space.dimension,
-            "constraints": int(polytope.a_eq.shape[0]),
+            "constraints": int(polytope.b_eq.shape[0]),
             "direction": args.direction,
             "lp_value": lp_value,
             "closed_form": float(closed_value),

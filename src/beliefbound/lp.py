@@ -4,7 +4,9 @@ Solves  min c'x  s.t.  A x = b, x >= 0.
 
 Bland's anti-cycling rule throughout: the polytopes built from canonical
 response types are highly degenerate (many zero cells), and problem sizes stay
-in the hundreds of variables, so a plain dense tableau beats anything fancier.
+in the tens to hundreds of variables (the oracle solves over merged duplicate
+columns, not one column per atom), so a plain dense tableau beats anything
+fancier.
 Each phase stops after MAX_PIVOTS pivots with LpIterationLimit, so a solve
 always terminates.
 """

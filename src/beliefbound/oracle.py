@@ -1,7 +1,7 @@
 """Independent certification of gap bounds by exact polytope optimization.
 
 The closed-form bounds are verified against linear programs over canonical
-response-type models: one simplex variable per joint response type, one
+response-type models: one probability per joint response type (atom), one
 equality per observed per-decision cell.  The optimum of the gap objective
 over that polytope is the exact partial-identification envelope, so matching
 it certifies a closed-form bound as tight.
@@ -10,6 +10,15 @@ A canonical space is a structural model whose exogenous R_v picks v's
 response function, so it runs on `Scm`'s kernel (`scm.evaluate_columns`): one
 call per (decision, intervention) evaluates every atom, and constraint rows
 and objective coefficients are raveled from the value-index columns.
+
+Atoms landing in the same cell of every observed block have identical
+constraint columns, and thousands of them share one (the response-function
+reduction of Balke & Pearl).  The simplex therefore runs over classes of atoms
+with identical columns (constraint, objective and, for conditional gaps, the
+context indicator), numbered in order of first atom, and each class's mass is
+put back on its first atom.  Under Bland's rule a later duplicate never enters
+the basis ahead of its first occurrence, so the pivots, the vertex and every
+value are those of the per-atom program.
 
 Also houses the constructive side: extracting a concrete model from any
 feasible point, the bound-achieving witness models for atomic shifts, and the
@@ -161,18 +170,52 @@ class CanonicalAtomSpace:
 
 @dataclass(eq=False)
 class Polytope:
-    """Linear description of all canonical models matching the observed cells."""
+    """Linear description of all canonical models matching the observed cells.
+
+    `merged` holds one 0/1 constraint column per class of atoms with
+    identical columns; atom i's column is `merged[:, atom_class[i]]`.
+    """
 
     space: CanonicalAtomSpace
     data: BehaviouralDataset
-    a_eq: np.ndarray
+    merged: np.ndarray
     b_eq: np.ndarray
+    atom_class: np.ndarray
     row_labels: tuple[str, ...] = field(default=())
+
+    @property
+    def a_eq(self) -> np.ndarray:
+        """The per-atom constraint matrix (a read-only copy, built on access)."""
+        a_eq = self.merged[:, self.atom_class]
+        a_eq.flags.writeable = False
+        return a_eq
 
     def feasible_point(self, objective: Sequence[float] | None = None) -> np.ndarray:
         """A feasible atom-probability vector, optionally optimizing a direction."""
         c = np.zeros(self.space.dimension) if objective is None else np.asarray(objective, float)
-        return _solve(c, self.a_eq, self.b_eq).x
+        return _solve_classes(self, c)
+
+
+def _classes(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of atoms agreeing on every per-atom key, numbered in order of
+    first atom: (class of each atom, first atom of each class)."""
+    n = len(keys[0])
+    ids = np.zeros(n, dtype=np.intp)
+    for key in keys:
+        if key.dtype.kind == "f":
+            key = np.unique(key, return_inverse=True)[1]
+        ids = ids * (int(key.max()) + 1) + key
+        if ids.max() >= 4 * n:  # too sparse to renumber through a dense table
+            ids = np.unique(ids, return_inverse=True)[1]
+        # Renumber by first atom, so ids stay below n and the next key fits.
+        size = int(ids.max()) + 1
+        first = np.full(size, n)
+        np.minimum.at(first, ids, np.arange(n))
+        first = np.sort(first[first < n])
+        label = np.empty(size, dtype=np.intp)
+        label[ids[first]] = np.arange(first.size)
+        ids = label[ids]
+    return ids, first
 
 
 def _solve(
@@ -189,12 +232,37 @@ def _solve(
         raise OracleError(f"simplex stopped: {exc}") from exc
 
 
+def _solve_classes(
+    polytope: Polytope, cost: np.ndarray, den: np.ndarray | None = None, *messages: str
+) -> np.ndarray:
+    """Minimiser of cost . x over the polytope, solved with one column per
+    class of atoms whose columns coincide and expanded back onto the atoms.
+
+    With `den`, solves the Charnes-Cooper program instead, [A, -b] (q, t) = 0
+    and den . q = 1, and returns q with t appended.
+    """
+    keys = [polytope.atom_class, cost] if den is None else [polytope.atom_class, cost, den]
+    first = _classes(keys)[1]
+    a_eq, b_eq, c = polytope.merged[:, polytope.atom_class[first]], polytope.b_eq, cost[first]
+    if den is not None:
+        a_eq = np.vstack([np.hstack([a_eq, -b_eq[:, None]]), np.append(den[first], 0.0)])
+        b_eq = np.zeros(a_eq.shape[0])
+        b_eq[-1] = 1.0
+        c = np.append(c, 0.0)
+    sol = _solve(c, a_eq, b_eq, *messages)
+    x = np.zeros(polytope.space.dimension + (den is not None))
+    x[first] = sol.x[: first.size]
+    x[polytope.space.dimension :] = sol.x[first.size :]
+    return x
+
+
 def build_polytope(
     data: BehaviouralDataset,
     skeleton: Sequence[SkeletonVariable],
     limit: int | None = None,
 ) -> Polytope:
-    """One simplex variable per atom, one equality per observed (d, cell) pair.
+    """One equality per observed (d, cell) pair over the atom probabilities,
+    stored as one column per class of atoms with identical columns.
 
     Tables from experimental domains contribute equalities of their own,
     evaluated under the domain's intervention, so a two-domain dataset pins
@@ -219,26 +287,30 @@ def build_polytope(
     cells = list(product(*[v.domain for v in space.variables]))
     sizes = [len(v.domain) for v in space.variables]
     blocks = [(dom, d) for dom in data.all_domains() for d in data.decisions]
-    a_eq = np.zeros((len(blocks) * len(cells) + 1, space.dimension))
+    block_cells: list[np.ndarray] = []
     rhs: list[float] = []
     labels: list[str] = []
-    for b, (dom, d) in enumerate(blocks):
+    for dom, d in blocks:
         columns = space.columns(d, dom.intervened)
-        cell = np.ravel_multi_index([columns[name] for name in scope_names], sizes)
-        a_eq[b * len(cells) + cell, np.arange(space.dimension)] = 1.0
+        block_cells.append(np.ravel_multi_index([columns[name] for name in scope_names], sizes))
         table = dom.per_decision[d]
         for values in cells:
             assignment = dict(zip(scope_names, values))
             rhs.append(float(table.prob(assignment)))
             labels.append(f"{dom.label or 'base'}: P_{d}({assignment})")
-    a_eq[-1] = 1.0
+    atom_class, first = _classes(block_cells)
+    merged = np.zeros((len(blocks) * len(cells) + 1, first.size))
+    for b, cell in enumerate(block_cells):
+        merged[b * len(cells) + cell[first], np.arange(first.size)] = 1.0
+    merged[-1] = 1.0
     rhs.append(1.0)
     labels.append("total mass")
     polytope = Polytope(
         space=space,
         data=data,
-        a_eq=a_eq,
+        merged=merged,
         b_eq=np.asarray(rhs),
+        atom_class=atom_class,
         row_labels=tuple(labels),
     )
     polytope.feasible_point()
@@ -301,31 +373,27 @@ def optimize_gap(
             raise InputError(f"decision {value!r} not in {polytope.data.decisions}")
     num, den, degenerate = _objective_terms(polytope, z, c, d, d_star)
     sign = 1.0 if direction == "min" else -1.0
+    cost = sign * num
 
+    # Values are dot products at the per-atom program's length: a shorter
+    # sum rounds differently.
     if degenerate:
         if c and any(z[name] != c[name] for name in c):
             raise InputError(f"context {dict(c)} conflicts with the shift {dict(z)}")
-        return sign * _solve(sign * num, polytope.a_eq, polytope.b_eq).value
+        return sign * float(cost @ _solve_classes(polytope, cost))
 
     # Charnes-Cooper: q = p / (den . p), t = 1 / (den . p).
-    n = polytope.space.dimension
-    rows = np.hstack([polytope.a_eq, -polytope.b_eq.reshape(-1, 1)])
-    norm = np.hstack([den, [0.0]])
-    a_eq = np.vstack([rows, norm])
-    b_eq = np.zeros(rows.shape[0] + 1)
-    b_eq[-1] = 1.0
-    cost = np.hstack([sign * num, [0.0]])
-    sol = _solve(
+    x = _solve_classes(
+        polytope,
         cost,
-        a_eq,
-        b_eq,
+        den,
         f"context {dict(c)} has zero probability under do({dict(z)}) for every "
         "compatible model",
         "fractional reduction unbounded; context probability is not bounded away from zero",
     )
-    if sol.x[n] <= lp.FEAS_EPS:
+    if x[-1] <= lp.FEAS_EPS:
         raise OracleError("degenerate rescaling (t = 0); context mass collapses")
-    return sign * sol.value
+    return sign * float(np.append(cost, 0.0) @ x)
 
 
 def feasible_scm(polytope: Polytope) -> Scm:

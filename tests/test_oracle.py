@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from itertools import product
 
@@ -10,8 +11,10 @@ import pytest
 
 from beliefbound.bounds import thm1_gap_interval
 from beliefbound.errors import AtomLimitError, DataError, ModelError, UnsupportedError
+from beliefbound import lp
 from beliefbound.oracle import (
     _objective_terms,
+    _solve_classes,
     CanonicalAtomSpace,
     SkeletonVariable,
     build_polytope,
@@ -467,6 +470,71 @@ def test_sandwich_soundness_random_feasible_points(medai):
         x = poly.feasible_point(objective=rng.uniform(-1, 1, size=space.dimension))
         value = float(weights @ x)
         assert low - 1e-9 <= value <= high + 1e-9
+
+
+@pytest.mark.parametrize("sizes", [{"Z": 3, "W": 2}, {"Z": 2, "W": 3}])
+@pytest.mark.parametrize("with_domain", [False, True])
+def test_merged_columns_match_per_atom_program(sizes, with_domain, monkeypatch):
+    """Bland's rule pivots a class of identical columns as it pivots the
+    class's first atom, so values, points and witnesses equal those of the
+    per-atom program exactly."""
+    for seed in range(2):
+        data, skeleton = chained_dataset(seed, sizes)
+        if not with_domain:
+            data = dataclasses.replace(data, domains=())
+        poly = build_polytope(data, skeleton)
+        a_eq, b_eq = poly.a_eq, poly.b_eq
+        for c in (Z1, {"W": 1}):
+            num, den, degenerate = _objective_terms(poly, Z1, c, 1, 0)
+            for sign, direction in ((1.0, "min"), (-1.0, "max")):
+                cost = sign * num
+                if degenerate:
+                    want = lp.solve_lp(cost, a_eq, b_eq)
+                    got = _solve_classes(poly, cost)
+                else:
+                    a_cc = np.vstack([np.hstack([a_eq, -b_eq[:, None]]), np.append(den, 0.0)])
+                    b_cc = np.zeros(len(a_cc))
+                    b_cc[-1] = 1.0
+                    want = lp.solve_lp(np.append(cost, 0.0), a_cc, b_cc)
+                    got = _solve_classes(poly, cost, den)
+                assert optimize_gap(poly, Z1, c, 1, 0, direction) == sign * want.value
+                assert np.array_equal(got, want.x)
+        x = lp.solve_lp(np.zeros(poly.space.dimension), a_eq, b_eq).x
+        assert np.array_equal(poly.feasible_point(), x)
+        witness = feasible_scm(poly)
+        monkeypatch.setattr(poly, "feasible_point", lambda objective=None: x)
+        assert feasible_scm(poly).exo == witness.exo
+
+
+def test_merged_programs_stay_small(monkeypatch):
+    """Z in 0..6 and Y <- (D, Z) give 114,688 atoms but only 28 distinct
+    feasibility columns: Z's value and Y's responses at (0, Z) and (1, Z)."""
+    rng = np.random.default_rng(0)
+    d, y = VariableRef("D", (0, 1)), VariableRef("Y", (0, 1))
+    z = VariableRef("Z", tuple(range(7)))
+    pz = rng.dirichlet(np.ones(7))
+    py = rng.uniform(0.1, 0.9, size=(2, 7))
+    tables = {
+        dv: DistTable(
+            (z, y),
+            {
+                (zv, yv): float(pz[zv] * (py[dv, zv] if yv else 1 - py[dv, zv]))
+                for zv in z.domain
+                for yv in y.domain
+            },
+        )
+        for dv in d.domain
+    }
+    skeleton = [SkeletonVariable("Z", z.domain), SkeletonVariable("Y", y.domain, ("D", "Z"))]
+    shapes = []
+    solve = lp.solve_lp
+    monkeypatch.setattr(lp, "solve_lp", lambda c, a, b: shapes.append(a.shape) or solve(c, a, b))
+    poly = build_polytope(BehaviouralDataset(d, tables), skeleton)
+    assert poly.space.dimension == 114_688
+    assert shapes == [(29, 28)]
+    for direction in ("min", "max"):
+        optimize_gap(poly, Z1, Z1, 1, 0, direction)
+    assert len(shapes) == 3 and all(cols <= 100 for _, cols in shapes)
 
 
 # -- model extraction and witnesses -------------------------------------------
