@@ -4,146 +4,106 @@ Given an agent's observed per-decision behaviour, compute provable intervals
 on its out-of-distribution preference gaps, counterfactual fairness gaps, and
 harm gaps, and certify the tight ones against an exact linear-programming
 oracle over canonical response-type models.
+
+Submodules and public names load on first access (PEP 562), so importing the
+package, or only the closed-form parts of it, never imports numpy.
 """
 
-from .bounds import (
-    GapInterval,
-    causal_harm_interval,
-    direct_discrimination_interval,
-    fairness_gap_interval,
-    harm_gap_interval,
-    thm1_gap_interval,
-    thm2_multidomain_lower,
-    thm3_unknown_shift_interval,
-    thm4_covariate_shift_lower,
-)
-from .errors import (
-    AtomLimitError,
-    BeliefBoundError,
-    DataError,
-    InputError,
-    ModelError,
-    OracleError,
-    ProviderError,
-    SamplingError,
-    UnsupportedError,
-    ZeroMassError,
-)
-from .oracle import (
-    CanonicalAtomSpace,
-    Polytope,
-    ResponseTypeTable,
-    SkeletonVariable,
-    build_polytope,
-    canonical_zy_table,
-    feasible_scm,
-    optimize_gap,
-    unknown_shift_witnesses,
-    witness_thm1_scm,
-)
-from .predictability import (
-    Certificate,
-    PredictabilityVerdict,
-    strong_verdict,
-    weak_verdict,
-)
-from .relaxations import (
-    GroundingBall,
-    approx_grounding_lower,
-    partial_unconfoundedness_interval,
-    proxy_alignment_lower,
-)
-from .report import Report
-from .scm import (
-    ExoDistribution,
-    Mechanism,
-    Scm,
-    Shift,
-    apply_shift,
-    counterfactual_probability,
-    evaluate,
-    joint_distribution,
-    policy_model,
-    scm_dataset,
-    submodel,
-)
-from .tables import (
-    BehaviouralDataset,
-    DistTable,
-    ExperimentalDomain,
-    Policy,
-    VariableRef,
-    estimate_from_samples,
-    expectation,
-    merge_assignments,
-    policy_to_atomic,
-    query,
-    total_variation,
-    uniform_policy,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtomLimitError",
-    "BehaviouralDataset",
-    "BeliefBoundError",
-    "CanonicalAtomSpace",
-    "Certificate",
-    "DataError",
-    "DistTable",
-    "ExoDistribution",
-    "ExperimentalDomain",
-    "GapInterval",
-    "GroundingBall",
-    "InputError",
-    "Mechanism",
-    "ModelError",
-    "OracleError",
-    "Policy",
-    "Polytope",
-    "PredictabilityVerdict",
-    "ProviderError",
-    "Report",
-    "ResponseTypeTable",
-    "SamplingError",
-    "Scm",
-    "Shift",
-    "SkeletonVariable",
-    "UnsupportedError",
-    "VariableRef",
-    "ZeroMassError",
-    "apply_shift",
-    "approx_grounding_lower",
-    "build_polytope",
-    "canonical_zy_table",
-    "causal_harm_interval",
-    "counterfactual_probability",
-    "direct_discrimination_interval",
-    "estimate_from_samples",
-    "evaluate",
-    "expectation",
-    "fairness_gap_interval",
-    "feasible_scm",
-    "harm_gap_interval",
-    "joint_distribution",
-    "merge_assignments",
-    "optimize_gap",
-    "partial_unconfoundedness_interval",
-    "policy_model",
-    "policy_to_atomic",
-    "proxy_alignment_lower",
-    "query",
-    "scm_dataset",
-    "strong_verdict",
-    "submodel",
-    "thm1_gap_interval",
-    "thm2_multidomain_lower",
-    "thm3_unknown_shift_interval",
-    "thm4_covariate_shift_lower",
-    "total_variation",
-    "uniform_policy",
-    "unknown_shift_witnesses",
-    "weak_verdict",
-    "witness_thm1_scm",
-]
+# Public names by defining module; the keys are also reachable as submodules.
+_EXPORTS = {
+    "bounds": (
+        "GapInterval",
+        "causal_harm_interval",
+        "direct_discrimination_interval",
+        "fairness_gap_interval",
+        "harm_gap_interval",
+        "thm1_gap_interval",
+        "thm2_multidomain_lower",
+        "thm3_unknown_shift_interval",
+        "thm4_covariate_shift_lower",
+    ),
+    "errors": (
+        "AtomLimitError",
+        "BeliefBoundError",
+        "DataError",
+        "InputError",
+        "ModelError",
+        "OracleError",
+        "ProviderError",
+        "SamplingError",
+        "UnsupportedError",
+        "ZeroMassError",
+    ),
+    "lp": (),
+    "oracle": (
+        "CanonicalAtomSpace",
+        "Polytope",
+        "ResponseTypeTable",
+        "SkeletonVariable",
+        "build_polytope",
+        "canonical_zy_table",
+        "feasible_scm",
+        "optimize_gap",
+        "unknown_shift_witnesses",
+        "witness_thm1_scm",
+    ),
+    "predictability": (
+        "Certificate",
+        "PredictabilityVerdict",
+        "strong_verdict",
+        "weak_verdict",
+    ),
+    "relaxations": (
+        "GroundingBall",
+        "approx_grounding_lower",
+        "partial_unconfoundedness_interval",
+        "proxy_alignment_lower",
+    ),
+    "report": ("Report",),
+    "scm": (
+        "ExoDistribution",
+        "Mechanism",
+        "Scm",
+        "Shift",
+        "apply_shift",
+        "counterfactual_probability",
+        "evaluate",
+        "joint_distribution",
+        "policy_model",
+        "scm_dataset",
+        "submodel",
+    ),
+    "tables": (
+        "BehaviouralDataset",
+        "DistTable",
+        "ExperimentalDomain",
+        "Policy",
+        "VariableRef",
+        "estimate_from_samples",
+        "expectation",
+        "merge_assignments",
+        "policy_to_atomic",
+        "query",
+        "total_variation",
+        "uniform_policy",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

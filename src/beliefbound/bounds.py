@@ -213,6 +213,14 @@ def thm2_multidomain_lower(
         ((float(pi[1] - pj[0]), (li, lj)) for li, pi, _ in pieces for lj, _, pj in pieces),
         key=lambda t: t[0],
     )
+    notes = [f"lower from domain pair {lower_pair}", f"upper from domain pair {upper_pair}"]
+    raw = {}
+    if upper < lower <= upper + _RANGE_TOL:
+        # Round-off crossed the pooled endpoints of a point-identified gap; the
+        # hull of the two still contains it, and mirrors exactly under a swap.
+        notes.append(f"endpoints {lower} > {upper} crossed by round-off; reporting their hull")
+        raw = {"raw_lower": lower, "raw_upper": upper}
+        lower, upper = upper, lower
     return GapInterval(
         lower=lower,
         upper=upper,
@@ -223,10 +231,8 @@ def thm2_multidomain_lower(
             {"op": "thm2", "c": dict(c), "z": dict(z), "d": d, "d_star": d_star,
              "domains": [dom.label for dom in domains]}
         ),
-        notes=(
-            f"lower from domain pair {lower_pair}",
-            f"upper from domain pair {upper_pair}",
-        ),
+        notes=tuple(notes),
+        **raw,
     )
 
 

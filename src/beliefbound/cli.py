@@ -8,6 +8,10 @@ stderr.
 Exit codes: 0 success; 2 parse/domain errors; 3 ``predict --require-verdict``
 with nothing ruled out; 4 oracle certification delta over tolerance; 5 atom
 limit breached.
+
+Start-up: ``bounds`` and ``predict`` on table, dataset or CSV inputs never
+import numpy.  ``oracle``, ``relax`` and any model (``mechanisms``) input
+import it when they run, through the modules that need it.
 """
 
 from __future__ import annotations
@@ -16,15 +20,17 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import bounds as bnd
-from . import fileio, relaxations
+from . import fileio
 from .errors import AtomLimitError, BeliefBoundError, InputError
-from .oracle import SkeletonVariable, build_polytope, optimize_gap
 from .predictability import strong_verdict, weak_verdict
 from .report import Report
-from .scm import scm_dataset
 from .tables import BehaviouralDataset, DistTable, Value
+
+if TYPE_CHECKING:
+    from .oracle import SkeletonVariable
 
 THEOREMS = (
     "intervention",
@@ -92,7 +98,12 @@ def _load_data(path: str):
     p = Path(path)
     if p.suffix.lower() == ".csv":
         return "log", fileio.load_csv_log(p)
-    doc = json.loads(p.read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(p.read_text(encoding="utf-8"))
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     if "mechanisms" in doc:
         return "scm", fileio.load_scm(doc)
     if "per_decision" in doc:
@@ -109,6 +120,8 @@ def _dataset_from_args(args) -> BehaviouralDataset:
     if kind == "dataset":
         return payload
     if kind == "scm":
+        from .scm import scm_dataset
+
         return scm_dataset(payload, args.decision_var, args.utility_var)
     if kind == "log":
         rows, weights = payload
@@ -271,6 +284,8 @@ def cmd_predict(args) -> int:
 def _skeleton_from_args(
     args, data: BehaviouralDataset, z: dict[str, Value], c: dict[str, Value]
 ) -> list[SkeletonVariable]:
+    from .oracle import SkeletonVariable
+
     if args.skeleton:
         doc = json.loads(Path(args.skeleton).read_text(encoding="utf-8"))
         refs = {r.name: r for r in data.scope}
@@ -303,6 +318,8 @@ def _skeleton_from_args(
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import build_polytope, optimize_gap
+
     _require(args, ["decision", "baseline", "shift"], label="oracle")
     data = _dataset_from_args(args)
     c = parse_assignment(args.context)
@@ -312,7 +329,8 @@ def cmd_oracle(args) -> int:
     skeleton = _skeleton_from_args(args, data, z, c)
     polytope = build_polytope(data, skeleton, args.atom_limit)
     lp_value = optimize_gap(polytope, z, c, d, d0, args.direction)
-    closed = bnd.thm1_gap_interval(data, c, z, d, d0)
+    theorem = bnd.thm2_multidomain_lower if data.domains else bnd.thm1_gap_interval
+    closed = theorem(data, c, z, d, d0)
     closed_value = closed.lower if args.direction == "min" else closed.upper
     delta = abs(lp_value - closed_value)
     certified = delta <= args.tol
@@ -349,6 +367,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_relax(args) -> int:
+    from . import relaxations
+
     _require(args, ["decision", "baseline", "shift"], label="relax")
     data = _dataset_from_args(args)
     c = parse_assignment(args.context)
@@ -360,13 +380,19 @@ def cmd_relax(args) -> int:
             raise InputError("approx-grounding needs --delta")
         if args.method == "sample" and args.seed is None:
             raise InputError("sampling needs an explicit --seed")
+        samples = relaxations.DEFAULT_SAMPLES if args.samples is None else args.samples
+        concentration = (
+            relaxations.DEFAULT_CONCENTRATION
+            if args.concentration is None
+            else args.concentration
+        )
         ball = relaxations.GroundingBall(args.delta)
         value = relaxations.approx_grounding_lower(
             data, ball, c, z, d, d0,
             method=args.method,
-            n_samples=args.samples,
+            n_samples=samples,
             seed=args.seed,
-            concentration=args.concentration,
+            concentration=concentration,
         )
         payload = {
             "kind": "approx-grounding",
@@ -375,7 +401,7 @@ def cmd_relax(args) -> int:
             "value": value,
         }
         if args.method == "sample":
-            payload.update(samples=args.samples, concentration=args.concentration)
+            payload.update(samples=samples, concentration=concentration)
     else:
         if args.alpha is None:
             raise InputError("proxy needs --alpha")
@@ -455,9 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--delta", type=float, default=None, help="total-variation radius")
     r.add_argument("--alpha", type=float, default=None, help="proxy alignment level")
     r.add_argument("--method", choices=("exact-lp", "sample"), default="exact-lp")
-    r.add_argument("--samples", type=int, default=relaxations.DEFAULT_SAMPLES)
-    r.add_argument("--concentration", type=float,
-                   default=relaxations.DEFAULT_CONCENTRATION)
+    r.add_argument("--samples", type=int, help="sampler proposals (package default)")
+    r.add_argument("--concentration", type=float, help="sampler concentration (package default)")
     r.set_defaults(func=cmd_relax)
     return parser
 

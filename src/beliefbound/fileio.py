@@ -18,10 +18,9 @@ import csv
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import InputError
-from .scm import ExoDistribution, Mechanism, Scm
 from .tables import (
     BehaviouralDataset,
     DistTable,
@@ -33,6 +32,9 @@ from .tables import (
     estimate_from_samples,
     policy_to_atomic,
 )
+
+if TYPE_CHECKING:
+    from .scm import Scm
 
 
 def _parse_prob(raw) -> Number:
@@ -57,6 +59,12 @@ def _load_json(source) -> dict:
     return json.loads(text)
 
 
+def _mapping(node, what: str) -> Mapping:
+    if not isinstance(node, Mapping):
+        raise InputError(f"{what} must be a JSON object, not {node!r:.40}")
+    return node
+
+
 def _ref(obj: Mapping) -> VariableRef:
     return VariableRef(obj["name"], tuple(obj["domain"]))
 
@@ -65,6 +73,8 @@ def _ref(obj: Mapping) -> VariableRef:
 
 
 def load_scm(source) -> Scm:
+    from .scm import ExoDistribution, Mechanism, Scm
+
     doc = _load_json(source)
     exo_refs = {r.name: r for r in map(_ref, doc.get("exogenous", []))}
     atoms = []
@@ -81,7 +91,7 @@ def load_scm(source) -> Scm:
         variables.append(ref)
         parents = tuple(spec.get("parents", ()))
         exo_parents = tuple(spec.get("exo_parents", ()))
-        rows = doc["mechanisms"].get(ref.name)
+        rows = _mapping(doc["mechanisms"], "mechanisms").get(ref.name)
         if rows is None:
             raise InputError(f"no mechanism rows for variable {ref.name!r}")
         table = {}
@@ -159,7 +169,7 @@ def _decision_key(domain: Sequence[Value], key: str) -> Value:
 def _load_per_decision(doc: Mapping, domain: Sequence[Value]) -> dict[Value, DistTable]:
     return {
         _decision_key(domain, key): load_table(table_doc)
-        for key, table_doc in doc.items()
+        for key, table_doc in _mapping(doc, "per_decision").items()
     }
 
 
@@ -232,7 +242,7 @@ def load_csv_log(source) -> tuple[list[dict[str, Value]], list[float]]:
             weight = 1.0
             row = {}
             for name, raw in record.items():
-                if raw is None:
+                if raw is None or name is None:
                     raise InputError(f"{path}: ragged row {record}")
                 if name == "weight" and has_weight:
                     weight = float(raw)

@@ -122,6 +122,38 @@ def test_thm2_rejects_domain_outside_shift(medai_exp):
         thm2_multidomain_lower(medai_exp, {}, {}, 1, 0)
 
 
+def test_thm2_round_off_never_crosses_a_point_identified_zero_gap():
+    # Float tables, identical for both decisions: the do(Z=1) domain point-
+    # identifies a zero gap, but (0.65 + 1) - 1 rounds below 0.65, so the
+    # pooled endpoints cross by an ulp unless the hull is reported.
+    from beliefbound.predictability import strong_verdict, weak_verdict
+    from beliefbound.tables import BehaviouralDataset, ExperimentalDomain
+
+    decision = VariableRef("D", (0, 1))
+    base = DistTable((Y, Z), {(0, 0): 0.2, (1, 0): 0.3, (0, 1): 0.175, (1, 1): 0.325})
+    shifted = DistTable((Y, Z), {(0, 0): 0.0, (1, 0): 0.0, (0, 1): 0.35, (1, 1): 0.65})
+    data = BehaviouralDataset(
+        decision,
+        {0: base, 1: base},
+        domains=(ExperimentalDomain("exp", dict(Z1), {0: shifted, 1: shifted}),),
+    )
+    forward = thm2_multidomain_lower(data, Z1, Z1, 1, 0)
+    backward = thm2_multidomain_lower(data, Z1, Z1, 0, 1)
+    for interval in (forward, backward):
+        assert interval.lower <= 0.0 <= interval.upper
+        assert interval.raw_lower > interval.raw_upper
+        assert (interval.lower, interval.upper) == (interval.raw_upper, interval.raw_lower)
+        assert any("round-off" in note for note in interval.notes)
+    assert forward.lower == -backward.upper and backward.lower == -forward.upper
+    assert not (forward.lower > 0.0 and backward.lower > 0.0)
+
+    def provider(d, d_star):
+        return thm2_multidomain_lower(data, Z1, Z1, d, d_star).lower
+
+    assert weak_verdict(provider, data.decisions, Z1).surviving == {0, 1}
+    assert strong_verdict(provider, data.decisions, Z1).strong_winner is None
+
+
 def test_thm2_dominates_thm1_on_random_two_domain_data():
     strict = 0
     checked = 0

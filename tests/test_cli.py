@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import json
+import operator
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefbound import fileio
 from beliefbound.cli import main
@@ -306,6 +313,272 @@ def test_sample_without_seed_is_an_error():
     result = run_subprocess(argv)
     assert result.returncode == 2
     assert "seed" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "fixture, where",
+    [
+        ("medai_experiment.tables.json", ("per_decision",)),
+        ("medai_experiment.tables.json", ("domains", 0, "per_decision")),
+        ("medai.scm.json", ("mechanisms",)),
+    ],
+)
+def test_exit_two_when_an_object_field_is_a_list(fixture, where, tmp_path):
+    doc = json.loads((REPO / FIXTURES / fixture).read_text())
+    values = list(functools.reduce(operator.getitem, where, doc).values())
+    bad = tmp_path / "list.json"
+    bad.write_text(json.dumps(_replaced(doc, where, values)))
+    result = run_subprocess(
+        ["bounds", "--data", str(bad), "--theorem", "harm", "--decision", "1", "--baseline", "0"]
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error:") and where[-1] in result.stderr
+    assert result.stderr.count("\n") == 1
+
+
+def test_exit_two_on_json_nested_too_deeply(tmp_path, capsys, monkeypatch):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_inprocess(
+        ["bounds", "--data", str(deep), "--theorem", "harm", "--decision", "1",
+         "--baseline", "0"], capsys, monkeypatch
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "nested" in err and err.count("\n") == 1
+
+
+def test_oracle_certifies_the_pooled_bound_on_experimental_data(capsys, monkeypatch):
+    # The experimental domain constrains the LP, so the closed form it must
+    # match is the pooled multi-domain interval, not the single-domain one.
+    for direction in ("min", "max"):
+        argv = ["oracle", "--data", f"{FIXTURES}/medai_experiment.tables.json",
+                "--direction", direction, "--shift", "Z=1", "--context", "Z=1",
+                "--decision", "1", "--baseline", "0"]
+        code, out, _ = run_inprocess(argv, capsys, monkeypatch)
+        assert code == 0
+        oracle = json.loads(out)["oracle"]
+        assert oracle["certified"] is True
+        assert oracle["closed_form"] == pytest.approx(0.6, abs=1e-12)
+
+
+# -- start-up: numpy stays off the closed-form path ----------------------------
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import beliefbound, beliefbound.cli
+runs = [("import", "numpy" in sys.modules, "")]
+for name, argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = beliefbound.cli.main(argv)
+    runs.append((name, "numpy" in sys.modules, out.getvalue() if code == 0 else code))
+print(json.dumps(runs))
+"""
+
+
+def test_closed_form_commands_never_import_numpy():
+    names = ["bounds_intervention", "predict_weak", "oracle_min"]
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE,
+         json.dumps([(name, GOLDEN_CASES[name]) for name in names])],
+        capture_output=True, text=True, cwd=REPO, check=True,
+    )
+    runs = json.loads(result.stdout)
+    assert [(name, numpy) for name, numpy, _ in runs] == [
+        ("import", False), ("bounds_intervention", False), ("predict_weak", False),
+        ("oracle_min", True),
+    ]
+    for name, _, out in runs[1:]:
+        assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+def test_package_exports_resolve_on_first_access():
+    import beliefbound
+
+    namespace: dict = {}
+    exec("from beliefbound import *", namespace)
+    assert set(beliefbound.__all__) <= set(namespace) & set(dir(beliefbound))
+    for name in beliefbound.__all__:
+        assert getattr(beliefbound, name) is namespace[name]
+    for module in ("bounds", "lp", "oracle", "relaxations", "scm", "tables"):
+        assert getattr(beliefbound, module).__name__ == f"beliefbound.{module}"
+    with pytest.raises(AttributeError):
+        beliefbound.no_such_name
+
+
+# -- malformed inputs (fuzz) ---------------------------------------------------
+
+_NAMES = st.sampled_from(["D", "Y", "Z", "W"])
+_VALUES = st.one_of(st.integers(0, 2), st.sampled_from(["0", "a"]))
+_JSON = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-2, 3), st.floats(), st.text(max_size=3), _NAMES
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.one_of(_NAMES, st.text(max_size=3)), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+def _shaped(strategy):
+    """Mostly the well-formed shape, sometimes any JSON value in its place."""
+    return st.one_of(_JSON, strategy, strategy, strategy)
+
+
+_VARIABLE = st.fixed_dictionaries(
+    {"name": _shaped(_NAMES), "domain": _shaped(st.lists(_VALUES, max_size=3))}
+)
+_PROB = st.one_of(
+    st.sampled_from(["1/2", "1/4", "0", "1", "-1/3", "1/0", "x", "1e400"]),
+    st.floats(-0.5, 1.5),
+    st.floats(),
+    st.integers(-1, 2),
+)
+_ENTRY = st.fixed_dictionaries(
+    {"assignment": _shaped(st.dictionaries(_NAMES, _VALUES, max_size=3)), "p": _shaped(_PROB)}
+)
+_TABLE = st.fixed_dictionaries(
+    {
+        "scope": _shaped(st.lists(_shaped(_VARIABLE), max_size=3)),
+        "entries": _shaped(st.lists(_shaped(_ENTRY), max_size=6)),
+    }
+)
+_PER_DECISION = st.dictionaries(st.sampled_from(["0", "1", "2", "a"]), _shaped(_TABLE), max_size=3)
+_DOMAIN = st.fixed_dictionaries(
+    {
+        "label": _shaped(st.text(max_size=3)),
+        "intervened": _shaped(st.dictionaries(_NAMES, _VALUES, max_size=2)),
+        "per_decision": _shaped(_PER_DECISION),
+    }
+)
+_DATASET = st.fixed_dictionaries(
+    {"decision": _shaped(_VARIABLE), "per_decision": _shaped(_PER_DECISION)},
+    optional={"utility": _shaped(_NAMES), "domains": _shaped(st.lists(_DOMAIN, max_size=2))},
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _paths(child, (*prefix, key))
+
+
+def _replaced(doc, where, value):
+    """A copy of ``doc`` with the subtree at key path ``where`` set to ``value``."""
+    if not where:
+        return value
+    out = json.loads(json.dumps(doc))
+    functools.reduce(operator.getitem, where[:-1], out)[where[-1]] = value
+    return out
+
+
+def _mutated(path: Path):
+    """The document at ``path`` with one subtree replaced by any JSON value;
+    every depth is as likely as any other, so top-level keys get hit too."""
+    doc = json.loads((REPO / path).read_text(encoding="utf-8"))
+    by_depth: dict[int, list] = {}
+    for where in _paths(doc):
+        by_depth.setdefault(len(where), []).append(where)
+    wheres = st.sampled_from(sorted(by_depth)).flatmap(lambda k: st.sampled_from(by_depth[k]))
+    return st.builds(functools.partial(_replaced, doc), wheres, _JSON)
+
+
+def _filled(weights, exact, with_domain):
+    """Dataset over (Y, Z), one table per weight list, cells in (Y, Z) order;
+    the optional do(Z=1) domain keeps each list's Z=1 cells."""
+
+    def table(ws):
+        total = sum(ws) or 1
+        return {
+            "scope": [{"name": "Y", "domain": [0, 1]}, {"name": "Z", "domain": [0, 1]}],
+            "entries": [
+                {"assignment": {"Y": y, "Z": z}, "p": f"{w}/{total}" if exact else w / total}
+                for (y, z), w in zip(((0, 0), (0, 1), (1, 0), (1, 1)), ws)
+            ],
+        }
+
+    doc = {
+        "decision": {"name": "D", "domain": list(range(len(weights)))},
+        "per_decision": {str(d): table(ws) for d, ws in enumerate(weights)},
+    }
+    if with_domain:
+        per_decision = {str(d): table([0, ws[1], 0, ws[3]]) for d, ws in enumerate(weights)}
+        doc["domains"] = [{"label": "exp", "intervened": {"Z": 1}, "per_decision": per_decision}]
+    return doc
+
+
+_FILLED = st.builds(
+    _filled,
+    st.lists(st.lists(st.integers(0, 4), min_size=4, max_size=4), min_size=2, max_size=3),
+    st.booleans(),
+    st.booleans(),
+)
+_DOCUMENTS = st.one_of(
+    _DATASET,
+    _TABLE,
+    _FILLED,
+    _mutated(Path(FIXTURES) / "medai_experiment.tables.json"),
+    _mutated(Path("tests/data/policy_joint.json")),
+    _mutated(Path(FIXTURES) / "medai.scm.json"),
+)
+_LOGS = st.builds(
+    lambda header, rows: "\n".join(",".join(cells) for cells in [header, *rows]) + "\n",
+    st.lists(st.sampled_from(["D", "Y", "Z", "weight"]), max_size=5),
+    st.lists(
+        st.lists(st.sampled_from(["0", "1", "", "a", "0.5", "-1", "nan", "1e400"]), max_size=5),
+        max_size=8,
+    ),
+)
+_FILES = st.one_of(
+    _DOCUMENTS.map(lambda doc: ("input.json", json.dumps(doc))),
+    _LOGS.map(lambda text: ("log.csv", text)),
+)
+_GAP = ["--shift", "Z=1", "--context", "Z=1", "--decision", "1", "--baseline", "0"]
+_COMMANDS = [
+    ["bounds", "--theorem", "intervention", *_GAP],
+    ["bounds", "--theorem", "multidomain", *_GAP],
+    ["bounds", "--theorem", "covariate-shift", "--sigma-context", "Z=1:0.9", *_GAP],
+    ["bounds", "--theorem", "fairness", "--decision", "1", "--attribute-baseline", "Z=0"],
+    ["bounds", "--theorem", "harm", "--decision", "1", "--baseline", "0"],
+    ["bounds", "--theorem", "direct-discrimination", "--decision", "1",
+     "--attribute-baseline", "Z=0", "--attribute-value", "Z=1"],
+    ["bounds", "--theorem", "causal-harm", "--decision", "1", "--baseline", "0"],
+    ["predict", "--theorem", "intervention", "--shift", "Z=1", "--context", "Z=1",
+     "--mode", "weak", "--require-verdict"],
+    ["predict", "--theorem", "multidomain", "--shift", "Z=1", "--context", "Z=1",
+     "--mode", "strong"],
+    ["oracle", "--direction", "min", "--atom-limit", "4096", *_GAP],
+    ["relax", "--kind", "approx-grounding", "--delta", "0.1", *_GAP],
+    ["relax", "--kind", "approx-grounding", "--delta", "0.1", "--method", "sample",
+     "--samples", "20", "--seed", "1", *_GAP],
+    ["relax", "--kind", "proxy", "--alpha", "0.9", *_GAP],
+]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_FILES, st.sampled_from(_COMMANDS))
+def test_malformed_inputs_exit_with_one_line_diagnostic(file, command):
+    name, text = file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], "--data", str(path), "--context-vars", "Z", *command[1:]])
+    err = err.getvalue()
+    assert code in (0, 2, 3, 4, 5), (code, err)
+    assert "Traceback" not in err
+    assert err.count("\n") == (code != 0), err
+    if code == 0:
+        json.loads(out.getvalue())
 
 
 def regenerate():
