@@ -99,10 +99,13 @@ __all__ = sorted(_HOME)
 
 def __getattr__(name: str):
     if name in _EXPORTS:
-        return import_module(f"{__name__}.{name}")
-    if name in _HOME:
-        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = import_module(f"{__name__}.{name}")
+    elif name in _HOME:
+        value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later lookups are plain global reads
+    return value
 
 
 def __dir__() -> list[str]:

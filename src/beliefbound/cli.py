@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -329,8 +330,13 @@ def cmd_oracle(args) -> int:
     skeleton = _skeleton_from_args(args, data, z, c)
     polytope = build_polytope(data, skeleton, args.atom_limit)
     lp_value = optimize_gap(polytope, z, c, d, d0, args.direction)
-    theorem = bnd.thm2_multidomain_lower if data.domains else bnd.thm1_gap_interval
-    closed = theorem(data, c, z, d, d0)
+    # The LP is constrained by every domain; the closed form pools those whose
+    # intervention agrees with do(z) (the base alone, i.e. thm1, when none does).
+    agree = tuple(
+        dom for dom in data.domains
+        if all(k in z and z[k] == v for k, v in dom.intervened.items())
+    )
+    closed = bnd.thm2_multidomain_lower(replace(data, domains=agree), c, z, d, d0)
     closed_value = closed.lower if args.direction == "min" else closed.upper
     delta = abs(lp_value - closed_value)
     certified = delta <= args.tol

@@ -361,6 +361,26 @@ def test_oracle_certifies_the_pooled_bound_on_experimental_data(capsys, monkeypa
         assert oracle["closed_form"] == pytest.approx(0.6, abs=1e-12)
 
 
+def test_oracle_pools_only_the_domains_that_agree_with_the_shift(capsys, monkeypatch):
+    # The fixture's experimental domain fixes Z=1; under do(Z=0) it cannot be
+    # pooled, so the certified closed form is the base-only (thm1) interval.
+    thm1 = ["bounds", "--theorem", "intervention", "--data",
+            f"{FIXTURES}/medai_experiment.tables.json", "--shift", "Z=0",
+            "--context", "Z=0", "--decision", "1", "--baseline", "0"]
+    code, out, _ = run_inprocess(thm1, capsys, monkeypatch)
+    assert code == 0
+    (interval,) = json.loads(out)["intervals"]
+    for direction, endpoint in (("min", "lower"), ("max", "upper")):
+        argv = ["oracle", "--data", f"{FIXTURES}/medai_experiment.tables.json",
+                "--direction", direction, "--shift", "Z=0", "--context", "Z=0",
+                "--decision", "1", "--baseline", "0"]
+        code, out, _ = run_inprocess(argv, capsys, monkeypatch)
+        assert code == 0
+        oracle = json.loads(out)["oracle"]
+        assert oracle["certified"] is True
+        assert oracle["closed_form"] == interval[endpoint]
+
+
 # -- start-up: numpy stays off the closed-form path ----------------------------
 
 _IMPORT_PROBE = """
@@ -400,6 +420,7 @@ def test_package_exports_resolve_on_first_access():
     assert set(beliefbound.__all__) <= set(namespace) & set(dir(beliefbound))
     for name in beliefbound.__all__:
         assert getattr(beliefbound, name) is namespace[name]
+    assert set(beliefbound.__all__) <= set(vars(beliefbound))  # resolved once, cached
     for module in ("bounds", "lp", "oracle", "relaxations", "scm", "tables"):
         assert getattr(beliefbound, module).__name__ == f"beliefbound.{module}"
     with pytest.raises(AttributeError):
