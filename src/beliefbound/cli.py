@@ -9,9 +9,10 @@ Exit codes: 0 success; 2 parse/domain errors; 3 ``predict --require-verdict``
 with nothing ruled out; 4 oracle certification delta over tolerance; 5 atom
 limit breached.
 
-Start-up: ``bounds`` and ``predict`` on table, dataset or CSV inputs never
-import numpy.  ``oracle``, ``relax`` and any model (``mechanisms``) input
-import it when they run, through the modules that need it.
+Start-up: ``bounds``, ``predict`` and ``relax --kind proxy`` on table,
+dataset or CSV inputs never import numpy.  ``oracle``, ``relax --kind
+approx-grounding`` and any model (``mechanisms``) input import it when they
+run, through the modules that need it.
 """
 
 from __future__ import annotations

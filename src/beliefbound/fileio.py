@@ -65,8 +65,24 @@ def _mapping(node, what: str) -> Mapping:
     return node
 
 
-def _ref(obj: Mapping) -> VariableRef:
-    return VariableRef(obj["name"], tuple(obj["domain"]))
+def _fields(node, keys: Sequence, owner: str) -> tuple:
+    """``node``'s values at ``keys``; a missing one is an `InputError` naming
+    the field and its owner."""
+    if type(node) is not dict:  # parsed JSON objects are dicts; skip the slower check
+        node = _mapping(node, owner)
+    try:
+        return tuple(map(node.__getitem__, keys))
+    except KeyError as exc:
+        raise InputError(f"{owner} lacks field {exc.args[0]!r}") from None
+
+
+def _field(node, key: str, owner: str):
+    return _fields(node, (key,), owner)[0]
+
+
+def _ref(obj, owner: str) -> VariableRef:
+    name, domain = _fields(obj, ("name", "domain"), owner)
+    return VariableRef(name, tuple(domain))
 
 
 # -- structural models -----------------------------------------------------
@@ -76,31 +92,35 @@ def load_scm(source) -> Scm:
     from .scm import ExoDistribution, Mechanism, Scm
 
     doc = _load_json(source)
-    exo_refs = {r.name: r for r in map(_ref, doc.get("exogenous", []))}
+    exo_refs = {
+        r.name: r for r in (_ref(obj, "exogenous entry") for obj in doc.get("exogenous", []))
+    }
     atoms = []
     for item in doc.get("exogenous_distribution", []):
-        assignment = item["assignment"]
-        key = tuple(assignment[name] for name in exo_refs)
-        atoms.append((key, _parse_prob(item["p"])))
+        assignment, p = _fields(item, ("assignment", "p"), "exogenous_distribution entry")
+        key = _fields(assignment, exo_refs, "exogenous assignment")
+        atoms.append((key, _parse_prob(p)))
     exo = ExoDistribution(tuple(exo_refs.values()), tuple(atoms))
 
     variables = []
     mechanisms = {}
-    for spec in doc["variables"]:
-        ref = _ref(spec)
+    for spec in _field(doc, "variables", "model"):
+        ref = _ref(spec, "variables entry")
         variables.append(ref)
         parents = tuple(spec.get("parents", ()))
         exo_parents = tuple(spec.get("exo_parents", ()))
-        rows = _mapping(doc["mechanisms"], "mechanisms").get(ref.name)
+        rows = _mapping(_field(doc, "mechanisms", "model"), "mechanisms").get(ref.name)
         if rows is None:
             raise InputError(f"no mechanism rows for variable {ref.name!r}")
         table = {}
+        owner = f"mechanism row for {ref.name!r}"
+        inputs = (*parents, *exo_parents)
         for row in rows:
-            given = row["given"]
-            key = tuple(given[p] for p in parents) + tuple(given[e] for e in exo_parents)
+            given, value = _fields(row, ("given", "value"), owner)
+            key = _fields(given, inputs, f"{owner} given")
             if key in table:
                 raise InputError(f"duplicate mechanism row for {ref.name!r} at {given}")
-            table[key] = row["value"]
+            table[key] = value
         mechanisms[ref.name] = Mechanism(ref, parents, exo_parents, table)
     return Scm(tuple(variables), mechanisms, exo)
 
@@ -140,12 +160,13 @@ def dump_scm(scm: Scm) -> dict:
 
 def load_table(source) -> DistTable:
     doc = _load_json(source)
-    refs = tuple(map(_ref, doc["scope"]))
+    refs = tuple(_ref(obj, "scope entry") for obj in _field(doc, "scope", "table"))
     names = [r.name for r in refs]
     entries = {}
-    for item in doc["entries"]:
-        key = tuple(item["assignment"][n] for n in names)
-        entries[key] = _parse_prob(item["p"])
+    for item in _field(doc, "entries", "table"):
+        assignment, p = _fields(item, ("assignment", "p"), "entry")
+        key = _fields(assignment, names, "entry assignment")
+        entries[key] = _parse_prob(p)
     return DistTable(refs, entries)
 
 
@@ -168,20 +189,20 @@ def _decision_key(domain: Sequence[Value], key: str) -> Value:
 
 def _load_per_decision(doc: Mapping, domain: Sequence[Value]) -> dict[Value, DistTable]:
     return {
-        _decision_key(domain, key): load_table(table_doc)
+        _decision_key(domain, key): load_table(_mapping(table_doc, "per_decision table"))
         for key, table_doc in _mapping(doc, "per_decision").items()
     }
 
 
 def load_dataset(source) -> BehaviouralDataset:
     doc = _load_json(source)
-    decision = _ref(doc["decision"])
-    per_decision = _load_per_decision(doc["per_decision"], decision.domain)
+    decision = _ref(_field(doc, "decision", "dataset"), "decision")
+    per_decision = _load_per_decision(_field(doc, "per_decision", "dataset"), decision.domain)
     domains = tuple(
         ExperimentalDomain(
-            dom["label"],
+            _field(dom, "label", "domain"),
             dict(dom.get("intervened", {})),
-            _load_per_decision(dom["per_decision"], decision.domain),
+            _load_per_decision(_field(dom, "per_decision", "domain"), decision.domain),
         )
         for dom in doc.get("domains", [])
     )

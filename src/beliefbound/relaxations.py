@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import isfinite
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import lp
 from .bounds import GapInterval, digest, _RANGE_TOL
 from .errors import InputError, OracleError, SamplingError, UnsupportedError
 from .tables import (
@@ -25,8 +24,15 @@ from .tables import (
     merge_assignments,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 DEFAULT_SAMPLES = 10_000
 DEFAULT_CONCENTRATION = 400.0
+# The sampler draws proposals in blocks; the widest block temporary, both
+# decisions' draws (at most twice the table's width per row), holds about
+# this many floats.
+_BLOCK_FLOATS = 2**14
 
 
 @dataclass(frozen=True)
@@ -84,6 +90,10 @@ def _ball_minimum(
     cells: list[tuple[Value, ...]],
 ) -> float:
     """min coeffs . p over the simplex intersected with the TV ball."""
+    import numpy as np
+
+    from . import lp
+
     n = len(coeffs)
     centre_vec = np.array([float(centre.entries.get(k, 0)) for k in cells])
     # variables: p (n), u (n), a (n), b (n), s (1)
@@ -145,7 +155,17 @@ def approx_grounding_lower(
     propose/accept procedure (simplex proposals concentrated on the centres,
     rejected outside the ball) and returns the empirical minimum, which can
     only sit above the exact one.
+
+    Proposals are drawn in blocks of rows, with one gamma draw per block
+    normalised as numpy's Dirichlet normalises it, so the random stream, each
+    accept decision and the result are those of one `rng.dirichlet` call per
+    decision per proposal. When either decision's largest weight
+    (concentration times its largest centre cell) is below 0.1, numpy's
+    Dirichlet breaks sticks instead, and the block is filled from those
+    per-proposal calls.
     """
+    import numpy as np
+
     if merge_assignments(c, z) != dict(z):
         raise UnsupportedError(
             "the ball relaxation is implemented for the reduced objective with "
@@ -180,6 +200,8 @@ def approx_grounding_lower(
         raise InputError("the sampling method needs an explicit seed")
     if n_samples < 1:
         raise InputError("need at least one proposal")
+    if not (isfinite(concentration) and concentration > 0):
+        raise InputError(f"concentration must be finite and > 0, got {concentration}")
 
     rng = np.random.default_rng(seed)
     support = {
@@ -194,22 +216,44 @@ def approx_grounding_lower(
     centre_vecs = {
         t: np.array([float(centres[t].entries.get(k, 0)) for k in cells]) for t in (d, d_star)
     }
+    # Column slices of one proposal row: d's draw, then d*'s, as the stream
+    # yields them.
+    k_d = len(support[d])
+    slices = {d: slice(0, k_d), d_star: slice(k_d, None)}
+    weights = np.concatenate([alphas[d], alphas[d_star]])
+    # numpy's Dirichlet normalises gammas only when the largest weight is at
+    # least 0.1; below that it breaks sticks with beta variates.
+    stick_breaking = min(alphas[d].max(), alphas[d_star].max()) < 0.1
+    block = max(1, _BLOCK_FLOATS // (2 * len(cells)))
     best = np.inf
     accepted = 0
-    for _ in range(n_samples):
-        value = 0.0
-        ok = True
+    for start in range(0, n_samples, block):
+        rows = min(block, n_samples - start)
+        if stick_breaking:
+            draws = np.array(
+                [np.concatenate([rng.dirichlet(alphas[t]) for t in (d, d_star)])
+                 for _ in range(rows)]
+            )
+        else:
+            draws = rng.standard_gamma(weights, size=(rows, len(weights)))
+            for t in (d, d_star):
+                gammas = draws[:, slices[t]]
+                # Left-to-right running sums times the reciprocal, as numpy's
+                # Dirichlet normalises (np.sum adds pairwise, in another order).
+                gammas *= 1.0 / np.add.accumulate(gammas, axis=1)[:, -1:]
+        value = np.zeros(rows)
+        ok = np.ones(rows, dtype=bool)
         for t in (d, d_star):
-            draw = rng.dirichlet(alphas[t])
-            full = np.zeros(len(cells))
-            full[index[t]] = draw
-            tv = 0.5 * float(np.abs(full - centre_vecs[t]).sum())
-            if tv > ball.delta:
-                ok = False
-            value += float(coeff[t] @ full)
-        if ok:
-            accepted += 1
-            best = min(best, value - 1.0)
+            full = np.zeros((rows, len(cells)))
+            full[:, index[t]] = draws[:, slices[t]]
+            # One BLAS ddot per row, as `coeff @ row` does; a gemv over the
+            # block sums in another order.
+            value += np.matmul(full[:, None, :], coeff[t][:, None])[:, 0, 0]
+            full -= centre_vecs[t]
+            ok &= ~(0.5 * np.abs(full, out=full).sum(axis=1) > ball.delta)
+        accepted += int(ok.sum())
+        if ok.any():
+            best = min(best, float((value[ok] - 1.0).min()))
     if not accepted:
         raise SamplingError(
             f"no proposal landed inside the TV ball after {n_samples} draws; "

@@ -315,6 +315,14 @@ def test_sample_without_seed_is_an_error():
     assert "seed" in result.stderr
 
 
+@pytest.mark.parametrize("concentration", ["-1", "0", "nan", "inf"])
+def test_exit_two_on_bad_concentration(concentration, capsys, monkeypatch):
+    argv = GOLDEN_CASES["relax_sample_seed7"] + ["--concentration", concentration]
+    code, out, err = run_inprocess(argv, capsys, monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == f"error: concentration must be finite and > 0, got {float(concentration)}\n"
+
+
 @pytest.mark.parametrize(
     "fixture, where",
     [
@@ -397,7 +405,7 @@ print(json.dumps(runs))
 
 
 def test_closed_form_commands_never_import_numpy():
-    names = ["bounds_intervention", "predict_weak", "oracle_min"]
+    names = ["bounds_intervention", "predict_weak", "relax_proxy", "oracle_min"]
     result = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE,
          json.dumps([(name, GOLDEN_CASES[name]) for name in names])],
@@ -406,7 +414,7 @@ def test_closed_form_commands_never_import_numpy():
     runs = json.loads(result.stdout)
     assert [(name, numpy) for name, numpy, _ in runs] == [
         ("import", False), ("bounds_intervention", False), ("predict_weak", False),
-        ("oracle_min", True),
+        ("relax_proxy", False), ("oracle_min", True),
     ]
     for name, _, out in runs[1:]:
         assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
@@ -597,6 +605,7 @@ def test_malformed_inputs_exit_with_one_line_diagnostic(file, command):
     err = err.getvalue()
     assert code in (0, 2, 3, 4, 5), (code, err)
     assert "Traceback" not in err
+    assert not err.startswith("error: KeyError"), err  # name the missing field instead
     assert err.count("\n") == (code != 0), err
     if code == 0:
         json.loads(out.getvalue())

@@ -122,3 +122,40 @@ def test_report_rejects_non_finite_numbers():
     report = Report(command="bounds", request={"x": float("nan")})
     with pytest.raises(InputError):
         report.as_dict()
+
+
+def _without(doc, *where):
+    """A copy of ``doc`` with the key at the end of the path ``where`` removed."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    del node[where[-1]]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "load, where, message",
+    [
+        (load_dataset, ("decision",), "dataset lacks field 'decision'"),
+        (load_dataset, ("decision", "domain"), "decision lacks field 'domain'"),
+        (load_dataset, ("per_decision", "0", "scope", 0, "name"),
+         "scope entry lacks field 'name'"),
+        (load_dataset, ("per_decision", "1", "entries", 2, "p"), "entry lacks field 'p'"),
+        (load_dataset, ("per_decision", "1", "entries", 0, "assignment", "Z"),
+         "entry assignment lacks field 'Z'"),
+        (load_dataset, ("domains", 0, "label"), "domain lacks field 'label'"),
+        (load_scm, ("variables",), "model lacks field 'variables'"),
+        (load_scm, ("mechanisms", "Y", 0, "value"), "mechanism row for 'Y' lacks field 'value'"),
+        (load_scm, ("mechanisms", "Y", 0, "given", "Z"),
+         "mechanism row for 'Y' given lacks field 'Z'"),
+        (load_scm, ("exogenous_distribution", 0, "assignment"),
+         "exogenous_distribution entry lacks field 'assignment'"),
+    ],
+)
+def test_missing_field_names_the_field_and_its_owner(load, where, message):
+    name = "medai.scm.json" if load is load_scm else "medai_experiment.tables.json"
+    doc = json.loads(fixture_path(name).read_text(encoding="utf-8"))
+    with pytest.raises(InputError) as info:
+        load(_without(doc, *where))
+    assert str(info.value) == message

@@ -3,20 +3,24 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
+from beliefbound import relaxations
 from beliefbound.bounds import thm1_gap_interval
 from beliefbound.errors import InputError, SamplingError, UnsupportedError
 from beliefbound.relaxations import (
     GroundingBall,
+    _cell_coeff,
+    _reduced_objective_cells,
     approx_grounding_lower,
     partial_unconfoundedness_interval,
     proxy_alignment_lower,
 )
 from beliefbound.scm import ExoDistribution, Mechanism, Scm, scm_dataset
-from beliefbound.tables import VariableRef
+from beliefbound.tables import BehaviouralDataset, DistTable, VariableRef
 
 Z1 = {"Z": 1}
 
@@ -76,6 +80,179 @@ def test_sampling_needs_seed_and_accepts_something(medai):
             medai, GroundingBall(1e-9), Z1, Z1, 1, 0,
             method="sample", seed=1, n_samples=50, concentration=5.0,
         )
+
+
+# -- the block sampler against the per-draw loop --------------------------------
+
+
+def per_draw_sample(data, ball, z, d, d_star, *, n_samples, seed, concentration):
+    """The sampler as one `rng.dirichlet` call per decision per proposal, the
+    reference the block sampler must match bit for bit."""
+    cells, positions = _reduced_objective_cells(data, z)
+    setup = []
+    for t, side in ((d, True), (d_star, False)):
+        centre = ball.centre(data, t)
+        coeff = np.array([_cell_coeff(k, positions, z, data.utility, side) for k in cells])
+        support = [k for k in cells if float(centre.entries.get(k, 0)) > 0.0]
+        alpha = np.array([float(centre.entries[k]) for k in support]) * concentration
+        index = [cells.index(k) for k in support]
+        centre_vec = np.array([float(centre.entries.get(k, 0)) for k in cells])
+        setup.append((coeff, alpha, index, centre_vec))
+    rng = np.random.default_rng(seed)
+    best = np.inf
+    accepted = 0
+    for _ in range(n_samples):
+        value = 0.0
+        ok = True
+        for coeff, alpha, index, centre_vec in setup:
+            draw = rng.dirichlet(alpha)
+            full = np.zeros(len(cells))
+            full[index] = draw
+            tv = 0.5 * float(np.abs(full - centre_vec).sum())
+            if tv > ball.delta:
+                ok = False
+            value += float(coeff @ full)
+        if ok:
+            accepted += 1
+            best = min(best, value - 1.0)
+    if not accepted:
+        raise SamplingError(
+            f"no proposal landed inside the TV ball after {n_samples} draws; "
+            "increase n_samples or the concentration"
+        )
+    return float(best)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except SamplingError as exc:
+        return ("SamplingError", str(exc))
+
+
+def assert_sampler_parity(data, ball, d, d_star, *, n_samples, seed, concentration):
+    kwargs = dict(n_samples=n_samples, seed=seed, concentration=concentration)
+    block = _outcome(approx_grounding_lower, data, ball, Z1, Z1, d, d_star,
+                     method="sample", **kwargs)
+    loop = _outcome(per_draw_sample, data, ball, Z1, d, d_star, **kwargs)
+    assert block == loop  # the same float, or the same error
+    return block
+
+
+def random_dataset(seed, n_decisions, z_size, w_size, exact, y_domain=(0, 1)):
+    """Tables over (W, Y, Z) with random integer weights, about a fifth of the
+    cells empty; `exact` stores `Fraction`s, otherwise floats."""
+    rng = np.random.default_rng(seed)
+    scope = (
+        VariableRef("W", tuple(range(w_size))),
+        VariableRef("Y", y_domain),
+        VariableRef("Z", tuple(range(z_size))),
+    )
+    cells = list(product(*[r.domain for r in scope]))
+
+    def table():
+        weights = [int(w) for w in rng.integers(-2, 9, size=len(cells)).clip(0)]
+        weights[0] += 1
+        total = sum(weights)
+        return DistTable(scope, {
+            cell: Fraction(w, total) if exact else w / total
+            for cell, w in zip(cells, weights) if w
+        })
+
+    decision = VariableRef("D", tuple(range(n_decisions)))
+    return BehaviouralDataset(decision, {t: table() for t in decision.domain})
+
+
+def block_rows(cells):
+    return max(1, relaxations._BLOCK_FLOATS // (2 * cells))
+
+
+@pytest.mark.parametrize("seed", [7, 99])
+@pytest.mark.parametrize("d, d_star", [(1, 0), (0, 1)])
+def test_block_sampler_matches_per_draw_loop_on_fixture(medai, seed, d, d_star):
+    value = assert_sampler_parity(
+        medai, GroundingBall(0.1), d, d_star, n_samples=relaxations.DEFAULT_SAMPLES,
+        seed=seed, concentration=relaxations.DEFAULT_CONCENTRATION,
+    )
+    assert isinstance(value, float)
+
+
+# Each radius sits near the median distance of a proposal pair, so blocks hold
+# accepted and rejected rows; a utility taking 0.3 makes the dot products round.
+@pytest.mark.parametrize(
+    "seed, n_decisions, z_size, w_size, exact, y_domain, delta",
+    [
+        (1, 2, 2, 1, False, (0, 1), 0.04),  # 4 cells
+        (2, 3, 2, 2, True, (0, 0.3, 1), 0.07),  # 12 cells
+        (3, 4, 3, 3, False, (0, 0.3, 1), 0.09),  # 27 cells
+        (4, 2, 4, 4, True, (0, 0.3, 1), 0.125),  # 48 cells, past BLAS's blocked ddot
+        (5, 3, 4, 8, False, (0, 0.3, 1), 0.16),  # 96 cells
+    ],
+)
+@pytest.mark.parametrize("blocks", ["one row", "one block and a row", "several blocks"])
+def test_block_sampler_matches_per_draw_loop(seed, n_decisions, z_size, w_size, exact,
+                                             y_domain, delta, blocks):
+    data = random_dataset(seed, n_decisions, z_size, w_size, exact, y_domain)
+    rows = block_rows(len(y_domain) * z_size * w_size)
+    n_samples = {"one row": 1, "one block and a row": rows + 1,
+                 "several blocks": 3 * rows + 5}[blocks]
+    assert_sampler_parity(
+        data, GroundingBall(delta), n_decisions - 1, 0, n_samples=n_samples,
+        seed=seed, concentration=relaxations.DEFAULT_CONCENTRATION,
+    )
+
+
+@pytest.mark.parametrize("w_size", [4, 8])
+def test_block_sampler_matches_per_draw_loop_two_proposals_at_a_time(w_size):
+    # The minimum hides most rows, so pin pairs of proposals (a one-row block
+    # would reduce any matrix product to a dot); every draw is accepted.
+    data = random_dataset(w_size, 2, 4, w_size, False, (0, 0.3, 1))
+    for seed in range(40):
+        assert_sampler_parity(
+            data, GroundingBall(1.0), 1, 0, n_samples=2, seed=seed,
+            concentration=relaxations.DEFAULT_CONCENTRATION,
+        )
+
+
+def test_block_sampler_matches_per_draw_loop_on_explicit_centres():
+    data = random_dataset(11, 3, 3, 2, False, (0, 0.3, 1))
+    other = random_dataset(12, 3, 3, 2, True, (0, 0.3, 1))
+    ball = GroundingBall(0.09, centres={1: other.table(1), 2: other.table(0)})
+    for d, d_star in ((1, 2), (2, 1)):
+        value = assert_sampler_parity(
+            data, ball, d, d_star, n_samples=2 * block_rows(18) + 3, seed=3,
+            concentration=250.0,
+        )
+        assert isinstance(value, float)
+
+
+def test_block_sampler_matches_per_draw_loop_below_gamma_weights():
+    # numpy's Dirichlet breaks sticks when the largest weight is below 0.1:
+    # everywhere at concentration 0.05, and for the near-uniform decision only
+    # at concentration 1, where the other decision's heaviest cell weighs 0.9.
+    data = random_dataset(21, 2, 3, 4, False, (0, 0.3, 1))
+    spread = DistTable(data.scope, {
+        cell: 1 / 36 for cell in product(*[r.domain for r in data.scope])
+    })
+    peaked_cells = list(spread.entries)
+    peaked = DistTable(data.scope, {
+        k: 0.9 if i == 0 else 0.1 / 35 for i, k in enumerate(peaked_cells)
+    })
+    mixed = GroundingBall(0.95, centres={0: spread, 1: peaked})
+    for ball, concentration in ((GroundingBall(0.95), 0.05), (mixed, 1.0)):
+        for d, d_star in ((1, 0), (0, 1)):
+            value = assert_sampler_parity(
+                data, ball, d, d_star, n_samples=block_rows(36) + 1, seed=5,
+                concentration=concentration,
+            )
+            assert isinstance(value, float)
+
+
+def test_block_sampler_raises_the_loops_error_when_nothing_lands(medai):
+    value = assert_sampler_parity(
+        medai, GroundingBall(1e-9), 1, 0, n_samples=50, seed=1, concentration=5.0
+    )
+    assert value[0] == "SamplingError"
 
 
 def test_context_outside_shift_unsupported(medai):
