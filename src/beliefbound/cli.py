@@ -29,7 +29,7 @@ from . import fileio
 from .errors import AtomLimitError, BeliefBoundError, InputError
 from .predictability import strong_verdict, weak_verdict
 from .report import Report
-from .tables import BehaviouralDataset, DistTable, Value
+from .tables import BehaviouralDataset, DistTable, Value, estimate_from_samples
 
 if TYPE_CHECKING:
     from .oracle import SkeletonVariable
@@ -100,10 +100,7 @@ def _load_data(path: str):
     p = Path(path)
     if p.suffix.lower() == ".csv":
         return "log", fileio.load_csv_log(p)
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except RecursionError as exc:
-        raise InputError(f"{path}: JSON nested too deeply") from exc
+    doc = fileio._load_json(p)
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     if "mechanisms" in doc:
@@ -144,7 +141,7 @@ def _joint_from_args(args) -> DistTable:
         return payload
     if kind == "log":
         rows, weights = payload
-        return fileio.joint_from_log(rows, weights)
+        return estimate_from_samples(rows, weights)
     raise InputError(
         "causal-harm needs a joint distribution (table JSON or CSV log) including "
         "the decision column"
@@ -289,19 +286,17 @@ def _skeleton_from_args(
     from .oracle import SkeletonVariable
 
     if args.skeleton:
-        doc = json.loads(Path(args.skeleton).read_text(encoding="utf-8"))
+        doc = fileio._load_json(args.skeleton)
         refs = {r.name: r for r in data.scope}
         out = []
-        for item in doc["variables"]:
-            if item["name"] not in refs:
-                raise InputError(f"skeleton variable {item['name']!r} not in data scope")
-            out.append(
-                SkeletonVariable(
-                    item["name"],
-                    tuple(item.get("domain", refs[item["name"]].domain)),
-                    tuple(item.get("parents", ())),
-                )
-            )
+        for item in fileio._array(doc, "variables", "skeleton"):
+            name = fileio._field(item, "name", "skeleton variables entry")
+            if name not in tuple(refs):  # compared, not hashed: a name may be any JSON value
+                raise InputError(f"skeleton variable {name!r} not in data scope")
+            owner = f"skeleton variable {name!r}"
+            domain = fileio._array(item, "domain", owner, refs[name].domain)
+            parents = fileio._array(item, "parents", owner, ())
+            out.append(SkeletonVariable(name, domain, parents))
         return out
     # Default: the utility responds to the decision and every other variable;
     # a context variable outside the shift responds to the shift variables, so

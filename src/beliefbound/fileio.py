@@ -55,14 +55,24 @@ def _dump_prob(p: Number):
 def _load_json(source) -> dict:
     if isinstance(source, Mapping):
         return dict(source)
-    text = Path(source).read_text(encoding="utf-8")
-    return json.loads(text)
+    try:
+        return json.loads(Path(source).read_text(encoding="utf-8"))
+    except RecursionError as exc:
+        raise InputError(f"{source}: JSON nested too deeply") from exc
 
 
 def _mapping(node, what: str) -> Mapping:
     if not isinstance(node, Mapping):
         raise InputError(f"{what} must be a JSON object, not {node!r:.40}")
     return node
+
+
+def _array(node, key: str, owner: str, *default) -> Sequence:
+    """``node[key]``, or ``default`` when given and the key is absent, as a JSON array."""
+    value = node.get(key, *default) if default else _field(node, key, owner)
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"{owner} field {key!r} must be a JSON array, not {value!r:.40}")
+    return value
 
 
 def _fields(node, keys: Sequence, owner: str) -> tuple:
@@ -81,8 +91,8 @@ def _field(node, key: str, owner: str):
 
 
 def _ref(obj, owner: str) -> VariableRef:
-    name, domain = _fields(obj, ("name", "domain"), owner)
-    return VariableRef(name, tuple(domain))
+    name = _field(obj, "name", owner)
+    return VariableRef(name, tuple(_array(obj, "domain", owner)))
 
 
 # -- structural models -----------------------------------------------------
@@ -104,11 +114,11 @@ def load_scm(source) -> Scm:
 
     variables = []
     mechanisms = {}
-    for spec in _field(doc, "variables", "model"):
+    for spec in _array(doc, "variables", "model"):
         ref = _ref(spec, "variables entry")
         variables.append(ref)
-        parents = tuple(spec.get("parents", ()))
-        exo_parents = tuple(spec.get("exo_parents", ()))
+        parents = _array(spec, "parents", "variables entry", ())
+        exo_parents = _array(spec, "exo_parents", "variables entry", ())
         rows = _mapping(_field(doc, "mechanisms", "model"), "mechanisms").get(ref.name)
         if rows is None:
             raise InputError(f"no mechanism rows for variable {ref.name!r}")
@@ -160,10 +170,10 @@ def dump_scm(scm: Scm) -> dict:
 
 def load_table(source) -> DistTable:
     doc = _load_json(source)
-    refs = tuple(_ref(obj, "scope entry") for obj in _field(doc, "scope", "table"))
+    refs = tuple(_ref(obj, "scope entry") for obj in _array(doc, "scope", "table"))
     names = [r.name for r in refs]
     entries = {}
-    for item in _field(doc, "entries", "table"):
+    for item in _array(doc, "entries", "table"):
         assignment, p = _fields(item, ("assignment", "p"), "entry")
         key = _fields(assignment, names, "entry assignment")
         entries[key] = _parse_prob(p)
@@ -304,7 +314,3 @@ def dataset_from_log(
     policy = Policy(dref, ctx, rows_by_ctx)
     per_decision = {d: policy_to_atomic(joint, policy, d) for d in dref.domain}
     return BehaviouralDataset(dref, per_decision, utility=utility)
-
-
-def joint_from_log(rows, weights=None) -> DistTable:
-    return estimate_from_samples(list(rows), weights)

@@ -42,7 +42,7 @@ from .errors import (
     OracleError,
     UnsupportedError,
 )
-from .scm import ExoDistribution, Mechanism, Scm, evaluate_columns, toposort
+from .scm import ExoDistribution, Mechanism, Scm, _derive, evaluate_columns, toposort
 from .tables import (
     Assignment,
     BehaviouralDataset,
@@ -102,7 +102,7 @@ class CanonicalAtomSpace:
         names = [v.name for v in variables]
         if len(set(names)) != len(names) or decision.name in names:
             raise InputError(f"bad skeleton variable names: {names}")
-        known = set(names) | {decision.name}
+        known = (*names, decision.name)  # compared, not hashed: a parent may be any value
         for v in variables:
             for p in v.parents:
                 if p not in known:
@@ -132,6 +132,7 @@ class CanonicalAtomSpace:
             # Response r is r's base-k digits, most significant first, one per
             # parent combination (the order of `product`).
             self._lookup[v.name] = np.arange(k**n)[:, None] // k ** np.arange(n - 1, -1, -1) % k
+            self._lookup[v.name].flags.writeable = False
         self._sizes = {name: len(ref.domain) for name, ref in self.refs.items()}
         counts = [len(self.responses[v.name]) for v in self.variables]
         self._atom_responses = dict(
@@ -182,6 +183,7 @@ class Polytope:
     b_eq: np.ndarray
     atom_class: np.ndarray
     row_labels: tuple[str, ...] = field(default=())
+    _point: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def a_eq(self) -> np.ndarray:
@@ -191,9 +193,13 @@ class Polytope:
         return a_eq
 
     def feasible_point(self, objective: Sequence[float] | None = None) -> np.ndarray:
-        """A feasible atom-probability vector, optionally optimizing a direction."""
-        c = np.zeros(self.space.dimension) if objective is None else np.asarray(objective, float)
-        return _solve_classes(self, c)
+        """A feasible atom-probability vector, optionally optimizing a direction
+        (without one, a copy of the zero-cost point, solved once)."""
+        if objective is not None:
+            return _solve_classes(self, np.asarray(objective, float))
+        if self._point is None:
+            self._point = _solve_classes(self, np.zeros(self.space.dimension))
+        return self._point.copy()
 
 
 def _classes(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -270,19 +276,19 @@ def build_polytope(
     DataError straight away when the tables are mutually inconsistent (the
     equality system has no distribution solving it).
     """
-    space = CanonicalAtomSpace(data.decision, skeleton, limit)
-    scope_names = tuple(v.name for v in space.variables)
+    scope_names = tuple(sorted(v.name for v in skeleton))
     data_names = tuple(r.name for r in data.scope)
     if set(scope_names) != set(data_names):
         raise InputError(
             f"skeleton covers {sorted(scope_names)}, data scope is {sorted(data_names)}"
         )
-    for v in space.variables:
+    for v in skeleton:
         ref = data.table(data.decisions[0]).ref(v.name)
         if tuple(ref.domain) != tuple(v.domain):
             raise InputError(
                 f"domain mismatch for {v.name!r}: skeleton {v.domain} vs data {ref.domain}"
             )
+    space = CanonicalAtomSpace(data.decision, skeleton, limit)
 
     cells = list(product(*[v.domain for v in space.variables]))
     sizes = [len(v.domain) for v in space.variables]
@@ -426,7 +432,8 @@ def feasible_scm(polytope: Polytope) -> Scm:
         mechanisms[v.name] = Mechanism(
             space.refs[v.name], v.parents, (exo_refs[i].name,), table
         )
-    return Scm(tuple(space.refs.values()), mechanisms, exo)
+    # The space's arrays index [response, parent combination], as `Scm._compile`'s do.
+    return Scm(tuple(space.refs.values()), mechanisms, exo, lookup=dict(space._lookup))
 
 
 def witness_thm1_scm(
@@ -506,17 +513,16 @@ def witness_thm1_scm(
             fn,
         )
 
-    mechanisms = dict(base.mechanisms)
-    for name in c:
-        if name in z:
-            continue
-        value = c[name]
-        mechanisms[name] = rewrite(name, lambda assign, v=value: v)
+    mechanisms = {
+        name: rewrite(name, lambda assign, v=value: v)
+        for name, value in c.items()
+        if name not in z
+    }
     mechanisms[utility] = rewrite(
         utility,
         lambda assign: y_hi if assign[decision] == d0 else y_lo,
     )
-    return Scm(base.variables, mechanisms, base.exo)
+    return _derive(base, mechanisms, base.exo)
 
 
 # -- canonical (z, y) response tables and unknown-shift witnesses ----------

@@ -129,10 +129,6 @@ def _ball_minimum(
         raise OracleError(f"TV-ball program failed: {exc}") from exc
 
 
-def centre_keys(centre: DistTable) -> list[tuple[Value, ...]]:
-    return list(product(*[r.domain for r in centre.scope]))
-
-
 def approx_grounding_lower(
     data: BehaviouralDataset,
     ball: GroundingBall,

@@ -13,6 +13,11 @@ The package's one topological sort (`toposort`) and one evaluation kernel
 (`evaluate_columns`, exogenous atoms in, one value-index column per variable
 out) live here and serve `Scm` and the oracle's canonical space alike.  Only
 value indices enter numpy; masses are summed in Python, so rationals stay exact.
+
+Lookup arrays are read-only and shared: a model derived from another
+(`submodel`, `apply_shift`, `policy_model`, the oracle's witnesses) compiles and
+checks only the mechanisms it replaces and hands its parent's arrays on for the
+rest.  `Scm` trusts an array handed over in `lookup` and compiles the others.
 """
 
 from __future__ import annotations
@@ -230,8 +235,10 @@ class Scm:
             )
         by_name = {r.name: r for r in refs}
         exo_by_name = {r.name: r for r in self.exo.variables}
-        lookup = {}
+        lookup = dict(self.lookup)
         for name, mech in self.mechanisms.items():
+            if name in lookup:
+                continue
             if mech.target.name != name or mech.target != by_name[name]:
                 raise ModelError(f"mechanism for {name!r} targets {mech.target}")
             for p in mech.parents:
@@ -263,7 +270,9 @@ class Scm:
                 )
             flat.append(mech.target.domain.index(out))
         shape = (prod(map(len, parent_doms)), prod(map(len, exo_doms)))
-        return np.array(flat, dtype=np.intp).reshape(shape).T
+        array = np.array(flat, dtype=np.intp).reshape(shape).T
+        array.flags.writeable = False
+        return array
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -302,15 +311,17 @@ def evaluate(scm: Scm, u: Assignment) -> dict[str, Value]:
     return {name: scm.ref(name).domain[columns[name][0]] for name in scm.order}
 
 
+def _derive(scm: Scm, new: Mapping[str, Mechanism], exo: ExoDistribution) -> Scm:
+    """`scm` with `new` mechanisms and `exo` (holding `scm.exo`'s variables)."""
+    kept = {name: array for name, array in scm.lookup.items() if name not in new}
+    return Scm(scm.variables, {**scm.mechanisms, **new}, exo, lookup=kept)
+
+
 def submodel(scm: Scm, iv: Assignment) -> Scm:
     """Sub-model under do(x): targeted mechanisms become constants."""
     if not iv:
         return scm
-    mechanisms = dict(scm.mechanisms)
-    for name, value in iv.items():
-        ref = scm.ref(name)
-        mechanisms[name] = Mechanism.constant(ref, value)
-    return Scm(scm.variables, mechanisms, scm.exo)
+    return _derive(scm, {n: Mechanism.constant(scm.ref(n), v) for n, v in iv.items()}, scm.exo)
 
 
 def apply_shift(scm: Scm, shift: Shift) -> Scm:
@@ -333,10 +344,7 @@ def apply_shift(scm: Scm, shift: Shift) -> Scm:
     if missing:
         raise UnsupportedError(f"shift lacks replacement mechanisms for {sorted(missing)}")
     exo = scm.exo if shift.exo is None else ExoDistribution.product(scm.exo, shift.exo)
-    mechanisms = dict(scm.mechanisms)
-    for name in shift.targets:
-        mechanisms[name] = shift.mechanisms[name]
-    return Scm(scm.variables, mechanisms, exo)
+    return _derive(scm, {name: shift.mechanisms[name] for name in shift.targets}, exo)
 
 
 def joint_distribution(scm: Scm) -> DistTable:
@@ -415,9 +423,7 @@ def policy_model(scm: Scm, policy: Policy) -> Scm:
         for i in range(len(choices))
     }
     mech = Mechanism(ref, tuple(policy.context), (noise_name,), table)
-    mechanisms = dict(scm.mechanisms)
-    mechanisms[dname] = mech
-    return Scm(scm.variables, mechanisms, ExoDistribution.product(scm.exo, block))
+    return _derive(scm, {dname: mech}, ExoDistribution.product(scm.exo, block))
 
 
 def scm_dataset(

@@ -93,3 +93,30 @@ def exact_dataset(per_decision_cells: dict) -> BehaviouralDataset:
         for d, cells in per_decision_cells.items()
     }
     return BehaviouralDataset(D, tables)
+
+
+def assert_lookups_compiled_once(model: Scm, domains=()) -> None:
+    """A derived model's lookup arrays equal a fresh compile of its mechanisms
+    and are read-only; it answers exactly as the model rebuilt from its parts;
+    and a public build from those parts still checks every mechanism."""
+    import pytest
+
+    from beliefbound.errors import ModelError
+    from beliefbound.scm import counterfactual_probability, scm_dataset
+
+    by_name = {r.name: r for r in model.variables}
+    exo_by_name = {r.name: r for r in model.exo.variables}
+    for name, mech in model.mechanisms.items():
+        assert np.array_equal(model.lookup[name], Scm._compile(mech, by_name, exo_by_name))
+        assert not model.lookup[name].flags.writeable
+    rebuilt = Scm(model.variables, model.mechanisms, model.exo)
+    assert scm_dataset(model, "D", domains=domains) == scm_dataset(rebuilt, "D", domains=domains)
+    for events in ([({"D": 1, "Z": 1}, {"Y": 1})], [({"D": 0}, {"Y": 1}), ({"D": 1}, {"Y": 0})]):
+        assert counterfactual_probability(model, events) == counterfactual_probability(
+            rebuilt, events
+        )
+    for name, mech in model.mechanisms.items():
+        partial = dict(list(mech.table.items())[1:])
+        cut = Mechanism(mech.target, mech.parents, mech.exo_parents, partial)
+        with pytest.raises(ModelError, match="missing input"):
+            Scm(model.variables, {**model.mechanisms, name: cut}, model.exo)

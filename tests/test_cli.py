@@ -96,6 +96,14 @@ GOLDEN_CASES = {
 }
 
 
+_SKELETON = {
+    "variables": [
+        {"name": "Y", "domain": [0, 1], "parents": ["D", "Z"]},
+        {"name": "Z", "parents": []},
+    ]
+}
+
+
 def run_inprocess(argv, capsys, monkeypatch):
     monkeypatch.chdir(REPO)
     code = main(argv)
@@ -344,6 +352,35 @@ def test_exit_two_when_an_object_field_is_a_list(fixture, where, tmp_path):
     assert result.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "skeleton, message",
+    [
+        ({}, "skeleton lacks field 'variables'"),
+        ({"variables": [{"domain": [0, 1]}]}, "skeleton variables entry lacks field 'name'"),
+        ({"variables": [{"name": "Z"}, 3]},
+         "skeleton variables entry must be a JSON object, not 3"),
+        ({"variables": None}, "skeleton field 'variables' must be a JSON array, not None"),
+        ({"variables": [{"name": "Y", "parents": None}]},
+         "skeleton variable 'Y' field 'parents' must be a JSON array, not None"),
+        ({"variables": [{"name": "Z", "domain": [[0], 1]}, {"name": "Y"}]},
+         "domain mismatch for 'Z': skeleton ([0], 1) vs data (0, 1)"),
+    ],
+)
+def test_exit_two_on_malformed_skeleton(skeleton, message, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "skeleton.json"
+    path.write_text(json.dumps(skeleton))
+    argv = [*GOLDEN_CASES["oracle_min"], "--skeleton", str(path)]
+    assert run_inprocess(argv, capsys, monkeypatch) == (2, "", f"error: {message}\n")
+
+
+def test_explicit_skeleton_reproduces_the_default(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "skeleton.json"
+    path.write_text(json.dumps(_SKELETON))
+    argv = [*GOLDEN_CASES["oracle_min"], "--skeleton", str(path)]
+    code, out, _ = run_inprocess(argv, capsys, monkeypatch)
+    assert (code, out) == (0, (GOLDEN / "oracle_min.json").read_text(encoding="utf-8"))
+
+
 def test_exit_two_on_json_nested_too_deeply(tmp_path, capsys, monkeypatch):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
@@ -509,10 +546,12 @@ def _replaced(doc, where, value):
     return out
 
 
-def _mutated(path: Path):
-    """The document at ``path`` with one subtree replaced by any JSON value;
-    every depth is as likely as any other, so top-level keys get hit too."""
-    doc = json.loads((REPO / path).read_text(encoding="utf-8"))
+def _mutated(doc: Path | dict):
+    """The document (or the one at path ``doc``) with one subtree replaced by
+    any JSON value; every depth is as likely as any other, so top-level keys
+    get hit too."""
+    if not isinstance(doc, dict):
+        doc = json.loads((REPO / doc).read_text(encoding="utf-8"))
     by_depth: dict[int, list] = {}
     for where in _paths(doc):
         by_depth.setdefault(len(where), []).append(where)
@@ -592,16 +631,15 @@ _COMMANDS = [
 ]
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(_FILES, st.sampled_from(_COMMANDS))
-def test_malformed_inputs_exit_with_one_line_diagnostic(file, command):
-    name, text = file
+def _run_on_file(name: str, text: str, argv) -> str:
+    """Run the CLI with ``{}`` in ``argv`` replaced by a file holding ``text``;
+    check the exit contract and return stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / name
         path.write_text(text, encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command[0], "--data", str(path), "--context-vars", "Z", *command[1:]])
+            code = main([str(path) if arg == "{}" else arg for arg in argv])
     err = err.getvalue()
     assert code in (0, 2, 3, 4, 5), (code, err)
     assert "Traceback" not in err
@@ -609,6 +647,38 @@ def test_malformed_inputs_exit_with_one_line_diagnostic(file, command):
     assert err.count("\n") == (code != 0), err
     if code == 0:
         json.loads(out.getvalue())
+    return err
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_FILES, st.sampled_from(_COMMANDS))
+def test_malformed_inputs_exit_with_one_line_diagnostic(file, command):
+    _run_on_file(*file, [command[0], "--data", "{}", "--context-vars", "Z", *command[1:]])
+
+
+_SKELETON_VARIABLE = st.fixed_dictionaries(
+    {"name": _shaped(_NAMES)},
+    optional={
+        "domain": _shaped(st.lists(_VALUES, max_size=3)),
+        "parents": _shaped(st.lists(_NAMES, max_size=3)),
+    },
+)
+_SKELETONS = st.one_of(
+    _JSON,
+    st.fixed_dictionaries(
+        {"variables": _shaped(st.lists(_shaped(_SKELETON_VARIABLE), max_size=3))}
+    ),
+    _mutated(_SKELETON),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_SKELETONS, st.sampled_from(["medai.tables.json", "medai_experiment.tables.json"]))
+def test_malformed_skeletons_exit_with_one_line_diagnostic(skeleton, data):
+    oracle = next(cmd for cmd in _COMMANDS if cmd[0] == "oracle")
+    argv = [*oracle, "--data", f"{REPO / FIXTURES / data}", "--skeleton", "{}"]
+    err = _run_on_file("skeleton.json", json.dumps(skeleton), argv)
+    assert not err.startswith(("error: KeyError", "error: TypeError")), err
 
 
 def regenerate():

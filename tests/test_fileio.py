@@ -159,3 +159,29 @@ def test_missing_field_names_the_field_and_its_owner(load, where, message):
     with pytest.raises(InputError) as info:
         load(_without(doc, *where))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "load, where, message",
+    [
+        (load_dataset, ("decision", "domain"), "decision field 'domain'"),
+        (load_dataset, ("per_decision", "0", "scope"), "table field 'scope'"),
+        (load_dataset, ("per_decision", "1", "scope", 1, "domain"), "scope entry field 'domain'"),
+        (load_dataset, ("per_decision", "1", "entries"), "table field 'entries'"),
+        (load_scm, ("variables",), "model field 'variables'"),
+        (load_scm, ("variables", 0, "domain"), "variables entry field 'domain'"),
+        (load_scm, ("variables", 2, "parents"), "variables entry field 'parents'"),
+        (load_scm, ("variables", 1, "exo_parents"), "variables entry field 'exo_parents'"),
+        (load_scm, ("exogenous", 0, "domain"), "exogenous entry field 'domain'"),
+    ],
+)
+def test_null_array_field_names_the_field_and_its_owner(load, where, message):
+    name = "medai.scm.json" if load is load_scm else "medai_experiment.tables.json"
+    doc = json.loads(fixture_path(name).read_text(encoding="utf-8"))
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = None
+    with pytest.raises(InputError) as info:
+        load(doc)
+    assert str(info.value) == f"{message} must be a JSON array, not None"

@@ -41,7 +41,12 @@ from beliefbound.tables import (
     total_variation,
 )
 
-from support import exact_dataset, random_binary_dataset
+from support import (
+    assert_lookups_compiled_once,
+    exact_dataset,
+    random_behaviour_model,
+    random_binary_dataset,
+)
 
 Z1 = {"Z": 1}
 SKELETON = [SkeletonVariable("Z", (0, 1)), SkeletonVariable("Y", (0, 1), ("D", "Z"))]
@@ -641,6 +646,41 @@ def test_witness_general_context_variable():
         return expectation(joint, "Y", {"C": 1})
     gap = float(clamped_mean(1) - clamped_mean(0))
     assert gap == pytest.approx(closed.lower, abs=1e-9)
+
+
+def test_witness_models_reuse_lookups_that_match_a_fresh_compile(medai, medai_exp, m1, m2):
+    problems = [(medai, SKELETON), (medai_exp, SKELETON)]
+    problems += [
+        (scm_dataset(random_behaviour_model(seed), "D", domains=[("exp", Z1)]), SKELETON)
+        for seed in range(3)
+    ]
+    problems += [chained_dataset(seed, {"Z": 3, "W": 2}) for seed in range(2)]
+    models = [witness_thm1_scm(m, Z1, Z1, 1, 0) for m in (m1, m2)]
+    for data, skeleton in problems:
+        base = feasible_scm(build_polytope(data, skeleton))
+        models += [base, *(witness_thm1_scm(base, Z1, Z1, *pair) for pair in ((1, 0), (0, 1)))]
+        if "W" in base.names:
+            models.append(witness_thm1_scm(base, Z1, {"W": 1}, 1, 0))
+    for model in models:
+        assert_lookups_compiled_once(model, domains=[("exp", Z1)])
+
+
+def test_feasible_scm_reuses_the_polytope_point(medai, monkeypatch):
+    poly = build_polytope(medai, SKELETON)
+    calls = []
+    solve = lp.solve_lp
+    monkeypatch.setattr(lp, "solve_lp", lambda *args: calls.append(args) or solve(*args))
+    model = feasible_scm(poly)
+    first = poly.feasible_point()
+    assert calls == []
+    assert np.array_equal(first, _solve_classes(poly, np.zeros(poly.space.dimension)))
+    first[:] = -1.0  # a fresh array each call: mutating one leaves the next alone
+    again = poly.feasible_point()
+    assert again is not first and np.all(again >= 0)
+    assert np.array_equal(again, poly.feasible_point())
+    assert feasible_scm(poly).exo == model.exo
+    poly.feasible_point(objective=np.ones(poly.space.dimension))
+    assert len(calls) == 2  # the reference solve above, then the directed one
 
 
 def test_witness_needs_exogenous_shift_variable(m1):

@@ -17,11 +17,12 @@ from beliefbound.scm import (
     counterfactual_probability,
     evaluate,
     joint_distribution,
+    policy_model,
     submodel,
 )
-from beliefbound.tables import VariableRef, total_variation
+from beliefbound.tables import Policy, VariableRef, total_variation
 
-from support import random_behaviour_model
+from support import assert_lookups_compiled_once, random_behaviour_model
 
 FIFTH = Fraction(1, 5)
 
@@ -200,3 +201,25 @@ def test_interventions_compose_with_product_blocks():
     }
     scm = Scm((x, y), mechanisms, exo)
     assert abs(float(joint_distribution(submodel(scm, {"X": 1})).prob({"Y": 1})) - 0.6) < 1e-12
+
+
+def test_derived_models_reuse_lookups_that_match_a_fresh_compile(m1, m2):
+    coin = VariableRef("U_shift", (0, 1))
+    block = ExoDistribution((coin,), (((1,), Fraction(9, 10)), ((0,), Fraction(1, 10))))
+    for base in (m1, m2, *(random_behaviour_model(seed) for seed in range(5))):
+        z = base.ref("Z")
+        tossed = Mechanism.from_function(z, (), (coin,), lambda a: a["U_shift"])
+        rows = {(0,): {0: FIFTH, 1: 1 - FIFTH}, (1,): {0: 1, 1: 0}}
+        derived = [
+            submodel(base, {"Z": 1}),
+            submodel(base, {"D": 1, "Z": 0}),
+            submodel(submodel(base, {"Z": 0}), {"D": 0}),
+            apply_shift(base, Shift(("Z",), {"Z": Mechanism.constant(z, 1)})),
+            apply_shift(base, Shift(("Z",), {"Z": tossed}, block)),
+            policy_model(base, Policy(base.ref("D"), ("Z",), rows)),
+        ]
+        for model in derived:
+            assert_lookups_compiled_once(model, domains=[("exp", {"Z": 1})])
+        assert_lookups_compiled_once(base)
+        assert derived[0].lookup["Y"] is base.lookup["Y"]  # shared, not copied
+        assert derived[-1].lookup["Z"] is base.lookup["Z"]
