@@ -90,8 +90,26 @@ def _field(node, key: str, owner: str):
     return _fields(node, (key,), owner)[0]
 
 
+def _not_scalar(values: tuple, keys: Sequence[str], owner: str) -> InputError:
+    """The error for a table key that failed to hash: one of its `values`
+    (read from fields `keys`) is a JSON array or object."""
+    key, value = next(kv for kv in zip(keys, values) if isinstance(kv[1], (list, dict)))
+    return InputError(f"{owner} field {key!r} must be a JSON scalar, not {value!r:.40}")
+
+
+def _names(node, key: str, owner: str, *default) -> tuple[str, ...]:
+    """`_array` of variable names: every entry must be a JSON string."""
+    names = tuple(_array(node, key, owner, *default))
+    for name in names:
+        if not isinstance(name, str):
+            raise InputError(f"{owner} field {key!r} must hold JSON strings, not {name!r:.40}")
+    return names
+
+
 def _ref(obj, owner: str) -> VariableRef:
     name = _field(obj, "name", owner)
+    if not isinstance(name, str):
+        raise InputError(f"{owner} field 'name' must be a JSON string, not {name!r:.40}")
     return VariableRef(name, tuple(_array(obj, "domain", owner)))
 
 
@@ -103,12 +121,17 @@ def load_scm(source) -> Scm:
 
     doc = _load_json(source)
     exo_refs = {
-        r.name: r for r in (_ref(obj, "exogenous entry") for obj in doc.get("exogenous", []))
+        r.name: r
+        for r in (_ref(obj, "exogenous entry") for obj in _array(doc, "exogenous", "model", []))
     }
     atoms = []
-    for item in doc.get("exogenous_distribution", []):
+    for item in _array(doc, "exogenous_distribution", "model", []):
         assignment, p = _fields(item, ("assignment", "p"), "exogenous_distribution entry")
         key = _fields(assignment, exo_refs, "exogenous assignment")
+        try:
+            hash(key)
+        except TypeError:
+            raise _not_scalar(key, tuple(exo_refs), "exogenous assignment") from None
         atoms.append((key, _parse_prob(p)))
     exo = ExoDistribution(tuple(exo_refs.values()), tuple(atoms))
 
@@ -117,18 +140,22 @@ def load_scm(source) -> Scm:
     for spec in _array(doc, "variables", "model"):
         ref = _ref(spec, "variables entry")
         variables.append(ref)
-        parents = _array(spec, "parents", "variables entry", ())
-        exo_parents = _array(spec, "exo_parents", "variables entry", ())
-        rows = _mapping(_field(doc, "mechanisms", "model"), "mechanisms").get(ref.name)
-        if rows is None:
+        parents = _names(spec, "parents", "variables entry", ())
+        exo_parents = _names(spec, "exo_parents", "variables entry", ())
+        rows = _mapping(_field(doc, "mechanisms", "model"), "mechanisms")
+        if rows.get(ref.name) is None:
             raise InputError(f"no mechanism rows for variable {ref.name!r}")
         table = {}
         owner = f"mechanism row for {ref.name!r}"
         inputs = (*parents, *exo_parents)
-        for row in rows:
+        for row in _array(rows, ref.name, "mechanisms"):
             given, value = _fields(row, ("given", "value"), owner)
             key = _fields(given, inputs, f"{owner} given")
-            if key in table:
+            try:
+                duplicate = key in table
+            except TypeError:
+                raise _not_scalar(key, inputs, f"{owner} given") from None
+            if duplicate:
                 raise InputError(f"duplicate mechanism row for {ref.name!r} at {given}")
             table[key] = value
         mechanisms[ref.name] = Mechanism(ref, parents, exo_parents, table)
@@ -176,7 +203,10 @@ def load_table(source) -> DistTable:
     for item in _array(doc, "entries", "table"):
         assignment, p = _fields(item, ("assignment", "p"), "entry")
         key = _fields(assignment, names, "entry assignment")
-        entries[key] = _parse_prob(p)
+        try:
+            entries[key] = _parse_prob(p)
+        except TypeError:
+            raise _not_scalar(key, names, "entry assignment") from None
     return DistTable(refs, entries)
 
 
@@ -211,10 +241,10 @@ def load_dataset(source) -> BehaviouralDataset:
     domains = tuple(
         ExperimentalDomain(
             _field(dom, "label", "domain"),
-            dict(dom.get("intervened", {})),
+            dict(_mapping(dom.get("intervened", {}), "domain field 'intervened'")),
             _load_per_decision(_field(dom, "per_decision", "domain"), decision.domain),
         )
-        for dom in doc.get("domains", [])
+        for dom in _array(doc, "domains", "dataset", [])
     )
     return BehaviouralDataset(
         decision, per_decision, utility=doc.get("utility", "Y"), domains=domains

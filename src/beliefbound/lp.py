@@ -6,9 +6,14 @@ Bland's anti-cycling rule throughout: the polytopes built from canonical
 response types are highly degenerate (many zero cells), and problem sizes stay
 in the tens to hundreds of variables (the oracle solves over merged duplicate
 columns, not one column per atom), so a plain dense tableau beats anything
-fancier.
-Each phase stops after MAX_PIVOTS pivots with LpIterationLimit, so a solve
-always terminates.
+fancier.  Each pivot is one rank-1 update of the rows with a nonzero entry in
+the pivot column, which performs the row-by-row elimination's arithmetic.
+
+`solve_lp` is `phase_two(phase_one(A, b), c)`.  The two phases are public
+because the oracle runs phase one once per polytope: a gap solve's phase two
+starts from the polytope's stored phase one, with its columns gathered onto
+the gap program's.  Each phase stops after MAX_PIVOTS pivots with
+LpIterationLimit, so a solve always terminates.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ import numpy as np
 PIVOT_EPS = 1e-10
 COST_EPS = 1e-10
 FEAS_EPS = 1e-8
-# Pivots allowed per phase.  Bland's rule needs about one pivot per row on the
+# Pivots allowed per phase (a phase two started from a stored phase one gets
+# the same allowance).  Bland's rule needs about one pivot per row on the
 # package's programs (at most 51 in a phase across the benchmark's oracle and
 # TV-ball programs, whose rows number in the tens), so this cap only stops a
 # runaway solve.
@@ -45,66 +51,80 @@ class LpSolution:
     value: float
 
 
+@dataclass(frozen=True)
+class PhaseOne:
+    """A feasible basis of A x = b, x >= 0, as phase one leaves it.
+
+    `tableau` holds the rows [B^-1 A | B^-1 b] with redundant rows dropped,
+    and `basis` the basic column of each row.  Phase two copies it.
+    """
+
+    tableau: np.ndarray
+    basis: tuple[int, ...]
+
+
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    for i in range(tableau.shape[0]):
-        if i != row and tableau[i, col] != 0.0:
-            tableau[i] -= tableau[i, col] * tableau[row]
+    pivot = tableau[row]
+    pivot /= pivot[col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    # Rows with a zero factor are skipped, not updated by zero: x - 0 * y can
+    # turn -0.0 into 0.0.
+    rows = factors.nonzero()[0]
+    tableau[rows] -= factors[rows, None] * pivot  # the outer product
     basis[row] = col
 
 
 def _ratio_row(tableau: np.ndarray, basis: list[int], col: int, m: int) -> int:
     """Leaving row by minimum ratio; ties broken by smallest basis index (Bland)."""
+    column = tableau[:m, col]
+    rows = (column > PIVOT_EPS).nonzero()[0]
     best_row = -1
     best = np.inf
-    for i in range(m):
-        a = tableau[i, col]
-        if a > PIVOT_EPS:
-            ratio = tableau[i, -1] / a
-            if ratio < best - PIVOT_EPS or (
-                abs(ratio - best) <= PIVOT_EPS
-                and (best_row < 0 or basis[i] < basis[best_row])
-            ):
-                best = ratio
-                best_row = i
+    for i, ratio in zip(rows.tolist(), (tableau[rows, -1] / column[rows]).tolist()):
+        if ratio < best - PIVOT_EPS or (
+            abs(ratio - best) <= PIVOT_EPS and (best_row < 0 or basis[i] < basis[best_row])
+        ):
+            best = ratio
+            best_row = i
     return best_row
 
 
 def _run_simplex(tableau: np.ndarray, basis: list[int], m: int, ncols: int) -> None:
+    nonbasic = np.ones(ncols, dtype=bool)
+    nonbasic[basis] = False
     pivots = 0
     while True:
-        col = -1
-        for j in range(ncols):
-            if j not in basis and tableau[m, j] < -COST_EPS:
-                col = j
-                break
-        if col < 0:
+        entering = (tableau[m, :ncols] < -COST_EPS) & nonbasic
+        col = int(entering.argmax())
+        if not entering[col]:
             return
         if pivots == MAX_PIVOTS:
             raise LpIterationLimit(f"no optimum after {MAX_PIVOTS} pivots")
         row = _ratio_row(tableau, basis, col, m)
         if row < 0:
             raise LpUnbounded(f"column {col} has no blocking row")
+        nonbasic[basis[row]] = True
+        nonbasic[col] = False
         _pivot(tableau, basis, row, col)
         pivots += 1
 
 
-def solve_lp(c, a_eq, b_eq) -> LpSolution:
-    """Minimise c'x subject to a_eq x = b_eq, x >= 0."""
+def phase_one(a_eq, b_eq) -> PhaseOne:
+    """A feasible basis of a_eq x = b_eq, x >= 0 (LpInfeasible if none)."""
     a = np.asarray(a_eq, dtype=float).copy()
     b = np.asarray(b_eq, dtype=float).copy()
-    cost = np.asarray(c, dtype=float)
     if a.ndim != 2:
         raise ValueError("a_eq must be a matrix")
     m, n = a.shape
-    if b.shape != (m,) or cost.shape != (n,):
+    if b.shape != (m,):
         raise ValueError("inconsistent LP dimensions")
 
     neg = b < 0
     a[neg] *= -1.0
     b[neg] *= -1.0
 
-    # Phase 1: artificial basis, minimise total infeasibility.
+    # Artificial basis, minimise total infeasibility.
     tableau = np.zeros((m + 1, n + m + 1))
     tableau[:m, :n] = a
     tableau[:m, n : n + m] = np.eye(m)
@@ -120,31 +140,36 @@ def solve_lp(c, a_eq, b_eq) -> LpSolution:
     keep = []
     for i in range(m):
         if basis[i] >= n:
-            pivot_col = -1
-            for j in range(n):
-                if abs(tableau[i, j]) > PIVOT_EPS:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                _pivot(tableau, basis, i, pivot_col)
+            nonzero = np.flatnonzero(np.abs(tableau[i, :n]) > PIVOT_EPS)
+            if nonzero.size:
+                _pivot(tableau, basis, i, int(nonzero[0]))
                 keep.append(i)
             # else: redundant row, drop it
         else:
             keep.append(i)
-    rows = keep + [m]
-    tableau = tableau[rows][:, list(range(n)) + [n + m]]
-    basis = [basis[i] for i in keep]
-    m = len(basis)
+    return PhaseOne(tableau[keep][:, [*range(n), n + m]], tuple(basis[i] for i in keep))
 
-    # Phase 2: original objective.
-    tableau[m, :] = 0.0
+
+def phase_two(start: PhaseOne, c) -> LpSolution:
+    """Minimise c'x from the feasible basis `start` (its tableau is not modified)."""
+    cost = np.asarray(c, dtype=float)
+    m, n = start.tableau.shape[0], start.tableau.shape[1] - 1
+    if cost.shape != (n,):
+        raise ValueError("inconsistent LP dimensions")
+    tableau = np.zeros((m + 1, n + 1))
+    tableau[:m] = start.tableau
     tableau[m, :n] = cost
+    basis = list(start.basis)
     for i, var in enumerate(basis):
         if cost[var] != 0.0:
             tableau[m] -= cost[var] * tableau[i]
     _run_simplex(tableau, basis, m, n)
 
     x = np.zeros(n)
-    for i, var in enumerate(basis):
-        x[var] = tableau[i, -1]
+    x[np.asarray(basis, dtype=np.intp)] = tableau[:m, -1]
     return LpSolution(x=x, value=float(cost @ x))
+
+
+def solve_lp(c, a_eq, b_eq) -> LpSolution:
+    """Minimise c'x subject to a_eq x = b_eq, x >= 0."""
+    return phase_two(phase_one(a_eq, b_eq), c)

@@ -20,6 +20,17 @@ put back on its first atom.  Under Bland's rule a later duplicate never enters
 the basis ahead of its first occurrence, so the pivots, the vertex and every
 value are those of the per-atom program.
 
+The same argument lets every plain gap solve skip phase one.  `build_polytope`
+runs phase one once, over one column per feasibility class; a gap program's
+classes refine those, so its columns are the stored ones repeated.  Duplicate
+columns go through identical row operations, a basic column is an exact unit
+vector with reduced cost exactly 0 (so no duplicate of it enters), and the
+first-atom numbering is monotone, so the basis-index tie-breaks agree.  A cold
+phase one over the gap program therefore ends on the stored tableau with its
+columns gathered and each basic class moved to its first refined class, and
+phase two starts there.  The Charnes-Cooper program adds a column and a row,
+so it is solved in full.
+
 Also houses the constructive side: extracting a concrete model from any
 feasible point, the bound-achieving witness models for atomic shifts, and the
 row-preserving reshuffles that realise the +/-1 extremes under unknown shifts.
@@ -28,6 +39,7 @@ row-preserving reshuffles that realise the +/-1 extremes under unknown shifts.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Mapping, Sequence
@@ -175,6 +187,8 @@ class Polytope:
 
     `merged` holds one 0/1 constraint column per class of atoms with
     identical columns; atom i's column is `merged[:, atom_class[i]]`.
+    `start` is the phase one of `merged x = b_eq`, which every plain gap
+    solve starts its phase two from.
     """
 
     space: CanonicalAtomSpace
@@ -182,8 +196,8 @@ class Polytope:
     merged: np.ndarray
     b_eq: np.ndarray
     atom_class: np.ndarray
+    start: lp.PhaseOne
     row_labels: tuple[str, ...] = field(default=())
-    _point: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def a_eq(self) -> np.ndarray:
@@ -194,12 +208,10 @@ class Polytope:
 
     def feasible_point(self, objective: Sequence[float] | None = None) -> np.ndarray:
         """A feasible atom-probability vector, optionally optimizing a direction
-        (without one, a copy of the zero-cost point, solved once)."""
-        if objective is not None:
-            return _solve_classes(self, np.asarray(objective, float))
-        if self._point is None:
-            self._point = _solve_classes(self, np.zeros(self.space.dimension))
-        return self._point.copy()
+        (without one, the vertex phase one ended on)."""
+        if objective is None:
+            objective = np.zeros(self.space.dimension)
+        return _solve_classes(self, np.asarray(objective, float))
 
 
 def _classes(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -224,18 +236,30 @@ def _classes(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return ids, first
 
 
-def _solve(
-    cost, a_eq, b_eq, infeasible="infeasible polytope", unbounded="unbounded solve"
-) -> lp.LpSolution:
-    """solve_lp with solver failures mapped to the package's errors."""
+@contextmanager
+def _solver_errors(infeasible="infeasible polytope", unbounded="unbounded solve"):
+    """Solver failures mapped to the package's errors."""
     try:
-        return lp.solve_lp(cost, a_eq, b_eq)
+        yield
     except lp.LpInfeasible as exc:
         raise DataError(f"{infeasible}: {exc}") from exc
     except lp.LpUnbounded as exc:
         raise OracleError(f"{unbounded}: {exc}") from exc
     except lp.LpIterationLimit as exc:
         raise OracleError(f"simplex stopped: {exc}") from exc
+
+
+def _refined_start(polytope: Polytope, coarse: np.ndarray) -> lp.PhaseOne:
+    """The phase one of `merged[:, coarse]`, for classes numbered in order of
+    first atom that refine the polytope's (`coarse` maps each to the class it
+    refines), read off the stored one without pivoting (module docstring):
+    its columns gathered, and each basic class moved to its first refined class.
+    """
+    at = np.unique(coarse, return_index=True)[1]
+    return lp.PhaseOne(
+        polytope.start.tableau[:, np.append(coarse, -1)],
+        tuple(at[list(polytope.start.basis)].tolist()),
+    )
 
 
 def _solve_classes(
@@ -249,13 +273,16 @@ def _solve_classes(
     """
     keys = [polytope.atom_class, cost] if den is None else [polytope.atom_class, cost, den]
     first = _classes(keys)[1]
-    a_eq, b_eq, c = polytope.merged[:, polytope.atom_class[first]], polytope.b_eq, cost[first]
-    if den is not None:
-        a_eq = np.vstack([np.hstack([a_eq, -b_eq[:, None]]), np.append(den[first], 0.0)])
-        b_eq = np.zeros(a_eq.shape[0])
-        b_eq[-1] = 1.0
-        c = np.append(c, 0.0)
-    sol = _solve(c, a_eq, b_eq, *messages)
+    coarse, c = polytope.atom_class[first], cost[first]
+    with _solver_errors(*messages):
+        if den is None:
+            sol = lp.phase_two(_refined_start(polytope, coarse), c)
+        else:
+            a_eq = np.hstack([polytope.merged[:, coarse], -polytope.b_eq[:, None]])
+            a_eq = np.vstack([a_eq, np.append(den[first], 0.0)])
+            b_eq = np.zeros(a_eq.shape[0])
+            b_eq[-1] = 1.0
+            sol = lp.solve_lp(np.append(c, 0.0), a_eq, b_eq)
     x = np.zeros(polytope.space.dimension + (den is not None))
     x[first] = sol.x[: first.size]
     x[polytope.space.dimension :] = sol.x[first.size :]
@@ -274,7 +301,8 @@ def build_polytope(
     evaluated under the domain's intervention, so a two-domain dataset pins
     the polytope down to models reproducing both environments.  Raises
     DataError straight away when the tables are mutually inconsistent (the
-    equality system has no distribution solving it).
+    equality system has no distribution solving it): phase one runs here,
+    once per polytope.
     """
     scope_names = tuple(sorted(v.name for v in skeleton))
     data_names = tuple(r.name for r in data.scope)
@@ -300,10 +328,13 @@ def build_polytope(
         columns = space.columns(d, dom.intervened)
         block_cells.append(np.ravel_multi_index([columns[name] for name in scope_names], sizes))
         table = dom.per_decision[d]
+        for ref in table.scope:  # a cell outside a table's domain is an error, not a zero
+            for value in space.refs[ref.name].domain:
+                ref.index(value)
         for values in cells:
-            assignment = dict(zip(scope_names, values))
-            rhs.append(float(table.prob(assignment)))
-            labels.append(f"{dom.label or 'base'}: P_{d}({assignment})")
+            # Tables and `cells` are both name-sorted, so a cell is a table key.
+            rhs.append(float(table.entries.get(values, 0)))
+            labels.append(f"{dom.label or 'base'}: P_{d}({dict(zip(scope_names, values))})")
     atom_class, first = _classes(block_cells)
     merged = np.zeros((len(blocks) * len(cells) + 1, first.size))
     for b, cell in enumerate(block_cells):
@@ -311,16 +342,18 @@ def build_polytope(
     merged[-1] = 1.0
     rhs.append(1.0)
     labels.append("total mass")
-    polytope = Polytope(
+    b_eq = np.asarray(rhs)
+    with _solver_errors():
+        start = lp.phase_one(merged, b_eq)
+    return Polytope(
         space=space,
         data=data,
         merged=merged,
-        b_eq=np.asarray(rhs),
+        b_eq=b_eq,
         atom_class=atom_class,
+        start=start,
         row_labels=tuple(labels),
     )
-    polytope.feasible_point()
-    return polytope
 
 
 def _objective_terms(

@@ -37,7 +37,11 @@ class VariableRef:
         object.__setattr__(self, "domain", tuple(self.domain))
         if not self.domain:
             raise InputError(f"variable {self.name!r} has an empty domain")
-        if len(set(self.domain)) != len(self.domain):
+        try:
+            distinct = set(self.domain)
+        except TypeError:  # unhashable, e.g. a JSON array or object
+            raise InputError(f"variable {self.name!r} has a list or object in its domain") from None
+        if len(distinct) != len(self.domain):
             raise InputError(f"variable {self.name!r} has duplicate domain values")
 
     def index(self, value: Value) -> int:

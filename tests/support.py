@@ -120,3 +120,107 @@ def assert_lookups_compiled_once(model: Scm, domains=()) -> None:
         cut = Mechanism(mech.target, mech.parents, mech.exo_parents, partial)
         with pytest.raises(ModelError, match="missing input"):
             Scm(model.variables, {**model.mechanisms, name: cut}, model.exo)
+
+
+# -- reference simplex: the row-by-row kernel the vectorised one replaced -----
+
+
+def _reference_pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    tableau[row] /= tableau[row, col]
+    for i in range(tableau.shape[0]):
+        if i != row and tableau[i, col] != 0.0:
+            tableau[i] -= tableau[i, col] * tableau[row]
+    basis[row] = col
+
+
+def _reference_ratio_row(tableau: np.ndarray, basis: list[int], col: int, m: int) -> int:
+    from beliefbound.lp import PIVOT_EPS
+
+    best_row = -1
+    best = np.inf
+    for i in range(m):
+        a = tableau[i, col]
+        if a > PIVOT_EPS:
+            ratio = tableau[i, -1] / a
+            if ratio < best - PIVOT_EPS or (
+                abs(ratio - best) <= PIVOT_EPS
+                and (best_row < 0 or basis[i] < basis[best_row])
+            ):
+                best = ratio
+                best_row = i
+    return best_row
+
+
+def _reference_run_simplex(tableau: np.ndarray, basis: list[int], m: int, ncols: int) -> None:
+    from beliefbound import lp
+
+    pivots = 0
+    while True:
+        col = -1
+        for j in range(ncols):
+            if j not in basis and tableau[m, j] < -lp.COST_EPS:
+                col = j
+                break
+        if col < 0:
+            return
+        if pivots == lp.MAX_PIVOTS:
+            raise lp.LpIterationLimit(f"no optimum after {lp.MAX_PIVOTS} pivots")
+        row = _reference_ratio_row(tableau, basis, col, m)
+        if row < 0:
+            raise lp.LpUnbounded(f"column {col} has no blocking row")
+        _reference_pivot(tableau, basis, row, col)
+        pivots += 1
+
+
+def reference_solve_lp(c, a_eq, b_eq):
+    """The two-phase Bland simplex with row-by-row loops, as one function."""
+    from beliefbound import lp
+
+    a = np.asarray(a_eq, dtype=float).copy()
+    b = np.asarray(b_eq, dtype=float).copy()
+    cost = np.asarray(c, dtype=float)
+    m, n = a.shape
+    neg = b < 0
+    a[neg] *= -1.0
+    b[neg] *= -1.0
+
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:m, :n] = a
+    tableau[:m, n : n + m] = np.eye(m)
+    tableau[:m, -1] = b
+    tableau[m, n : n + m] = 1.0
+    tableau[m] -= tableau[:m].sum(axis=0)
+    basis = list(range(n, n + m))
+    _reference_run_simplex(tableau, basis, m, n + m)
+    if tableau[m, -1] < -lp.FEAS_EPS:
+        raise lp.LpInfeasible(f"phase-1 residual {-tableau[m, -1]:.3e}")
+
+    keep = []
+    for i in range(m):
+        if basis[i] >= n:
+            pivot_col = -1
+            for j in range(n):
+                if abs(tableau[i, j]) > lp.PIVOT_EPS:
+                    pivot_col = j
+                    break
+            if pivot_col >= 0:
+                _reference_pivot(tableau, basis, i, pivot_col)
+                keep.append(i)
+        else:
+            keep.append(i)
+    rows = keep + [m]
+    tableau = tableau[rows][:, list(range(n)) + [n + m]]
+    basis = [basis[i] for i in keep]
+    m = len(basis)
+
+    tableau[m, :] = 0.0
+    tableau[m, :n] = cost
+    for i, var in enumerate(basis):
+        if cost[var] != 0.0:
+            tableau[m] -= cost[var] * tableau[i]
+    _reference_run_simplex(tableau, basis, m, n)
+
+    x = np.zeros(n)
+    for i, var in enumerate(basis):
+        x[var] = tableau[i, -1]
+    return lp.LpSolution(x=x, value=float(cost @ x))

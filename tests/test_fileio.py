@@ -185,3 +185,41 @@ def test_null_array_field_names_the_field_and_its_owner(load, where, message):
     with pytest.raises(InputError) as info:
         load(doc)
     assert str(info.value) == f"{message} must be a JSON array, not None"
+
+
+@pytest.mark.parametrize(
+    "load, where, value, message",
+    [
+        (load_dataset, ("decision", "domain"), [[0], [1]],
+         "variable 'D' has a list or object in its domain"),
+        (load_dataset, ("per_decision", "0", "scope", 1, "domain"), [0, {}],
+         "variable 'Z' has a list or object in its domain"),
+        (load_dataset, ("per_decision", "0", "scope", 0, "name"), ["Y"],
+         "scope entry field 'name' must be a JSON string, not ['Y']"),
+        (load_dataset, ("per_decision", "1", "entries", 0, "assignment", "Z"), [1],
+         "entry assignment field 'Z' must be a JSON scalar, not [1]"),
+        (load_dataset, ("domains", 0, "intervened"), ["Z", 1],
+         "domain field 'intervened' must be a JSON object, not ['Z', 1]"),
+        (load_dataset, ("domains",), None, "dataset field 'domains' must be a JSON array, not None"),
+        (load_scm, ("exogenous",), None, "model field 'exogenous' must be a JSON array, not None"),
+        (load_scm, ("exogenous_distribution",), None,
+         "model field 'exogenous_distribution' must be a JSON array, not None"),
+        (load_scm, ("exogenous_distribution", 0, "assignment", "U"), {"a": 1},
+         "exogenous assignment field 'U' must be a JSON scalar, not {'a': 1}"),
+        (load_scm, ("mechanisms", "Y", 0, "given", "Z"), [0],
+         "mechanism row for 'Y' given field 'Z' must be a JSON scalar, not [0]"),
+        (load_scm, ("variables", 2, "parents"), [["D"]],
+         "variables entry field 'parents' must hold JSON strings, not ['D']"),
+        (load_scm, ("mechanisms", "Y"), 3, "mechanisms field 'Y' must be a JSON array, not 3"),
+    ],
+)
+def test_wrongly_typed_value_names_the_field_and_its_owner(load, where, value, message):
+    name = "medai.scm.json" if load is load_scm else "medai_experiment.tables.json"
+    doc = json.loads(fixture_path(name).read_text(encoding="utf-8"))
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    with pytest.raises(InputError) as info:
+        load(doc)
+    assert str(info.value) == message

@@ -9,6 +9,7 @@ import pytest
 
 from beliefbound import lp
 from beliefbound.lp import LpInfeasible, LpIterationLimit, LpUnbounded, solve_lp
+from support import reference_solve_lp
 
 
 def brute_force_min(c, a, b, tol=1e-9):
@@ -148,3 +149,71 @@ def test_matches_highs_on_random_degenerate_programs():
         assert ours.value == pytest.approx(ref.fun, abs=1e-9)
         assert np.abs(a @ ours.x - b).max() <= 1e-9
         assert ours.x.min() >= -1e-12
+
+
+def _degenerate_program(rng):
+    """A random 0/1 program built to be degenerate: repeated rows and columns,
+    small-integer or sparse right-hand sides (so ratio tests tie), some rows
+    negated; half carry a mass row, and some right-hand sides are random, so
+    unbounded and infeasible programs occur too."""
+    m, n = int(rng.integers(1, 6)), int(rng.integers(2, 14))
+    a = rng.integers(0, 2, size=(m, n)).astype(float)
+    a = a[rng.integers(0, m, size=m + int(rng.integers(0, 3)))]
+    a = a[:, rng.integers(0, n, size=n)]
+    x0 = np.zeros(n)
+    support = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+    if rng.random() < 0.5:
+        x0[support] = rng.integers(0, 3, size=support.size)
+    else:
+        x0[support] = rng.dirichlet(np.ones(support.size))
+    b = a @ x0
+    if rng.random() < 0.15:
+        b = rng.integers(0, 3, size=b.size).astype(float)
+    if rng.random() < 0.5:
+        a, b = np.vstack([a, np.ones(n)]), np.append(b, x0.sum())
+    flip = rng.random(b.size) < 0.2
+    a[flip] *= -1.0
+    b[flip] *= -1.0
+    return rng.integers(-2, 3, size=n).astype(float), a, b
+
+
+def _outcome(solve, c, a, b):
+    try:
+        sol = solve(c, a, b)
+    except (LpInfeasible, LpUnbounded, LpIterationLimit) as exc:
+        return type(exc), str(exc)
+    return sol.x.tobytes(), sol.value
+
+
+def test_vectorised_kernel_matches_the_row_loops():
+    """The rank-1 pivot, masked entering scan and vectorised ratio test pivot
+    exactly as the row-by-row loops: same bits of x (signed zeros included),
+    same value, same exception and message."""
+    rng = np.random.default_rng(29)
+    kinds = {"solved": 0, LpInfeasible: 0, LpUnbounded: 0}
+    for _ in range(600):
+        c, a, b = _degenerate_program(rng)
+        want = _outcome(reference_solve_lp, c, a, b)
+        assert _outcome(solve_lp, c, a, b) == want
+        if want[0] in kinds:
+            kinds[want[0]] += 1
+        else:
+            kinds["solved"] += 1
+            assert np.array_equal(solve_lp(c, a, b).x, reference_solve_lp(c, a, b).x)
+    assert min(kinds.values()) >= 30, kinds
+
+
+def test_phase_two_restarts_from_a_stored_phase_one():
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        c, a, b = _degenerate_program(rng)
+        try:
+            start = lp.phase_one(a, b)
+        except LpInfeasible:
+            continue
+        snapshot = start.tableau.copy()
+        for cost in (c, -c, np.zeros_like(c)):
+            assert _outcome(lambda c, a, b: lp.phase_two(start, c), cost, a, b) == _outcome(
+                solve_lp, cost, a, b
+            )
+        assert np.array_equal(start.tableau, snapshot)

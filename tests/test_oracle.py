@@ -10,10 +10,18 @@ import numpy as np
 import pytest
 
 from beliefbound.bounds import thm1_gap_interval
-from beliefbound.errors import AtomLimitError, DataError, ModelError, UnsupportedError
+from beliefbound.errors import (
+    AtomLimitError,
+    DataError,
+    InputError,
+    ModelError,
+    UnsupportedError,
+)
 from beliefbound import lp
 from beliefbound.oracle import (
     _objective_terms,
+    _classes,
+    _refined_start,
     _solve_classes,
     CanonicalAtomSpace,
     SkeletonVariable,
@@ -211,6 +219,18 @@ def test_inconsistent_tables_rejected():
     })
     with pytest.raises(DataError):
         build_polytope(data, SKELETON)
+
+
+def test_table_lacking_a_skeleton_value_rejected():
+    """A table whose domain lacks a value of the skeleton's is malformed, not
+    a table with zero mass at that value."""
+    y, z = VariableRef("Y", (0, 1)), VariableRef("Z", (0, 1))
+    tables = {
+        0: DistTable((y, z), {(1, 1): 0.5, (0, 0): 0.5}),
+        1: DistTable((y, VariableRef("Z", (0,))), {(1, 0): 1.0}),
+    }
+    with pytest.raises(InputError, match="value 1 not in domain of 'Z'"):
+        build_polytope(BehaviouralDataset(VariableRef("D", (0, 1)), tables), SKELETON)
 
 
 # -- gap optimization ---------------------------------------------------------
@@ -511,6 +531,48 @@ def test_merged_columns_match_per_atom_program(sizes, with_domain, monkeypatch):
         assert feasible_scm(poly).exo == witness.exo
 
 
+def test_refined_programs_start_from_the_stored_phase_one(medai, medai_exp):
+    """A cold phase one over a gap program's refined columns ends exactly on
+    the polytope's stored tableau with its columns gathered and each basic
+    class moved to its first refined class."""
+    rng = np.random.default_rng(5)
+    polytopes = [build_polytope(medai, SKELETON), build_polytope(medai_exp, SKELETON)]
+    for sizes in ({"Z": 3, "W": 2}, {"Z": 2, "W": 3}):
+        for seed in range(2):
+            polytopes.append(build_polytope(*chained_dataset(seed, sizes)))
+    checked = 0
+    for poly in polytopes:
+        num = _objective_terms(poly, Z1, Z1, 1, 0)[0]
+        dimension = poly.space.dimension
+        for cost in (num, -num, rng.integers(-1, 2, dimension), rng.integers(0, 2, dimension)):
+            coarse = poly.atom_class[_classes([poly.atom_class, cost.astype(float)])[1]]
+            cold = lp.phase_one(poly.merged[:, coarse], poly.b_eq)
+            start = _refined_start(poly, coarse)
+            assert start.tableau.tobytes() == cold.tableau.tobytes()
+            assert start.basis == cold.basis
+            checked += coarse.size > poly.merged.shape[1]
+    assert checked >= 10  # programs whose classes are strictly finer
+
+
+def _count_phases(monkeypatch):
+    """Record the matrix shape of every `lp.phase_one` call and the (rows,
+    columns) of every phase two's start."""
+    shapes, starts = [], []
+    phase_one, phase_two = lp.phase_one, lp.phase_two
+
+    def counted_one(a, b):
+        shapes.append(np.shape(a))
+        return phase_one(a, b)
+
+    def counted_two(start, c):
+        starts.append((start.tableau.shape[0], start.tableau.shape[1] - 1))
+        return phase_two(start, c)
+
+    monkeypatch.setattr(lp, "phase_one", counted_one)
+    monkeypatch.setattr(lp, "phase_two", counted_two)
+    return shapes, starts
+
+
 def test_merged_programs_stay_small(monkeypatch):
     """Z in 0..6 and Y <- (D, Z) give 114,688 atoms but only 28 distinct
     feasibility columns: Z's value and Y's responses at (0, Z) and (1, Z)."""
@@ -531,15 +593,14 @@ def test_merged_programs_stay_small(monkeypatch):
         for dv in d.domain
     }
     skeleton = [SkeletonVariable("Z", z.domain), SkeletonVariable("Y", y.domain, ("D", "Z"))]
-    shapes = []
-    solve = lp.solve_lp
-    monkeypatch.setattr(lp, "solve_lp", lambda c, a, b: shapes.append(a.shape) or solve(c, a, b))
+    shapes, starts = _count_phases(monkeypatch)
     poly = build_polytope(BehaviouralDataset(d, tables), skeleton)
     assert poly.space.dimension == 114_688
-    assert shapes == [(29, 28)]
+    assert shapes == [(29, 28)] and starts == []
     for direction in ("min", "max"):
         optimize_gap(poly, Z1, Z1, 1, 0, direction)
-    assert len(shapes) == 3 and all(cols <= 100 for _, cols in shapes)
+    assert shapes == [(29, 28)]
+    assert len(starts) == 2 and all(cols <= 100 for _, cols in starts)
 
 
 # -- model extraction and witnesses -------------------------------------------
@@ -666,21 +727,28 @@ def test_witness_models_reuse_lookups_that_match_a_fresh_compile(medai, medai_ex
 
 
 def test_feasible_scm_reuses_the_polytope_point(medai, monkeypatch):
+    """Phase one runs once per polytope: plain gaps, feasible points and
+    witnesses start phase two from it; only Charnes-Cooper solves run their own."""
+    shapes, starts = _count_phases(monkeypatch)
     poly = build_polytope(medai, SKELETON)
-    calls = []
-    solve = lp.solve_lp
-    monkeypatch.setattr(lp, "solve_lp", lambda *args: calls.append(args) or solve(*args))
+    assert len(shapes) == 1 and starts == []
     model = feasible_scm(poly)
     first = poly.feasible_point()
-    assert calls == []
     assert np.array_equal(first, _solve_classes(poly, np.zeros(poly.space.dimension)))
     first[:] = -1.0  # a fresh array each call: mutating one leaves the next alone
     again = poly.feasible_point()
     assert again is not first and np.all(again >= 0)
     assert np.array_equal(again, poly.feasible_point())
     assert feasible_scm(poly).exo == model.exo
-    poly.feasible_point(objective=np.ones(poly.space.dimension))
-    assert len(calls) == 2  # the reference solve above, then the directed one
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        poly.feasible_point(objective=rng.uniform(-1, 1, size=poly.space.dimension))
+        for direction in ("min", "max"):
+            optimize_gap(poly, Z1, Z1, 1, 0, direction)
+    assert len(shapes) == 1
+    for n, direction in enumerate(("min", "max"), start=2):
+        optimize_gap(poly, {}, Z1, 1, 0, direction)  # a context outside the shift
+        assert len(shapes) == n
 
 
 def test_witness_needs_exogenous_shift_variable(m1):
