@@ -20,6 +20,10 @@ from .tables import (
     DistTable,
     Number,
     Value,
+    _check_numeric,
+    _mean,
+    _moments,
+    _scan,
     expectation,
     merge_assignments,
 )
@@ -35,6 +39,25 @@ KIND_RANGES = {
 _RANGE_TOL = 1e-9
 
 
+class _LazyDigest:
+    """Data descriptor for `GapInterval.inputs_digest`: stores a digest string
+    or a payload, and replaces a payload by its digest on first read."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: object, owner: type | None = None) -> str:
+        if obj is None:
+            raise AttributeError(self.name)  # no class-level default: required
+        value = obj.__dict__[self.name]
+        if not isinstance(value, str):
+            value = obj.__dict__[self.name] = digest(value)
+        return value
+
+    def __set__(self, obj: object, value: str | dict) -> None:
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class GapInterval:
     """[lower, upper] bound on a gap, with provenance.
@@ -43,6 +66,11 @@ class GapInterval:
     achieved by data-compatible models.  `raw_lower`/`raw_upper` keep the
     pre-clamp values whenever a clamp fired; `notes` records clamps and known
     formula caveats so reports can surface them as warnings.
+
+    `inputs_digest` may be given as a ready digest string or as the payload
+    of bound inputs; a payload is hashed with `digest` when the field is
+    first read (by `as_dict`, `repr`, `==` or `hash`).  Verdicts read only
+    the ends, so they never pay for the hash.
     """
 
     lower: float
@@ -50,7 +78,7 @@ class GapInterval:
     kind: str
     theorem: str
     tight: bool
-    inputs_digest: str
+    inputs_digest: str | dict = _LazyDigest()
     raw_lower: float | None = None
     raw_upper: float | None = None
     notes: tuple[str, ...] = ()
@@ -120,14 +148,15 @@ def _pieces(
     upper = (E[Y|c,z] P(c,z) + 1 - P(z)) / (P(c,z) + 1 - P(z))
     """
     cz = merge_assignments(c, z)
-    p_cz = table.prob(cz)
+    p_cz, cells = _scan(table, cz, (utility,))
     p_z = table.prob(z)
     den = p_cz + 1 - p_z
     if float(p_cz) <= 0.0:
         raise ZeroMassError(f"event {cz} has zero probability in the table")
     if float(den) <= 0.0:
         raise ZeroMassError(f"denominator P{cz} + 1 - P{dict(z)} vanishes")
-    e = expectation(table, utility, cz)
+    _check_numeric(table, utility)
+    e = _mean(cells, p_cz if cz else None)
     return e * p_cz / den, (e * p_cz + 1 - p_z) / den
 
 
@@ -160,10 +189,8 @@ def thm1_gap_interval(
         kind="preference",
         theorem="known-shift",
         tight=True,
-        inputs_digest=digest(
-            {"op": "thm1", "c": dict(c), "z": dict(z), "d": d, "d_star": d_star,
-             "tables": {str(k): v for k, v in data.per_decision.items()}}
-        ),
+        inputs_digest={"op": "thm1", "c": dict(c), "z": dict(z), "d": d, "d_star": d_star,
+                       "tables": {str(k): v for k, v in data.per_decision.items()}},
     )
 
 
@@ -227,10 +254,8 @@ def thm2_multidomain_lower(
         kind="preference",
         theorem="multi-domain",
         tight=len(domains) <= 2,
-        inputs_digest=digest(
-            {"op": "thm2", "c": dict(c), "z": dict(z), "d": d, "d_star": d_star,
-             "domains": [dom.label for dom in domains]}
-        ),
+        inputs_digest={"op": "thm2", "c": dict(c), "z": dict(z), "d": d, "d_star": d_star,
+                       "domains": [dom.label for dom in domains]},
         notes=tuple(notes),
         **raw,
     )
@@ -247,7 +272,7 @@ def thm3_unknown_shift_interval() -> GapInterval:
         kind="preference",
         theorem="unknown-shift",
         tight=True,
-        inputs_digest=digest({"op": "thm3"}),
+        inputs_digest={"op": "thm3"},
     )
 
 
@@ -280,18 +305,13 @@ def thm4_covariate_shift_lower(
     if float(ps) <= 0.0:
         raise ZeroMassError(f"context {dict(c)} has zero shifted probability")
 
+    # (P_t(c), E_t[Y|c]) per decision, one scan each, then P_t(z).
+    moments = {t: _moments(data.table(t), data.utility, c) for t in (d, d_star)}
+    p_z = {t: data.table(t).prob(z) for t in (d, d_star)}
+
     def raw_lower(a: Value, b: Value) -> float:
-        ta, tb = data.table(a), data.table(b)
-        e_a = expectation(ta, data.utility, c)
-        e_b = expectation(tb, data.utility, c)
-        num = (
-            2
-            + e_b * tb.prob(c)
-            - e_a * ta.prob(c)
-            - ta.prob(z)
-            - tb.prob(z)
-            + ta.prob(c)
-        )
+        (pa_c, e_a), (pb_c, e_b) = moments[a], moments[b]
+        num = 2 + e_b * pb_c - e_a * pa_c - p_z[a] - p_z[b] + pa_c
         return float(1 - num / ps)
 
     lo_raw = raw_lower(d, d_star)
@@ -314,10 +334,8 @@ def thm4_covariate_shift_lower(
         kind="preference",
         theorem="covariate-shift",
         tight=False,
-        inputs_digest=digest(
-            {"op": "thm4", "c": dict(c), "z": dict(z), "d": d, "d_star": d_star,
-             "sigma": p_sigma_c}
-        ),
+        inputs_digest={"op": "thm4", "c": dict(c), "z": dict(z), "d": d, "d_star": d_star,
+                       "sigma": p_sigma_c},
         raw_lower=lo_raw if lo_raw < -1.0 else None,
         raw_upper=up_raw if up_raw > 1.0 else None,
         notes=tuple(notes),
@@ -356,9 +374,7 @@ def fairness_gap_interval(
         kind="fairness",
         theorem="counterfactual-fairness",
         tight=True,
-        inputs_digest=digest(
-            {"op": "fairness", "d": d, "z0": dict(z0), "c": dict(c)}
-        ),
+        inputs_digest={"op": "fairness", "d": d, "z0": dict(z0), "c": dict(c)},
     )
 
 
@@ -385,7 +401,7 @@ def harm_gap_interval(
         kind="harm",
         theorem="counterfactual-harm",
         tight=True,
-        inputs_digest=digest({"op": "harm", "d": d, "d0": d0, "c": dict(c)}),
+        inputs_digest={"op": "harm", "d": d, "d0": d0, "c": dict(c)},
     )
 
 
@@ -411,10 +427,8 @@ def direct_discrimination_interval(
         raise InputError("z0 and z1 must differ")
     if attr in c:
         raise InputError(f"protected attribute {attr!r} must not appear in the context")
-    e1 = expectation(table, data.utility, merge_assignments(z1, c))
-    e0 = expectation(table, data.utility, merge_assignments(z0, c))
-    p1 = table.prob(merge_assignments(z1, c))
-    p0 = table.prob(merge_assignments(z0, c))
+    p1, e1 = _moments(table, data.utility, merge_assignments(z1, c))
+    p0, e0 = _moments(table, data.utility, merge_assignments(z0, c))
     diff = e1 * p1 - e0 * p0
     return GapInterval(
         lower=float(diff + p0 - 1),
@@ -422,9 +436,7 @@ def direct_discrimination_interval(
         kind="direct-discrimination",
         theorem="direct-discrimination",
         tight=True,
-        inputs_digest=digest(
-            {"op": "direct", "d": d, "z0": dict(z0), "z1": dict(z1), "c": dict(c)}
-        ),
+        inputs_digest={"op": "direct", "d": d, "z0": dict(z0), "z1": dict(z1), "c": dict(c)},
     )
 
 
@@ -484,9 +496,7 @@ def causal_harm_interval(
         kind="causal-harm",
         theorem="causal-harm",
         tight=False,
-        inputs_digest=digest(
-            {"op": "causal-harm", "d1": d1, "d0": d0, "c": dict(c), "table": p}
-        ),
+        inputs_digest={"op": "causal-harm", "d1": d1, "d0": d0, "c": dict(c), "table": p},
         raw_upper=up_raw if up_raw > 1.0 else None,
         notes=tuple(notes),
     )

@@ -13,14 +13,14 @@ from itertools import product
 from math import isfinite
 from typing import TYPE_CHECKING
 
-from .bounds import GapInterval, digest, _RANGE_TOL
+from .bounds import GapInterval, _RANGE_TOL
 from .errors import InputError, OracleError, SamplingError, UnsupportedError
 from .tables import (
     Assignment,
     BehaviouralDataset,
     DistTable,
     Value,
-    expectation,
+    _moments,
     merge_assignments,
 )
 
@@ -315,16 +315,14 @@ def partial_unconfoundedness_interval(
 
     def envelope(t: Value) -> tuple[float, float]:
         table = data.table(t)
-        e_hi = expectation(table, data.utility, merge_assignments(z, w1))
-        e_lo = expectation(table, data.utility, merge_assignments(z, w0))
+        p_hi, e_hi = _moments(table, data.utility, merge_assignments(z, w1))
+        p_lo, e_lo = _moments(table, data.utility, merge_assignments(z, w0))
         if float(e_hi) >= float(e_lo):
-            w_hi, w_lo, e_w, e_wt = w1, w0, e_hi, e_lo
+            p_zw, e_w, e_wt = p_hi, e_hi, e_lo
         else:
-            w_hi, w_lo, e_w, e_wt = w0, w1, e_lo, e_hi
+            p_zw, e_w, e_wt = p_lo, e_lo, e_hi
             swapped.append(t)
-        p_zw = table.prob(merge_assignments(z, w_hi))
-        p_z = table.prob(z)
-        e_z = expectation(table, data.utility, z)
+        p_z, e_z = _moments(table, data.utility, z)
         lower = e_w * p_zw + (1 - p_zw) * e_wt
         upper = e_z * p_z + (1 - p_z) * e_w
         return float(lower), float(upper)
@@ -350,10 +348,8 @@ def partial_unconfoundedness_interval(
         kind="preference",
         theorem="partial-unconfoundedness",
         tight=False,
-        inputs_digest=digest(
-            {"op": "unconf", "z": dict(z), "w0": dict(w0), "w1": dict(w1),
-             "d": d, "d_star": d_star}
-        ),
+        inputs_digest={"op": "unconf", "z": dict(z), "w0": dict(w0), "w1": dict(w1),
+                       "d": d, "d_star": d_star},
         raw_lower=raw_lower if raw_lower < -1.0 else None,
         raw_upper=raw_upper if raw_upper > 1.0 else None,
         notes=tuple(notes),

@@ -4,6 +4,26 @@ Tables are sparse mappings from full assignments over a canonical (name-sorted)
 scope to probabilities.  Probabilities may be floats or ``fractions.Fraction``;
 all table algebra is plain Python arithmetic, so exact rational inputs stay
 exact through marginalisation, conditioning and expectations.
+
+Table algebra makes one scan per event: `prob`, `query`, `expectation` and the
+closed forms in `bounds` and `relaxations` read an event's mass and its mass
+per target value from a single pass over the entries (`_scan`), and build no
+intermediate `query` table for a mean.  The results are bit-identical to
+summing each quantity in its own loop, on every Python version, because the
+scan keeps this contract:
+
+* a mass is ``sum(matched, start=0)`` over the matching entries in their
+  stored order, never a ``+=`` loop (from Python 3.12 on ``sum`` adds floats
+  with compensation and a loop does not);
+* a cell accumulates as ``cells.get(k, 0) + p`` in entry order;
+* a conditional cell is divided by its event's mass with `_div`, and the
+  divided cells get the negativity and normalisation checks `DistTable`
+  makes on construction;
+* an expectation is summed over the cells in first-seen order;
+* exceptions keep their type, message and order: an event is validated in
+  its own key order before anything is summed, and zero-mass errors come
+  before errors about the target variable;
+* a scan asked for no target accumulates no cells.
 """
 
 from __future__ import annotations
@@ -11,6 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InputError, ZeroMassError
@@ -103,9 +125,13 @@ class DistTable:
 
     # -- lookups ---------------------------------------------------------
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(r.name for r in self.scope)
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.names)}
 
     def ref(self, name: str) -> VariableRef:
         for r in self.scope:
@@ -116,8 +142,8 @@ class DistTable:
     def _positions(self, given: Assignment) -> list[tuple[int, Value]]:
         out = []
         for name, value in given.items():
-            i = self.names.index(name) if name in self.names else -1
-            if i < 0:
+            i = self._index.get(name)
+            if i is None:
                 raise InputError(f"variable {name!r} not in scope {self.names}")
             if value not in self.scope[i].domain:
                 raise InputError(f"value {value!r} not in domain of {name!r}")
@@ -126,11 +152,7 @@ class DistTable:
 
     def prob(self, event: Assignment) -> Number:
         """Probability mass of a (possibly partial) assignment."""
-        pos = self._positions(event)
-        return sum(
-            (p for key, p in self.entries.items() if all(key[i] == v for i, v in pos)),
-            start=0,
-        )
+        return _scan(self, event)[0]
 
     def assignments(self):
         """Iterate (assignment dict, probability) over stored cells."""
@@ -154,24 +176,60 @@ class DistTable:
     __hash__ = None  # type: ignore[assignment]
 
 
+def _picker(at: Sequence[int]):
+    """Key function returning the tuple of a key's values at `at`."""
+    if len(at) == 1:
+        (i,) = at
+        return lambda key: (key[i],)
+    if not at:
+        return lambda key: ()
+    return itemgetter(*at)
+
+
+def _scan(
+    table: DistTable, event: Assignment, target: Sequence[str] | None = None
+) -> tuple[Number, dict[tuple[Value, ...], Number]]:
+    """One pass over the entries: P(event) and, when `target` names variables,
+    the mass of the event per value of those variables (no cells otherwise).
+    The event is validated in its own key order; a target naming a variable
+    outside the scope gets no cells, so callers raise for it after their
+    zero-mass checks.  See the module docstring for the summation contract."""
+    pos = table._positions(event)
+    get, want = _picker([i for i, _ in pos]), tuple(v for _, v in pos)
+    at = None if target is None else [table._index.get(name) for name in target]
+    pick = None if at is None or None in at else _picker(at)
+    hits: list[Number] = []
+    cells: dict[tuple[Value, ...], Number] = {}
+    for key, p in table.entries.items():
+        if get(key) != want:
+            continue
+        hits.append(p)
+        if pick is not None:
+            k = pick(key)
+            cells[k] = cells.get(k, 0) + p
+    return sum(hits, start=0), cells
+
+
+def _conditional(
+    table: DistTable, given: dict[str, Value], target: Sequence[str]
+) -> tuple[Number, dict[tuple[Value, ...], Number]]:
+    """P(given) and the (undivided) cells of `target` within it, from one
+    scan.  Raises on a zero-mass `given`."""
+    mass, cells = _scan(table, given, target)
+    if given and float(mass) <= 0.0:
+        raise ZeroMassError(f"conditioning event {given} has probability zero")
+    return mass, cells
+
+
 def query(table: DistTable, target: Sequence[str], given: Assignment | None = None) -> DistTable:
     """Conditional-marginal table P(target | given).
 
     Raises ZeroMassError when the conditioning event has no mass.
     """
     given = dict(given or {})
-    mass = table.prob(given) if given else 1
-    if given and float(mass) <= 0.0:
-        raise ZeroMassError(f"conditioning event {given} has probability zero")
     target = sorted(set(target))
+    mass, cells = _conditional(table, given, target)
     refs = [table.ref(name) for name in target]
-    pos = table._positions(given)
-    idx = [table.names.index(name) for name in target]
-    cells: dict[tuple[Value, ...], Number] = {}
-    for key, p in table.entries.items():
-        if all(key[i] == v for i, v in pos):
-            sub = tuple(key[i] for i in idx)
-            cells[sub] = cells.get(sub, 0) + p
     if given:
         cells = {k: _div(p, mass) for k, p in cells.items()}
     return DistTable(tuple(refs), cells)
@@ -183,13 +241,42 @@ def _div(num: Number, den: Number) -> Number:
     return float(num) / float(den)
 
 
-def expectation(table: DistTable, of: str, given: Assignment | None = None) -> Number:
-    """Conditional mean of a numeric variable."""
+def _check_numeric(table: DistTable, of: str) -> None:
     ref = table.ref(of)
     if not ref.numeric:
         raise InputError(f"variable {of!r} has a non-numeric domain {ref.domain}")
-    cond = query(table, [of], given)
-    return sum((key[0] * p for key, p in cond.entries.items()), start=0)
+
+
+def _mean(cells: dict[tuple[Value, ...], Number], mass: Number | None) -> Number:
+    """Mean of the first target value over the cells, each divided by `mass`
+    unless it is None (an unconditional expectation).  The divided cells are
+    checked as `DistTable` checks a table's probabilities, so a mean raises
+    what building its `query` table would."""
+    if mass is not None:
+        cells = {k: _div(p, mass) for k, p in cells.items()}
+    for key, p in cells.items():
+        if float(p) < -SUM_TOL:
+            raise InputError(f"negative probability {p} at {key}")
+    total = sum(cells.values(), start=0)
+    if not _close_to_one(total):
+        raise InputError(f"table mass {float(total)} is not 1 within {SUM_TOL}")
+    return sum((key[0] * p for key, p in cells.items()), start=0)
+
+
+def _moments(
+    table: DistTable, of: str, given: Assignment | None = None
+) -> tuple[Number, Number]:
+    """(P(given), E[of | given]) from one scan, raising what `expectation`
+    raises."""
+    _check_numeric(table, of)
+    given = dict(given or {})
+    mass, cells = _conditional(table, given, (of,))
+    return mass, _mean(cells, mass if given else None)
+
+
+def expectation(table: DistTable, of: str, given: Assignment | None = None) -> Number:
+    """Conditional mean of a numeric variable."""
+    return _moments(table, of, given)[1]
 
 
 def total_variation(p: DistTable, q: DistTable) -> Number:
@@ -335,11 +422,14 @@ class BehaviouralDataset:
     def _check_utility(self, names: tuple[str, ...]) -> None:
         if self.utility not in names:
             raise InputError(f"utility {self.utility!r} not in scope {names}")
-        ref = self.table(self.decision.domain[0]).ref(self.utility)
-        if not ref.numeric or any(v < 0 or v > 1 for v in ref.domain):
-            raise InputError(
-                f"utility domain {ref.domain} must be numeric within [0, 1]"
-            )
+        for dom in self.all_domains():
+            for d, t in dom.per_decision.items():
+                ref = t.ref(self.utility)
+                if not ref.numeric or any(v < 0 or v > 1 for v in ref.domain):
+                    raise InputError(
+                        f"utility domain {ref.domain} of decision {d!r} in domain "
+                        f"{dom.label or '(base)'} must be numeric within [0, 1]"
+                    )
 
     @property
     def scope(self) -> tuple[VariableRef, ...]:

@@ -224,3 +224,218 @@ def reference_solve_lp(c, a_eq, b_eq):
     for i, var in enumerate(basis):
         x[var] = tableau[i, -1]
     return lp.LpSolution(x=x, value=float(cost @ x))
+
+
+# -- reference table algebra: one loop per quantity, as before the one-scan
+# kernel, with the closed forms whose table reads the kernel rewrote ---------
+
+
+def _reference_positions(table, given):
+    from beliefbound.errors import InputError
+
+    out = []
+    for name, value in given.items():
+        i = table.names.index(name) if name in table.names else -1
+        if i < 0:
+            raise InputError(f"variable {name!r} not in scope {table.names}")
+        if value not in table.scope[i].domain:
+            raise InputError(f"value {value!r} not in domain of {name!r}")
+        out.append((i, value))
+    return out
+
+
+def reference_prob(table, event):
+    pos = _reference_positions(table, event)
+    return sum(
+        (p for key, p in table.entries.items() if all(key[i] == v for i, v in pos)),
+        start=0,
+    )
+
+
+def reference_query(table, target, given=None):
+    from beliefbound.errors import ZeroMassError
+    from beliefbound.tables import _div
+
+    given = dict(given or {})
+    mass = reference_prob(table, given) if given else 1
+    if given and float(mass) <= 0.0:
+        raise ZeroMassError(f"conditioning event {given} has probability zero")
+    target = sorted(set(target))
+    refs = [table.ref(name) for name in target]
+    pos = _reference_positions(table, given)
+    idx = [table.names.index(name) for name in target]
+    cells = {}
+    for key, p in table.entries.items():
+        if all(key[i] == v for i, v in pos):
+            sub = tuple(key[i] for i in idx)
+            cells[sub] = cells.get(sub, 0) + p
+    if given:
+        cells = {k: _div(p, mass) for k, p in cells.items()}
+    return DistTable(tuple(refs), cells)
+
+
+def reference_expectation(table, of, given=None):
+    from beliefbound.errors import InputError
+
+    ref = table.ref(of)
+    if not ref.numeric:
+        raise InputError(f"variable {of!r} has a non-numeric domain {ref.domain}")
+    cond = reference_query(table, [of], given)
+    return sum((key[0] * p for key, p in cond.entries.items()), start=0)
+
+
+def reference_pieces(table, utility, c, z):
+    from beliefbound.errors import ZeroMassError
+    from beliefbound.tables import merge_assignments
+
+    cz = merge_assignments(c, z)
+    p_cz = reference_prob(table, cz)
+    p_z = reference_prob(table, z)
+    den = p_cz + 1 - p_z
+    if float(p_cz) <= 0.0:
+        raise ZeroMassError(f"event {cz} has zero probability in the table")
+    if float(den) <= 0.0:
+        raise ZeroMassError(f"denominator P{cz} + 1 - P{dict(z)} vanishes")
+    e = reference_expectation(table, utility, cz)
+    return e * p_cz / den, (e * p_cz + 1 - p_z) / den
+
+
+def reference_thm4(data, p_sigma_c, c, z, d, d_star):
+    from beliefbound.bounds import _RANGE_TOL, GapInterval, _check_pair
+    from beliefbound.errors import DataError, InputError, ZeroMassError
+    from beliefbound.tables import merge_assignments
+
+    _check_pair(data, d, d_star)
+    extra = set(z) - set(c)
+    if extra:
+        raise InputError(f"shift variables {sorted(extra)} are not context variables")
+    merge_assignments(c, z)
+    missing = set(c) - set(p_sigma_c.names)
+    if missing:
+        raise InputError(f"shifted covariate table lacks {sorted(missing)}")
+    ps = reference_prob(p_sigma_c, c)
+    if float(ps) <= 0.0:
+        raise ZeroMassError(f"context {dict(c)} has zero shifted probability")
+
+    def raw_lower(a, b):
+        ta, tb = data.table(a), data.table(b)
+        e_a = reference_expectation(ta, data.utility, c)
+        e_b = reference_expectation(tb, data.utility, c)
+        num = (
+            2
+            + e_b * reference_prob(tb, c)
+            - e_a * reference_prob(ta, c)
+            - reference_prob(ta, z)
+            - reference_prob(tb, z)
+            + reference_prob(ta, c)
+        )
+        return float(1 - num / ps)
+
+    lo_raw = raw_lower(d, d_star)
+    up_raw = -raw_lower(d_star, d)
+    lower = max(lo_raw, -1.0)
+    upper = min(up_raw, 1.0)
+    notes = ["upper bound is the mirrored lower bound of the swapped pair, not a stated result"]
+    if lo_raw < -1.0:
+        notes.append(f"lower clamped from {lo_raw}")
+    if up_raw > 1.0:
+        notes.append(f"upper clamped from {up_raw}")
+    if lower > upper + _RANGE_TOL:
+        raise DataError(
+            "shifted covariate probabilities are inconsistent with the observed "
+            f"tables (raw interval [{lo_raw}, {up_raw}])"
+        )
+    return GapInterval(
+        lower, upper, "preference", "covariate-shift", False, "reference",
+        raw_lower=lo_raw if lo_raw < -1.0 else None,
+        raw_upper=up_raw if up_raw > 1.0 else None,
+        notes=tuple(notes),
+    )
+
+
+def reference_direct(data, d, z0, z1, c):
+    from beliefbound.bounds import GapInterval
+    from beliefbound.errors import InputError
+    from beliefbound.tables import merge_assignments
+
+    if d not in data.decisions:
+        raise InputError(f"decision {d!r} not in {data.decisions}")
+    if len(z0) != 1 or len(z1) != 1 or set(z0) != set(z1):
+        raise InputError("z0 and z1 must assign the same single protected attribute")
+    (attr,) = z0
+    table = data.table(d)
+    ref = table.ref(attr)
+    if len(ref.domain) != 2:
+        raise InputError(f"protected attribute {attr!r} must be binary, got {ref.domain}")
+    if z0[attr] == z1[attr]:
+        raise InputError("z0 and z1 must differ")
+    if attr in c:
+        raise InputError(f"protected attribute {attr!r} must not appear in the context")
+    e1 = reference_expectation(table, data.utility, merge_assignments(z1, c))
+    e0 = reference_expectation(table, data.utility, merge_assignments(z0, c))
+    p1 = reference_prob(table, merge_assignments(z1, c))
+    p0 = reference_prob(table, merge_assignments(z0, c))
+    diff = e1 * p1 - e0 * p0
+    return GapInterval(
+        float(diff + p0 - 1), float(diff + 1 - p1), "direct-discrimination",
+        "direct-discrimination", True, "reference",
+    )
+
+
+def reference_unconfoundedness(data, z, w0, w1, d, d_star):
+    from beliefbound.bounds import _RANGE_TOL, GapInterval
+    from beliefbound.errors import InputError
+    from beliefbound.tables import merge_assignments
+
+    if d == d_star or d not in data.decisions or d_star not in data.decisions:
+        raise InputError(f"bad decision pair ({d!r}, {d_star!r})")
+    if len(w0) != 1 or len(w1) != 1 or set(w0) != set(w1):
+        raise InputError("w0 and w1 must assign the same single covariate")
+    (wname,) = w0
+    if w0[wname] == w1[wname]:
+        raise InputError("w0 and w1 must differ")
+    ref = data.table(d).ref(wname)
+    if len(ref.domain) != 2:
+        raise InputError(f"covariate {wname!r} must be binary, got {ref.domain}")
+    if wname in z:
+        raise InputError(f"covariate {wname!r} cannot be part of the shift")
+
+    swapped = []
+
+    def envelope(t):
+        table = data.table(t)
+        e_hi = reference_expectation(table, data.utility, merge_assignments(z, w1))
+        e_lo = reference_expectation(table, data.utility, merge_assignments(z, w0))
+        if float(e_hi) >= float(e_lo):
+            w_hi, e_w, e_wt = w1, e_hi, e_lo
+        else:
+            w_hi, e_w, e_wt = w0, e_lo, e_hi
+            swapped.append(t)
+        p_zw = reference_prob(table, merge_assignments(z, w_hi))
+        p_z = reference_prob(table, z)
+        e_z = reference_expectation(table, data.utility, z)
+        lower = e_w * p_zw + (1 - p_zw) * e_wt
+        upper = e_z * p_z + (1 - p_z) * e_w
+        return float(lower), float(upper)
+
+    lo_d, up_d = envelope(d)
+    lo_s, up_s = envelope(d_star)
+    raw_lower = lo_d - up_s
+    raw_upper = up_d - lo_s
+    lower = max(-1.0, raw_lower)
+    upper = min(1.0, raw_upper)
+    notes = []
+    if swapped:
+        notes.append(f"slice labels swapped for decisions {sorted(map(str, swapped))}")
+    if raw_lower < -1.0:
+        notes.append(f"lower clamped from {raw_lower}")
+    if raw_upper > 1.0:
+        notes.append(f"upper clamped from {raw_upper}")
+    if lower > upper + _RANGE_TOL:
+        raise InputError("deconfounding envelopes crossed; inputs are inconsistent")
+    return GapInterval(
+        lower, upper, "preference", "partial-unconfoundedness", False, "reference",
+        raw_lower=raw_lower if raw_lower < -1.0 else None,
+        raw_upper=raw_upper if raw_upper > 1.0 else None,
+        notes=tuple(notes),
+    )

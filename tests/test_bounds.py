@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beliefbound import bounds
 from beliefbound.bounds import (
     GapInterval,
     causal_harm_interval,
+    digest,
     direct_discrimination_interval,
     fairness_gap_interval,
     harm_gap_interval,
@@ -20,6 +22,7 @@ from beliefbound.bounds import (
     thm4_covariate_shift_lower,
 )
 from beliefbound.errors import DataError, InputError, ZeroMassError
+from beliefbound.predictability import strong_verdict, weak_verdict
 from beliefbound.scm import scm_dataset
 from beliefbound.tables import DistTable, VariableRef
 
@@ -394,6 +397,57 @@ def test_gap_interval_validation():
         GapInterval(0.0, 0.5, "nonsense", "t", True, "x")
     with pytest.raises(InputError):
         GapInterval(-0.5, 0.5, "harm", "t", True, "x")
+
+
+def test_gap_interval_takes_a_digest_or_a_payload():
+    gap = GapInterval(-0.5, 0.5, "preference", "t", True, "x")
+    assert gap == GapInterval(-0.5, 0.5, "preference", "t", True, inputs_digest="x")
+    assert gap.inputs_digest == "x" and gap.as_dict()["inputs_digest"] == "x"
+    assert gap != GapInterval(-0.5, 0.5, "preference", "t", True, "y")
+    lazy = GapInterval(-0.5, 0.5, "preference", "t", True, {"op": "t"})
+    assert lazy.inputs_digest == digest({"op": "t"})
+    assert "inputs_digest='" + digest({"op": "t"}) + "'" in repr(lazy)
+    assert "'op'" not in repr(lazy)  # the payload never shows
+    with pytest.raises(TypeError):
+        GapInterval(-0.5, 0.5, "preference", "t", True)  # still required
+
+
+def test_verdicts_never_compute_a_digest(medai, medai_exp, monkeypatch):
+    def refuse(payload):
+        raise AssertionError("digest computed")
+
+    monkeypatch.setattr(bounds, "digest", refuse)
+    for data in (medai, medai_exp):
+        for thm in (thm1_gap_interval, thm2_multidomain_lower):
+            def provider(d, d_star):
+                return thm(data, {}, Z1, d, d_star).lower
+
+            assert weak_verdict(provider, data.decisions, {}, 0.0).surviving
+            assert strong_verdict(provider, data.decisions, {}, 0.0).mode == "strong"
+
+
+def test_digest_read_late_equals_the_eager_digest(medai, medai_exp):
+    sigma = sigma_table(Fraction(3, 5))
+    joint = joint_table(0.3, 0.2, 0.1, 0.4)
+    tables = {str(k): v for k, v in medai.per_decision.items()}
+    cases = [
+        (thm1_gap_interval(medai, {}, Z1, 1, 0),
+         {"op": "thm1", "c": {}, "z": Z1, "d": 1, "d_star": 0, "tables": tables}),
+        (thm2_multidomain_lower(medai_exp, {}, Z1, 1, 0),
+         {"op": "thm2", "c": {}, "z": Z1, "d": 1, "d_star": 0, "domains": ["", "do_z1"]}),
+        (thm3_unknown_shift_interval(), {"op": "thm3"}),
+        (thm4_covariate_shift_lower(medai, sigma, Z1, Z1, 1, 0),
+         {"op": "thm4", "c": Z1, "z": Z1, "d": 1, "d_star": 0, "sigma": sigma}),
+        (fairness_gap_interval(medai, 1, {"Z": 0}, {}),
+         {"op": "fairness", "d": 1, "z0": {"Z": 0}, "c": {}}),
+        (harm_gap_interval(medai, 1, 0, {}), {"op": "harm", "d": 1, "d0": 0, "c": {}}),
+        (direct_discrimination_interval(medai, 1, {"Z": 0}, {"Z": 1}, {}),
+         {"op": "direct", "d": 1, "z0": {"Z": 0}, "z1": {"Z": 1}, "c": {}}),
+        (causal_harm_interval(joint, 1, 0, {}),
+         {"op": "causal-harm", "d1": 1, "d0": 0, "c": {}, "table": joint}),
+    ]
+    for gap, payload in cases:
+        assert gap.as_dict()["inputs_digest"] == digest(payload), gap.theorem
 
 
 def test_interval_ranges_hold_on_random_data():

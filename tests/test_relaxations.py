@@ -383,6 +383,15 @@ def test_fully_informative_covariate_point_identifies():
     assert gap.lower == pytest.approx(0.4, abs=1e-9)  # E[Y|d1] - E[Y|d0] = 0.7 - 0.3
 
 
+def test_unconfoundedness_digest_read_late_equals_the_eager_digest():
+    from beliefbound.bounds import digest
+
+    data = scm_dataset(augmented_fixture(), "D")
+    gap = partial_unconfoundedness_interval(data, Z1, {"W": 0}, {"W": 1}, 1, 0)
+    payload = {"op": "unconf", "z": Z1, "w0": {"W": 0}, "w1": {"W": 1}, "d": 1, "d_star": 0}
+    assert gap.as_dict()["inputs_digest"] == digest(payload)
+
+
 def test_unconfoundedness_validation(medai):
     data = scm_dataset(augmented_fixture(), "D")
     with pytest.raises(InputError):

@@ -210,3 +210,30 @@ def test_dataset_validation(medai):
             {0: medai.table(0), 1: medai.table(1)},
             utility="Q",
         )
+
+
+def test_every_tables_utility_domain_is_checked():
+    """A later decision's (or domain's) table with a non-numeric utility is
+    rejected at construction, naming the decision and the domain, instead of
+    failing later with a TypeError in the bounds that sort the domain."""
+    from beliefbound.bounds import harm_gap_interval
+    from beliefbound.relaxations import proxy_alignment_lower
+    from beliefbound.tables import BehaviouralDataset, ExperimentalDomain
+
+    dref = VariableRef("D", (0, 1))
+    good = DistTable((Y,), {(0,): 0.5, (1,): 0.5})
+    bad = DistTable((VariableRef("Y", (0, "a")),), {(0,): 0.5, ("a",): 0.5})
+    with pytest.raises(InputError, match=r"\(0, 'a'\) of decision 1 in domain \(base\)"):
+        BehaviouralDataset(dref, {0: good, 1: bad})
+    with pytest.raises(InputError, match="of decision 0 in domain e1 must be numeric"):
+        BehaviouralDataset(
+            dref, {0: good, 1: good},
+            domains=(ExperimentalDomain("e1", {}, {0: bad, 1: good}),),
+        )
+    above = DistTable((VariableRef("Y", (0, 2)),), {(0,): 0.5, (2,): 0.5})
+    with pytest.raises(InputError, match="of decision 1 in domain"):
+        BehaviouralDataset(dref, {0: good, 1: above})
+    # The checked dataset still answers both bounds that sort the domain.
+    data = BehaviouralDataset(dref, {0: good, 1: good})
+    assert harm_gap_interval(data, 1, 0, {}).upper == 0.5
+    assert proxy_alignment_lower(data, 1.0, {}, 0, 1) == -0.5
