@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -315,8 +316,11 @@ def _skeleton_from_args(
 
 
 def cmd_oracle(args) -> int:
-    from .oracle import build_polytope, optimize_gap
+    from .oracle import atom_limit, build_polytope, optimize_gap
 
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise InputError(f"--tol must be a finite number >= 0, got {args.tol}")
+    limit = atom_limit(args.atom_limit)
     _require(args, ["decision", "baseline", "shift"], label="oracle")
     data = _dataset_from_args(args)
     c = parse_assignment(args.context)
@@ -324,7 +328,7 @@ def cmd_oracle(args) -> int:
     d = _parse_value(args.decision)
     d0 = _parse_value(args.baseline)
     skeleton = _skeleton_from_args(args, data, z, c)
-    polytope = build_polytope(data, skeleton, args.atom_limit)
+    polytope = build_polytope(data, skeleton, limit)
     lp_value = optimize_gap(polytope, z, c, d, d0, args.direction)
     # The LP is constrained by every domain; the closed form pools those whose
     # intervention agrees with do(z) (the base alone, i.e. thm1, when none does).
@@ -474,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--direction", choices=("min", "max"), required=True)
     o.add_argument("--tol", type=float, default=1e-6)
     o.add_argument("--skeleton", help="JSON variable/parent declaration")
-    o.add_argument("--atom-limit", type=int, default=None)
+    o.add_argument("--atom-limit", help="cap on canonical atoms (a positive integer)")
     o.set_defaults(func=cmd_oracle)
 
     r = commands.add_parser("relax", help="approximate-grounding and proxy bounds")

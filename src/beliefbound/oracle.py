@@ -6,17 +6,21 @@ equality per observed per-decision cell.  The optimum of the gap objective
 over that polytope is the exact partial-identification envelope, so matching
 it certifies a closed-form bound as tight.
 
-A canonical space is a structural model whose exogenous R_v picks v's
-response function, so it runs on `Scm`'s kernel (`scm.evaluate_columns`): one
-call per (decision, intervention) evaluates every atom, and constraint rows
-and objective coefficients are raveled from the value-index columns.
-
 Atoms landing in the same cell of every observed block have identical
 constraint columns, and thousands of them share one (the response-function
-reduction of Balke & Pearl).  The simplex therefore runs over classes of atoms
-with identical columns (constraint, objective and, for conditional gaps, the
-context indicator), numbered in order of first atom, and each class's mass is
-put back on its first atom.  Under Bland's rule a later duplicate never enters
+reduction of Balke & Pearl): only v's responses at the parent combinations
+that some block realises can move a column.  `CanonicalAtomSpace.walk`
+therefore enumerates classes of atoms, not atoms.  It visits the variables in
+topological order and, on each branch, splits only on v's responses at the
+parent combinations that branch realises in some block; every other response
+is free.  Each leaf is a product set of atoms whose variables take one value
+per block, and two leaves differ in a response that some block reads, so the
+leaves are exactly the classes; a leaf's first atom (free responses 0) is
+computed arithmetically.  A gap walks the data blocks together with the
+objective's (d, z) and (d*, z) blocks and groups the leaves by polytope
+class, objective coefficient and context indicator.  The simplex runs over
+these classes, numbered in order of first atom, with each class's mass put
+back on its first atom.  Under Bland's rule a later duplicate never enters
 the basis ahead of its first occurrence, so the pivots, the vertex and every
 value are those of the per-atom program.
 
@@ -31,6 +35,15 @@ columns gathered and each basic class moved to its first refined class, and
 phase two starts there.  The Charnes-Cooper program adds a column and a row,
 so it is solved in full.
 
+A gap's value is still the dot product of the per-atom program: class costs
+and masses are scattered onto their first atoms in zero vectors of atom
+length, because a sum over the classes alone rounds differently (the oracle
+goldens pin the last ulp).  Nothing else on the build, solve and witness
+paths has atom length.  Per-atom views (`CanonicalAtomSpace.atom_cells`,
+`Polytope.atom_class` and `a_eq`, `feasible_point` with a per-atom objective)
+are computed on access from the shared evaluation kernel
+(`scm.evaluate_columns`), for callers and checks that index atoms.
+
 Also houses the constructive side: extracting a concrete model from any
 feasible point, the bound-achieving witness models for atomic shifts, and the
 row-preserving reshuffles that realise the +/-1 extremes under unknown shifts.
@@ -38,10 +51,13 @@ row-preserving reshuffles that realise the +/-1 extremes under unknown shifts.
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+from operator import itemgetter, mul
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -70,11 +86,22 @@ DEFAULT_ATOM_LIMIT = 1_000_000
 ATOM_LIMIT_ENV = "BELIEFBOUND_ATOM_LIMIT"
 
 
-def atom_limit(override: int | None = None) -> int:
-    if override is not None:
-        return int(override)
-    raw = os.environ.get(ATOM_LIMIT_ENV)
-    return int(float(raw)) if raw else DEFAULT_ATOM_LIMIT
+def atom_limit(override: int | str | None = None) -> int:
+    """The atom cap: `override` (the CLI's --atom-limit), else the
+    BELIEFBOUND_ATOM_LIMIT variable, else DEFAULT_ATOM_LIMIT.  A cap must be a
+    positive integer ("1e6" is one)."""
+    name, raw = "--atom-limit", override
+    if override is None:
+        name, raw = ATOM_LIMIT_ENV, os.environ.get(ATOM_LIMIT_ENV)
+        if not raw:
+            return DEFAULT_ATOM_LIMIT
+    try:
+        number = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        number = 0.0
+    if not (math.isfinite(number) and number.is_integer() and number >= 1):
+        raise InputError(f"{name} must be a positive integer, got {raw!r}")
+    return raw if isinstance(raw, int) else int(number)
 
 
 @dataclass(frozen=True)
@@ -101,7 +128,15 @@ class CanonicalAtomSpace:
     Each variable contributes the full finite set of maps from its parent
     assignments to its domain; an atom picks one response per variable.  A
     binary root variable has 2 types; a binary variable with two binary
-    parents has 2**4 = 16.
+    parents has 2**4 = 16.  Atoms are numbered by raveling their response
+    indices over the name-sorted variables, and response r of a k-valued
+    variable is r's base-k digits, most significant first, one per parent
+    combination (the order of `product`).
+
+    `dimension` is computed arithmetically and `walk` enumerates classes of
+    atoms without visiting atoms.  `atom_cells` evaluates every atom, building
+    arrays of atom length on each call, for per-atom views; `evaluate` answers
+    for one atom.
     """
 
     def __init__(
@@ -124,60 +159,147 @@ class CanonicalAtomSpace:
         self.refs[decision.name] = decision
         self._parents = {v.name: v.parents for v in self.variables}
         self.order = toposort(self._parents)
+        self._sizes = {name: len(ref.domain) for name, ref in self.refs.items()}
 
         cap = atom_limit(limit)
-        self.dimension = 1
-        self.parent_combos: dict[str, tuple[tuple[Value, ...], ...]] = {}
-        self.responses: dict[str, tuple[tuple[Value, ...], ...]] = {}
-        self._lookup: dict[str, np.ndarray] = {}
+        combos = {v.name: math.prod(self._sizes[p] for p in v.parents) for v in self.variables}
+        bits = sum(n * math.log2(len(v.domain)) for v, n in zip(self.variables, combos.values()))
+        if bits > cap.bit_length() + 1:  # too large to be worth counting exactly
+            raise AtomLimitError(
+                f"canonical space needs about 2^{bits:.0f} atoms, over the cap of {cap} "
+                f"(set {ATOM_LIMIT_ENV} to raise it)"
+            )
+        self.counts = {v.name: len(v.domain) ** combos[v.name] for v in self.variables}
+        self.dimension = math.prod(self.counts.values())
+        if self.dimension > cap:
+            raise AtomLimitError(
+                f"canonical space needs {self.dimension} atoms, over the cap of {cap} "
+                f"(set {ATOM_LIMIT_ENV} to raise it)"
+            )
+        # The walk's arithmetic.  A branch holds, per block, the value index
+        # of the decision (slot 0) and of each variable visited so far.
+        self._slot = {decision.name: 0, **{name: i + 1 for i, name in enumerate(self.order)}}
+        counts = list(self.counts.values())
+        # An atom's index is its response indices raveled over the name-sorted variables.
+        after = {v.name: math.prod(counts[i + 1 :]) for i, v in enumerate(self.variables)}
+        self._walk_steps = []
+        for name in self.order:
+            k, n = self._sizes[name], combos[name]
+            self._walk_steps.append((
+                name,
+                k,
+                self._strided(self._parents[name]),
+                [k ** (n - 1 - c) * after[name] for c in range(n)],  # atom index of each digit
+            ))
+        slots, strides = zip(*self._strided([v.name for v in self.variables]))
+        self._cell_slots, self._cell_strides = list(slots), np.array(strides, dtype=np.intp)
+
+    def _strided(self, names: Sequence[str]) -> list[tuple[int, int]]:
+        """(slot, C-order stride) of each named variable: the terms of its ravel."""
+        terms, stride = [], 1
+        for name in reversed(names):
+            terms.append((self._slot[name], stride))
+            stride *= self._sizes[name]
+        return terms[::-1]
+
+    @cached_property
+    def _lookup(self) -> dict[str, np.ndarray]:
+        """Read-only [response, parent combination] -> value index arrays, one
+        per variable (built on first use: the build and solve paths never
+        evaluate a response)."""
+        lookup = {}
         for v in self.variables:
-            combos = tuple(product(*[self.refs[p].domain for p in v.parents]))
-            k, n = len(v.domain), len(combos)
-            self.dimension *= k**n
-            if self.dimension > cap:
-                raise AtomLimitError(
-                    f"canonical space needs {self.dimension}+ atoms, over the cap of {cap} "
-                    f"(set {ATOM_LIMIT_ENV} to raise it)"
-                )
-            self.parent_combos[v.name] = combos
-            self.responses[v.name] = tuple(product(v.domain, repeat=n))
-            # Response r is r's base-k digits, most significant first, one per
-            # parent combination (the order of `product`).
-            self._lookup[v.name] = np.arange(k**n)[:, None] // k ** np.arange(n - 1, -1, -1) % k
-            self._lookup[v.name].flags.writeable = False
-        self._sizes = {name: len(ref.domain) for name, ref in self.refs.items()}
-        counts = [len(self.responses[v.name]) for v in self.variables]
-        self._atom_responses = dict(
-            zip(self._parents, np.unravel_index(np.arange(self.dimension), counts))
-        )
+            k, n = len(v.domain), math.prod(self._sizes[p] for p in v.parents)
+            # Row r is r's base-k digits, most significant first.
+            lookup[v.name] = np.arange(k**n)[:, None] // k ** np.arange(n - 1, -1, -1) % k
+            lookup[v.name].flags.writeable = False
+        return lookup
 
     def atoms(self):
         """Deterministic enumeration of response-index tuples (name-sorted vars)."""
-        return product(*[range(len(self.responses[v.name])) for v in self.variables])
+        return product(*[range(self.counts[v.name]) for v in self.variables])
 
-    def columns(
-        self, d: Value, intervention: Assignment | None = None, atoms=None
-    ) -> dict[str, np.ndarray]:
-        """Value-index columns under do(intervention) and decision d, one row
-        per atom of `atoms` (response-index tuples; default: all, in order)."""
-        if atoms is None:
-            responses, rows = self._atom_responses, self.dimension
-        else:
-            responses = dict(zip(self._parents, np.asarray(atoms, dtype=np.intp).T))
-            rows = len(atoms)
+    def _atom_responses(self) -> dict[str, np.ndarray]:
+        """Every atom's response index per variable: the per-atom view (atom
+        length, built on each access)."""
+        counts = [self.counts[v.name] for v in self.variables]
+        return dict(zip(self._parents, np.unravel_index(np.arange(self.dimension), counts)))
+
+    def _fixed(self, d: Value, intervention: Assignment | None = None) -> dict[str, int]:
+        """Value indices held fixed under do(intervention) and decision d."""
         fixed = {self.decision.name: self.decision.index(d)}
         for name, value in (intervention or {}).items():
             if name in self._parents:
                 fixed[name] = self.refs[name].index(value)
+        return fixed
+
+    def walk(self, blocks: Sequence[Mapping[str, int]]) -> tuple[np.ndarray, np.ndarray]:
+        """Classes of atoms whose variables take one value in each block (a
+        `_fixed` mapping each), in order of first atom: (first atom of each
+        class, value indices [class, slot, block]), slot 0 holding the
+        decision and slot i the i-th variable of `order`.
+
+        A branch splits only on a variable's responses at the parent
+        combinations it realises in blocks that do not fix the variable; the
+        other responses are free, and 0 in the first atom.
+        """
+        nb = len(blocks)
+        leaves = [(0, tuple(block[self.decision.name] for block in blocks))]
+        for name, k, parents, weights in self._walk_steps:
+            pinned = [block.get(name) for block in blocks]
+            free = [b for b, pin in enumerate(pinned) if pin is None]
+            terms = [(s * nb, m) for s, m in parents]  # a branch's values are slot-major
+            grown = []
+            for first, values in leaves:
+                combos = []
+                for b in free:
+                    combo = 0
+                    for at, m in terms:
+                        combo += values[at + b] * m
+                    combos.append(combo)
+                realised = sorted(set(combos))
+                digit_of = [realised.index(combo) for combo in combos]
+                place = [weights[combo] for combo in realised]
+                for digits in product(range(k), repeat=len(realised)):
+                    row = pinned.copy()
+                    for b, j in zip(free, digit_of):
+                        row[b] = digits[j]
+                    grown.append((first + sum(map(mul, place, digits)), values + tuple(row)))
+            leaves = grown
+        leaves.sort(key=itemgetter(0))
+        first = np.array([leaf[0] for leaf in leaves], dtype=np.intp)
+        values = np.array([leaf[1] for leaf in leaves], dtype=np.intp)
+        return first, values.reshape(len(leaves), -1, nb)
+
+    def cells(self, values: np.ndarray) -> np.ndarray:
+        """Joint cell (C-order over the name-sorted variables) of `walk`'s
+        value indices: [class, block]."""
+        return self._cell_strides @ values[:, self._cell_slots, :]
+
+    def _columns(self, fixed: Mapping[str, int], atoms=None) -> dict[str, np.ndarray]:
+        """Value-index columns with the `fixed` indices held, one row per atom
+        of `atoms` (response-index tuples; default: every atom)."""
+        if atoms is None:
+            responses, rows = self._atom_responses(), self.dimension
+        else:
+            responses = dict(zip(self._parents, np.asarray(atoms, dtype=np.intp).T))
+            rows = len(atoms)
         return evaluate_columns(
             self.order, self._parents, self._sizes, self._lookup, responses, rows, fixed
+        )
+
+    def atom_cells(self, fixed: Mapping[str, int]) -> np.ndarray:
+        """Every atom's joint cell under `fixed`: the per-atom view of `cells`."""
+        columns = self._columns(fixed)
+        return np.ravel_multi_index(
+            [columns[v.name] for v in self.variables], [len(v.domain) for v in self.variables]
         )
 
     def evaluate(
         self, atom: Sequence[int], d: Value, intervention: Assignment | None = None
     ) -> dict[str, Value]:
         """Potential response of one atom under do(intervention) and decision d."""
-        columns = self.columns(d, intervention, [atom])
+        columns = self._columns(self._fixed(d, intervention), [atom])
         return {name: self.refs[name].domain[columns[name][0]] for name in self.order}
 
 
@@ -186,18 +308,44 @@ class Polytope:
     """Linear description of all canonical models matching the observed cells.
 
     `merged` holds one 0/1 constraint column per class of atoms with
-    identical columns; atom i's column is `merged[:, atom_class[i]]`.
-    `start` is the phase one of `merged x = b_eq`, which every plain gap
-    solve starts its phase two from.
+    identical columns, numbered in order of first atom: `first[j]` is class
+    j's lowest atom index, and `classes` maps a class's cells (one per block,
+    `blocks` holding each block's `_fixed` indices) to its number.  `start`
+    is the phase one of `merged x = b_eq`, which every plain gap solve starts
+    its phase two from.
+
+    `atom_class`, `a_eq` and `feasible_point` with an objective are per-atom
+    views, built on access by evaluating every atom: `a_eq` for readers that
+    index atoms (the benchmark's tracer reads its row count, tests compare it
+    with the response-type definition), an objective because it has one
+    coefficient per atom.  No build, solve or witness reads them.
     """
 
     space: CanonicalAtomSpace
     data: BehaviouralDataset
     merged: np.ndarray
     b_eq: np.ndarray
-    atom_class: np.ndarray
+    first: np.ndarray
     start: lp.PhaseOne
-    row_labels: tuple[str, ...] = field(default=())
+    blocks: tuple[dict[str, int], ...]
+    classes: dict[tuple[int, ...], int]
+
+    @property
+    def row_labels(self) -> tuple[str, ...]:
+        """What each row of `merged` pins: a (domain, decision, cell), then the total mass."""
+        names = [v.name for v in self.space.variables]
+        cells = list(product(*[v.domain for v in self.space.variables]))
+        return tuple(
+            f"{dom.label or 'base'}: P_{d}({dict(zip(names, values))})"
+            for dom in self.data.all_domains()
+            for d in self.data.decisions
+            for values in cells
+        ) + ("total mass",)
+
+    @property
+    def atom_class(self) -> np.ndarray:
+        """Each atom's class (evaluates every atom in every block)."""
+        return _classes([self.space.atom_cells(block) for block in self.blocks])[0]
 
     @property
     def a_eq(self) -> np.ndarray:
@@ -207,16 +355,22 @@ class Polytope:
         return a_eq
 
     def feasible_point(self, objective: Sequence[float] | None = None) -> np.ndarray:
-        """A feasible atom-probability vector, optionally optimizing a direction
-        (without one, the vertex phase one ended on)."""
+        """A feasible atom-probability vector, optionally optimizing a per-atom
+        direction (without one, the vertex phase one ended on)."""
         if objective is None:
-            objective = np.zeros(self.space.dimension)
-        return _solve_classes(self, np.asarray(objective, float))
+            return _scatter(self.space.dimension, self.first, _vertex(self))
+        objective = np.asarray(objective, float)
+        atom_class = self.atom_class
+        first = _classes([atom_class, objective])[1]
+        with _solver_errors():
+            sol = lp.phase_two(_refined_start(self, atom_class[first]), objective[first])
+        return _scatter(self.space.dimension, first, sol.x)
 
 
 def _classes(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Classes of atoms agreeing on every per-atom key, numbered in order of
-    first atom: (class of each atom, first atom of each class)."""
+    first atom: (class of each atom, first atom of each class).  Per-atom
+    views only; the build and solve paths number the walk's leaves."""
     n = len(keys[0])
     ids = np.zeros(n, dtype=np.intp)
     for key in keys:
@@ -262,31 +416,18 @@ def _refined_start(polytope: Polytope, coarse: np.ndarray) -> lp.PhaseOne:
     )
 
 
-def _solve_classes(
-    polytope: Polytope, cost: np.ndarray, den: np.ndarray | None = None, *messages: str
-) -> np.ndarray:
-    """Minimiser of cost . x over the polytope, solved with one column per
-    class of atoms whose columns coincide and expanded back onto the atoms.
+def _vertex(polytope: Polytope) -> np.ndarray:
+    """The class masses of the vertex phase one ended on."""
+    return lp.phase_two(polytope.start, np.zeros(polytope.first.size)).x
 
-    With `den`, solves the Charnes-Cooper program instead, [A, -b] (q, t) = 0
-    and den . q = 1, and returns q with t appended.
-    """
-    keys = [polytope.atom_class, cost] if den is None else [polytope.atom_class, cost, den]
-    first = _classes(keys)[1]
-    coarse, c = polytope.atom_class[first], cost[first]
-    with _solver_errors(*messages):
-        if den is None:
-            sol = lp.phase_two(_refined_start(polytope, coarse), c)
-        else:
-            a_eq = np.hstack([polytope.merged[:, coarse], -polytope.b_eq[:, None]])
-            a_eq = np.vstack([a_eq, np.append(den[first], 0.0)])
-            b_eq = np.zeros(a_eq.shape[0])
-            b_eq[-1] = 1.0
-            sol = lp.solve_lp(np.append(c, 0.0), a_eq, b_eq)
-    x = np.zeros(polytope.space.dimension + (den is not None))
-    x[first] = sol.x[: first.size]
-    x[polytope.space.dimension :] = sol.x[first.size :]
-    return x
+
+def _scatter(dimension: int, first: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Class values `x` put on their first atoms of an atom-length zero
+    vector, with what follows the classes (the Charnes-Cooper t) appended."""
+    out = np.zeros(dimension + x.size - first.size)
+    out[first] = x[: first.size]
+    out[dimension:] = x[first.size :]
+    return out
 
 
 def build_polytope(
@@ -319,29 +460,23 @@ def build_polytope(
     space = CanonicalAtomSpace(data.decision, skeleton, limit)
 
     cells = list(product(*[v.domain for v in space.variables]))
-    sizes = [len(v.domain) for v in space.variables]
-    blocks = [(dom, d) for dom in data.all_domains() for d in data.decisions]
-    block_cells: list[np.ndarray] = []
+    blocks: list[dict[str, int]] = []
     rhs: list[float] = []
-    labels: list[str] = []
-    for dom, d in blocks:
-        columns = space.columns(d, dom.intervened)
-        block_cells.append(np.ravel_multi_index([columns[name] for name in scope_names], sizes))
-        table = dom.per_decision[d]
-        for ref in table.scope:  # a cell outside a table's domain is an error, not a zero
-            for value in space.refs[ref.name].domain:
-                ref.index(value)
-        for values in cells:
+    for dom in data.all_domains():
+        for d in data.decisions:
+            blocks.append(space._fixed(d, dom.intervened))
+            table = dom.per_decision[d]
+            for ref in table.scope:  # a cell outside a table's domain is an error, not a zero
+                for value in space.refs[ref.name].domain:
+                    ref.index(value)
             # Tables and `cells` are both name-sorted, so a cell is a table key.
-            rhs.append(float(table.entries.get(values, 0)))
-            labels.append(f"{dom.label or 'base'}: P_{d}({dict(zip(scope_names, values))})")
-    atom_class, first = _classes(block_cells)
+            rhs += [float(table.entries.get(values, 0)) for values in cells]
+    first, values = space.walk(blocks)
+    keys = space.cells(values)
     merged = np.zeros((len(blocks) * len(cells) + 1, first.size))
-    for b, cell in enumerate(block_cells):
-        merged[b * len(cells) + cell[first], np.arange(first.size)] = 1.0
+    merged[keys + len(cells) * np.arange(len(blocks)), np.arange(first.size)[:, None]] = 1.0
     merged[-1] = 1.0
     rhs.append(1.0)
-    labels.append("total mass")
     b_eq = np.asarray(rhs)
     with _solver_errors():
         start = lp.phase_one(merged, b_eq)
@@ -350,20 +485,34 @@ def build_polytope(
         data=data,
         merged=merged,
         b_eq=b_eq,
-        atom_class=atom_class,
+        first=first,
         start=start,
-        row_labels=tuple(labels),
+        blocks=tuple(blocks),
+        classes={tuple(key): j for j, key in enumerate(keys.tolist())},
     )
 
 
-def _objective_terms(
+@dataclass(frozen=True)
+class _GapClasses:
+    """A gap program's classes, numbered in order of first atom: atoms of one
+    polytope class (`coarse`) with one numerator coefficient `num` and, for a
+    conditional gap (`den` not None), one context indicator."""
+
+    first: np.ndarray
+    coarse: np.ndarray
+    num: np.ndarray
+    den: np.ndarray | None
+
+
+def _gap_classes(
     polytope: Polytope,
     z: Assignment,
     c: Assignment,
     d: Value,
     d_star: Value,
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Per-atom numerator coefficients and context indicators for the gap."""
+) -> _GapClasses:
+    """The gap's classes, from one walk over the data blocks and the
+    objective's (d, z) and (d*, z) blocks."""
     space = polytope.space
     utility = polytope.data.utility
     for key in (*z, *c):
@@ -371,21 +520,47 @@ def _objective_terms(
             raise InputError(f"{key!r} is not a modelled variable")
     merge_assignments(c, z)
     degenerate = all(name in z for name in c)
-    ev_d = space.columns(d, z)
-    ev_s = space.columns(d_star, z)
-    sat = np.ones(space.dimension, dtype=bool)
+    n = len(polytope.blocks)
+    first, values = space.walk([*polytope.blocks, space._fixed(d, z), space._fixed(d_star, z)])
+    ev_d, ev_s = values[:, :, n], values[:, :, n + 1]
+    sat = np.ones(first.size, dtype=bool)
     for name, value in c.items():
-        if np.any(ev_d[name] != ev_s[name]):
+        slot = space._slot[name]
+        if np.any(ev_d[:, slot] != ev_s[:, slot]):
             raise UnsupportedError(
                 f"context variable {name!r} responds to the decision under do(z); the "
                 "conditional objective is not a single-denominator program"
             )
         domain = space.refs[name].domain
-        sat &= ev_d[name] == (domain.index(value) if value in domain else -1)
+        sat &= ev_d[:, slot] == (domain.index(value) if value in domain else -1)
     den = sat.astype(float)
     y = np.array([float(v) for v in space.refs[utility].domain])
-    num = (y[ev_d[utility]] - y[ev_s[utility]]) * den
-    return num, den, degenerate
+    u = space._slot[utility]
+    num = (y[ev_d[:, u]] - y[ev_s[:, u]]) * den
+    cells = space.cells(values[:, :, :n]).tolist()
+    coarse = np.array([polytope.classes[tuple(key)] for key in cells])
+
+    keys = [coarse.tolist(), num.tolist()] + [den.tolist()] * (not degenerate)
+    at: dict[tuple, int] = {}
+    for j, key in enumerate(zip(*keys)):
+        at.setdefault(key, j)  # leaves come in order of first atom
+    pick = np.fromiter(at.values(), dtype=np.intp, count=len(at))
+    return _GapClasses(first[pick], coarse[pick], num[pick], None if degenerate else den[pick])
+
+
+def _solve_gap(
+    polytope: Polytope, gap: _GapClasses, cost: np.ndarray, *messages: str
+) -> np.ndarray:
+    """Minimiser of cost . x over the gap's classes; for a conditional gap the
+    Charnes-Cooper program [A, -b] (q, t) = 0, den . q = 1, with t appended."""
+    with _solver_errors(*messages):
+        if gap.den is None:
+            return lp.phase_two(_refined_start(polytope, gap.coarse), cost).x
+        a_eq = np.hstack([polytope.merged[:, gap.coarse], -polytope.b_eq[:, None]])
+        a_eq = np.vstack([a_eq, np.append(gap.den, 0.0)])
+        b_eq = np.zeros(a_eq.shape[0])
+        b_eq[-1] = 1.0
+        return lp.solve_lp(np.append(cost, 0.0), a_eq, b_eq).x
 
 
 def optimize_gap(
@@ -410,29 +585,28 @@ def optimize_gap(
     for value in (d, d_star):
         if value not in polytope.data.decisions:
             raise InputError(f"decision {value!r} not in {polytope.data.decisions}")
-    num, den, degenerate = _objective_terms(polytope, z, c, d, d_star)
+    gap = _gap_classes(polytope, z, c, d, d_star)
     sign = 1.0 if direction == "min" else -1.0
-    cost = sign * num
-
-    # Values are dot products at the per-atom program's length: a shorter
-    # sum rounds differently.
-    if degenerate:
-        if c and any(z[name] != c[name] for name in c):
-            raise InputError(f"context {dict(c)} conflicts with the shift {dict(z)}")
-        return sign * float(cost @ _solve_classes(polytope, cost))
-
-    # Charnes-Cooper: q = p / (den . p), t = 1 / (den . p).
-    x = _solve_classes(
+    cost = sign * gap.num
+    # Charnes-Cooper (conditional gaps): q = p / (den . p), t = 1 / (den . p).
+    x = _solve_gap(
         polytope,
+        gap,
         cost,
-        den,
         f"context {dict(c)} has zero probability under do({dict(z)}) for every "
         "compatible model",
         "fractional reduction unbounded; context probability is not bounded away from zero",
     )
-    if x[-1] <= lp.FEAS_EPS:
+    if gap.den is not None and x[-1] <= lp.FEAS_EPS:
         raise OracleError("degenerate rescaling (t = 0); context mass collapses")
-    return sign * float(np.append(cost, 0.0) @ x)
+    # The per-atom program's dot product (the Charnes-Cooper t costs 0): a sum
+    # over the classes alone rounds differently.
+    weights = np.zeros(x.size)
+    weights[: cost.size] = cost
+    dimension = polytope.space.dimension
+    return sign * float(
+        _scatter(dimension, gap.first, weights) @ _scatter(dimension, gap.first, x)
+    )
 
 
 def feasible_scm(polytope: Polytope) -> Scm:
@@ -440,32 +614,35 @@ def feasible_scm(polytope: Polytope) -> Scm:
 
     The returned model reproduces every per-decision observational joint of
     the data (up to LP tolerance); verification is by reproduction, not by
-    uniqueness of the feasible point.
+    uniqueness of the feasible point.  Each class's mass sits on its first
+    atom, as in `Polytope.feasible_point()`.
     """
-    x = polytope.feasible_point()
+    x = _vertex(polytope)
     space = polytope.space
     exo_refs = tuple(
-        VariableRef(f"R_{v.name}", tuple(range(len(space.responses[v.name]))))
-        for v in space.variables
+        VariableRef(f"R_{v.name}", tuple(range(space.counts[v.name]))) for v in space.variables
     )
     kept = np.flatnonzero(x > 1e-12).tolist()
-    total = sum(x[i] for i in kept)
-    keys = zip(*[space._atom_responses[v.name][kept].tolist() for v in space.variables])
-    exo = ExoDistribution(exo_refs, tuple((key, x[i] / total) for key, i in zip(keys, kept)))
+    total = sum(x[j] for j in kept)
+    counts = [space.counts[v.name] for v in space.variables]
+    keys = zip(*[r.tolist() for r in np.unravel_index(polytope.first[kept], counts)])
+    exo = ExoDistribution(exo_refs, tuple((key, x[j] / total) for key, j in zip(keys, kept)))
 
     decision = space.decision
     mechanisms: dict[str, Mechanism] = {
         decision.name: Mechanism.constant(decision, decision.domain[0])
     }
     for i, v in enumerate(space.variables):
-        table = {}
-        for r, response in enumerate(space.responses[v.name]):
-            for ci, combo in enumerate(space.parent_combos[v.name]):
-                table[(*combo, r)] = response[ci]
+        # lookup[r, k] is response r's value at parent combination k (the
+        # layout of `Scm._compile`); the table maps (*combination k, r) to it.
+        lookup = space._lookup[v.name]
+        inputs = product(*[space.refs[p].domain for p in v.parents], range(len(lookup)))
+        domain = np.fromiter(v.domain, dtype=object, count=len(v.domain))
+        outputs = domain[lookup.T.ravel()].tolist()
+        table = dict(zip(inputs, outputs))
         mechanisms[v.name] = Mechanism(
             space.refs[v.name], v.parents, (exo_refs[i].name,), table
         )
-    # The space's arrays index [response, parent combination], as `Scm._compile`'s do.
     return Scm(tuple(space.refs.values()), mechanisms, exo, lookup=dict(space._lookup))
 
 

@@ -5,7 +5,9 @@ Everything is driven by explicit integer seeds so failures replay exactly.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -120,6 +122,150 @@ def assert_lookups_compiled_once(model: Scm, domains=()) -> None:
         cut = Mechanism(mech.target, mech.parents, mech.exo_parents, partial)
         with pytest.raises(ModelError, match="missing input"):
             Scm(model.variables, {**model.mechanisms, name: cut}, model.exo)
+
+
+# -- reference oracle: the per-atom program the class walk replaced ----------
+
+
+def reference_columns(space, d, intervention=None) -> dict:
+    """Every atom's value index per variable under do(intervention) and
+    decision d, read off the response-type definition: a variable's value is
+    its response index's base-k digit at the parents' combination, most
+    significant first."""
+    sizes = {name: len(ref.domain) for name, ref in space.refs.items()}
+    combos = {v.name: math.prod(sizes[p] for p in v.parents) for v in space.variables}
+    counts = [len(v.domain) ** combos[v.name] for v in space.variables]
+    rows = math.prod(counts)
+    responses = dict(
+        zip([v.name for v in space.variables], np.unravel_index(np.arange(rows), counts))
+    )
+    intervention = intervention or {}
+    values = {space.decision.name: np.full(rows, space.decision.domain.index(d))}
+    pending = list(space.variables)
+    while pending:
+        v = next(v for v in pending if all(p in values for p in v.parents))
+        pending.remove(v)
+        if v.name in intervention:
+            values[v.name] = np.full(rows, v.domain.index(intervention[v.name]))
+            continue
+        combo = np.zeros(rows, dtype=np.intp)
+        for p in v.parents:
+            combo = combo * sizes[p] + values[p]
+        k = len(v.domain)
+        values[v.name] = responses[v.name] // k ** (combos[v.name] - 1 - combo) % k
+    del values[space.decision.name]
+    return values
+
+
+def reference_classes(keys):
+    """Classes of atoms agreeing on every per-atom key, numbered in order of
+    first atom: (class of each atom, first atom of each class)."""
+    rows = np.stack([np.unique(key, return_inverse=True)[1].ravel() for key in keys], axis=1)
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[inverse.ravel()], first[order]
+
+
+def reference_program(poly):
+    """The per-atom program of a polytope's data and skeleton: (a_eq, b_eq,
+    class of each atom, first atom of each class), with a_eq holding one 0/1
+    column per atom and its rows ordered as `merged`'s."""
+    space, data = poly.space, poly.data
+    sizes = [len(v.domain) for v in space.variables]
+    cells = list(product(*[v.domain for v in space.variables]))
+    keys, rhs = [], []
+    for dom in data.all_domains():
+        for d in data.decisions:
+            columns = reference_columns(space, d, dom.intervened)
+            keys.append(np.ravel_multi_index([columns[v.name] for v in space.variables], sizes))
+            rhs += [float(dom.per_decision[d].entries.get(cell, 0)) for cell in cells]
+    n = space.dimension
+    a_eq = np.zeros((len(keys) * len(cells) + 1, n))
+    for b, key in enumerate(keys):
+        a_eq[b * len(cells) + key, np.arange(n)] = 1.0
+    a_eq[-1] = 1.0
+    return (a_eq, np.array([*rhs, 1.0]), *reference_classes(keys))
+
+
+def reference_objective_terms(poly, z, c, d, d_star):
+    """Per-atom numerator coefficients and context indicators of the gap, and
+    whether the context lies inside the shift."""
+    from beliefbound.errors import InputError, UnsupportedError
+    from beliefbound.tables import merge_assignments
+
+    space = poly.space
+    for key in (*z, *c):
+        if key not in space._parents:
+            raise InputError(f"{key!r} is not a modelled variable")
+    merge_assignments(c, z)
+    ev_d = reference_columns(space, d, z)
+    ev_s = reference_columns(space, d_star, z)
+    sat = np.ones(space.dimension, dtype=bool)
+    for name, value in c.items():
+        if np.any(ev_d[name] != ev_s[name]):
+            raise UnsupportedError(f"context variable {name!r} responds to the decision")
+        domain = space.refs[name].domain
+        sat &= ev_d[name] == (domain.index(value) if value in domain else -1)
+    den = sat.astype(float)
+    y = np.array([float(v) for v in space.refs[poly.data.utility].domain])
+    num = (y[ev_d[poly.data.utility]] - y[ev_s[poly.data.utility]]) * den
+    return num, den, all(name in z for name in c)
+
+
+def reference_gap(poly, z, c, d, d_star, direction):
+    """The gap optimum solved over every atom's own column: (value, x), with
+    the Charnes-Cooper t appended to x for a context outside the shift."""
+    from beliefbound import lp
+    from beliefbound.errors import OracleError
+
+    a_eq, b_eq = reference_program(poly)[:2]
+    num, den, degenerate = reference_objective_terms(poly, z, c, d, d_star)
+    sign = 1.0 if direction == "min" else -1.0
+    cost = sign * num
+    if degenerate:
+        sol = lp.solve_lp(cost, a_eq, b_eq)
+        return sign * float(cost @ sol.x), sol.x
+    a_cc = np.vstack([np.hstack([a_eq, -b_eq[:, None]]), np.append(den, 0.0)])
+    b_cc = np.zeros(len(a_cc))
+    b_cc[-1] = 1.0
+    sol = lp.solve_lp(np.append(cost, 0.0), a_cc, b_cc)
+    if sol.x[-1] <= lp.FEAS_EPS:
+        raise OracleError("degenerate rescaling")
+    return sign * float(np.append(cost, 0.0) @ sol.x), sol.x
+
+
+def _parent_combos(space, v) -> list:
+    return list(product(*[space.refs[p].domain for p in v.parents]))
+
+
+def reference_exo(space, x):
+    """The witness's exogenous law from a per-atom point: each atom above
+    1e-12 as one response tuple, its mass renormalised."""
+    counts = [len(v.domain) ** len(_parent_combos(space, v)) for v in space.variables]
+    exo_refs = tuple(
+        VariableRef(f"R_{v.name}", tuple(range(n))) for v, n in zip(space.variables, counts)
+    )
+    kept = np.flatnonzero(x > 1e-12).tolist()
+    total = sum(x[i] for i in kept)
+    responses = np.unravel_index(np.arange(space.dimension), counts)
+    keys = zip(*[r[kept].tolist() for r in responses])
+    return ExoDistribution(exo_refs, tuple((key, x[i] / total) for key, i in zip(keys, kept)))
+
+
+def reference_tables(space) -> dict:
+    """Each variable's witness mechanism table, by the nested loop over its
+    responses and parent combinations."""
+    tables = {}
+    for v in space.variables:
+        combos = _parent_combos(space, v)
+        table = {}
+        for r, response in enumerate(product(v.domain, repeat=len(combos))):
+            for ci, combo in enumerate(combos):
+                table[(*combo, r)] = response[ci]
+        tables[v.name] = table
+    return tables
 
 
 # -- reference simplex: the row-by-row kernel the vectorised one replaced -----

@@ -303,6 +303,40 @@ def test_exit_five_on_atom_limit():
     assert "atom" in result.stderr.lower()
 
 
+def test_atom_limit_over_the_cap_names_the_full_count(capsys, monkeypatch):
+    monkeypatch.setenv("BELIEFBOUND_ATOM_LIMIT", "8")
+    code, out, err = run_inprocess(GOLDEN_CASES["oracle_min"], capsys, monkeypatch)
+    assert (code, out) == (5, "")
+    assert err == (
+        "error: canonical space needs 32 atoms, over the cap of 8 "
+        "(set BELIEFBOUND_ATOM_LIMIT to raise it)\n"
+    )
+
+
+@pytest.mark.parametrize("raw", ["inf", "1e400", "abc", "nan", " ", "0", "-5", "2.5"])
+def test_malformed_atom_limit_variable_is_an_input_error(raw, capsys, monkeypatch):
+    monkeypatch.setenv("BELIEFBOUND_ATOM_LIMIT", raw)
+    code, out, err = run_inprocess(GOLDEN_CASES["oracle_min"], capsys, monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == f"error: BELIEFBOUND_ATOM_LIMIT must be a positive integer, got {raw!r}\n"
+
+
+@pytest.mark.parametrize("raw", ["0", "-5", "abc", "inf"])
+def test_malformed_atom_limit_flag_is_an_input_error(raw, capsys, monkeypatch):
+    argv = GOLDEN_CASES["oracle_min"] + [f"--atom-limit={raw}"]
+    code, out, err = run_inprocess(argv, capsys, monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == f"error: --atom-limit must be a positive integer, got {raw!r}\n"
+
+
+@pytest.mark.parametrize("raw", ["-1", "nan", "inf", "-inf"])
+def test_tolerance_must_be_finite_and_non_negative(raw, capsys, monkeypatch):
+    argv = GOLDEN_CASES["oracle_min"] + [f"--tol={raw}"]
+    code, out, err = run_inprocess(argv, capsys, monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --tol must be a finite number >= 0") and err.count("\n") == 1
+
+
 def test_lambda_flag_blocks_verdict(capsys, monkeypatch):
     argv = GOLDEN_CASES["predict_strong"] + ["--lambda", "0.7"]
     code, out, _ = run_inprocess(argv, capsys, monkeypatch)

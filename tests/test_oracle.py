@@ -15,14 +15,17 @@ from beliefbound.errors import (
     DataError,
     InputError,
     ModelError,
+    OracleError,
     UnsupportedError,
 )
 from beliefbound import lp
+from beliefbound import oracle
 from beliefbound.oracle import (
-    _objective_terms,
     _classes,
+    _gap_classes,
     _refined_start,
-    _solve_classes,
+    _scatter,
+    _solve_gap,
     CanonicalAtomSpace,
     SkeletonVariable,
     build_polytope,
@@ -43,6 +46,7 @@ from beliefbound.scm import (
 from beliefbound.tables import (
     BehaviouralDataset,
     DistTable,
+    ExperimentalDomain,
     VariableRef,
     expectation,
     query,
@@ -54,6 +58,13 @@ from support import (
     exact_dataset,
     random_behaviour_model,
     random_binary_dataset,
+    reference_classes,
+    reference_columns,
+    reference_exo,
+    reference_gap,
+    reference_objective_terms,
+    reference_program,
+    reference_tables,
 )
 
 Z1 = {"Z": 1}
@@ -69,8 +80,8 @@ def medai_polytope(medai):
 
 def test_response_type_counts(medai):
     space = CanonicalAtomSpace(medai.decision, SKELETON)
-    assert len(space.responses["Z"]) == 2
-    assert len(space.responses["Y"]) == 16
+    assert space.counts["Z"] == 2
+    assert space.counts["Y"] == 16
     assert space.dimension == 32
 
 
@@ -174,7 +185,7 @@ def test_vectorised_build_matches_per_atom_reference(sizes):
         rows.append([1.0] * len(atoms))
         assert np.array_equal(poly.a_eq, np.array(rows))
         for c in (Z1, {"W": 1}, {"Z": 1, "W": 0}):
-            num, den, _ = _objective_terms(poly, Z1, c, 1, 0)
+            num, den, degenerate = reference_objective_terms(poly, Z1, c, 1, 0)
             want_num, want_den = [], []
             for a in atoms:
                 ev1 = reference_evaluate(skeleton, data.decision, a, 1, Z1)
@@ -184,6 +195,11 @@ def test_vectorised_build_matches_per_atom_reference(sizes):
                 want_den.append(sat)
             assert np.array_equal(num, np.array(want_num))
             assert np.array_equal(den, np.array(want_den))
+            # The walk's classes carry their first atom's coefficients.
+            gap = _gap_classes(poly, Z1, c, 1, 0)
+            assert np.array_equal(gap.num, num[gap.first])
+            assert (gap.den is None) == degenerate
+            assert degenerate or np.array_equal(gap.den, den[gap.first])
         for a in atoms[:: max(1, len(atoms) // 50)]:
             assert space.evaluate(a, 1, Z1) == reference_evaluate(
                 skeleton, data.decision, a, 1, Z1
@@ -499,7 +515,7 @@ def test_sandwich_soundness_random_feasible_points(medai):
 
 @pytest.mark.parametrize("sizes", [{"Z": 3, "W": 2}, {"Z": 2, "W": 3}])
 @pytest.mark.parametrize("with_domain", [False, True])
-def test_merged_columns_match_per_atom_program(sizes, with_domain, monkeypatch):
+def test_merged_columns_match_per_atom_program(sizes, with_domain):
     """Bland's rule pivots a class of identical columns as it pivots the
     class's first atom, so values, points and witnesses equal those of the
     per-atom program exactly."""
@@ -510,25 +526,155 @@ def test_merged_columns_match_per_atom_program(sizes, with_domain, monkeypatch):
         poly = build_polytope(data, skeleton)
         a_eq, b_eq = poly.a_eq, poly.b_eq
         for c in (Z1, {"W": 1}):
-            num, den, degenerate = _objective_terms(poly, Z1, c, 1, 0)
+            num, den, degenerate = reference_objective_terms(poly, Z1, c, 1, 0)
+            gap = _gap_classes(poly, Z1, c, 1, 0)
             for sign, direction in ((1.0, "min"), (-1.0, "max")):
                 cost = sign * num
                 if degenerate:
                     want = lp.solve_lp(cost, a_eq, b_eq)
-                    got = _solve_classes(poly, cost)
                 else:
                     a_cc = np.vstack([np.hstack([a_eq, -b_eq[:, None]]), np.append(den, 0.0)])
                     b_cc = np.zeros(len(a_cc))
                     b_cc[-1] = 1.0
                     want = lp.solve_lp(np.append(cost, 0.0), a_cc, b_cc)
-                    got = _solve_classes(poly, cost, den)
+                got = _solve_gap(poly, gap, sign * gap.num)
                 assert optimize_gap(poly, Z1, c, 1, 0, direction) == sign * want.value
-                assert np.array_equal(got, want.x)
+                assert np.array_equal(_scatter(poly.space.dimension, gap.first, got), want.x)
         x = lp.solve_lp(np.zeros(poly.space.dimension), a_eq, b_eq).x
         assert np.array_equal(poly.feasible_point(), x)
-        witness = feasible_scm(poly)
-        monkeypatch.setattr(poly, "feasible_point", lambda objective=None: x)
-        assert feasible_scm(poly).exo == witness.exo
+        assert feasible_scm(poly).exo == reference_exo(poly.space, x)
+
+
+def random_skeleton_case(seed):
+    """A random skeleton of Z, an optional W and the utility Y <- D, and data
+    drawn from a random canonical model on it.
+
+    Z and W take 2 or 3 values and Y 2 or 3 (0, 0.5, 1); W may hang off Z (a
+    chain); the decision may be a parent of Z or W; the data may carry an
+    experimental do(Z) domain.  Returns (data, skeleton, features).
+    """
+    rng = np.random.default_rng(seed)
+    d = VariableRef("D", (0, 1))
+    while True:
+        z = tuple(range(int(rng.integers(2, 4))))
+        y = ((0, 1), (0, 0.5, 1))[int(rng.integers(2))]
+        w = tuple(range(int(rng.integers(2, 4)))) if rng.random() < 0.7 else None
+        chain = w is not None and rng.random() < 0.5
+        with_decision = str(rng.choice(["", "Z", "W"] if w else ["", "Z"]))
+        y_parents = ["D", *(n for n in ("W", "Z") if (n == "Z" or w) and rng.random() < 0.8)]
+        skeleton = [
+            SkeletonVariable("Z", z, ("D",) if with_decision == "Z" else ()),
+            SkeletonVariable("Y", y, tuple(y_parents)),
+        ]
+        if w:
+            w_parents = ("D",) * (with_decision == "W") + ("Z",) * chain
+            skeleton.append(SkeletonVariable("W", w, w_parents))
+        try:
+            space = CanonicalAtomSpace(d, skeleton, limit=2_000)
+            break
+        except AtomLimitError:
+            continue
+    atoms = rng.choice(space.dimension, size=int(rng.integers(2, 9)), replace=False)
+    weights = [Fraction(int(n), 1) for n in rng.integers(1, 9, size=atoms.size)]
+    total = sum(weights)
+
+    def tables(intervention):
+        out = {}
+        for dv in d.domain:
+            columns = reference_columns(space, dv, intervention)
+            entries = {}
+            for atom, weight in zip(atoms, weights):
+                cell = tuple(v.domain[columns[v.name][atom]] for v in space.variables)
+                entries[cell] = entries.get(cell, 0) + weight / total
+            out[dv] = DistTable(tuple(space.refs[v.name] for v in space.variables), entries)
+        return out
+
+    domains = ()
+    if rng.random() < 0.5:
+        z0 = {"Z": z[int(rng.integers(len(z)))]}
+        domains = (ExperimentalDomain("exp", z0, tables(z0)),)
+    data = BehaviouralDataset(d, tables({}), domains=domains)
+    features = {
+        "three-valued": max(len(z), len(y), len(w or ())) == 3,
+        "chain": chain,
+        "decision parent": bool(with_decision),
+        "domain": bool(domains),
+    }
+    return data, skeleton, features
+
+
+_REFERENCE_ERRORS = {
+    lp.LpInfeasible: DataError,
+    lp.LpUnbounded: OracleError,
+    lp.LpIterationLimit: OracleError,
+}
+
+
+def _outcome(solve):
+    """repr of the value, or the package error class it raised."""
+    try:
+        return repr(solve())
+    except (InputError, DataError, OracleError, UnsupportedError) as exc:
+        return type(exc).__name__
+    except tuple(_REFERENCE_ERRORS) as exc:
+        return _REFERENCE_ERRORS[type(exc)].__name__
+
+
+def test_class_walk_matches_the_per_atom_program_on_random_skeletons():
+    """The walk's classes give the per-atom program's merged columns, phase
+    one, first atoms, gap values (to the bit, sign of zero included) and
+    witness, on random skeletons, data, shifts and contexts."""
+    seen = dict.fromkeys(
+        ["three-valued", "chain", "decision parent", "domain", "degenerate",
+         "Charnes-Cooper", "UnsupportedError"], 0
+    )
+    for seed in range(30):
+        data, skeleton, features = random_skeleton_case(seed)
+        poly = build_polytope(data, skeleton)
+        a_eq, b_eq, atom_class, first = reference_program(poly)
+        assert np.array_equal(poly.merged, a_eq[:, first])
+        assert np.array_equal(poly.b_eq, b_eq)
+        assert np.array_equal(poly.first, first)
+        start = lp.phase_one(a_eq[:, first], b_eq)
+        assert poly.start.tableau.tobytes() == start.tableau.tobytes()
+        assert poly.start.basis == start.basis
+        assert np.array_equal(poly.atom_class, atom_class)
+        assert np.array_equal(poly.a_eq, a_eq)
+
+        space = poly.space
+        names = [v.name for v in space.variables]
+        for z_name in names[:: 1 + seed % 2]:
+            if z_name == "Y":
+                continue
+            z = {z_name: space.refs[z_name].domain[-1]}
+            others = [n for n in ("W", "Z") if n in names and n != z_name]
+            contexts = [z, {}, *({n: 1} for n in others), *({**z, n: 0} for n in others)]
+            for c in contexts:
+                for pair in ((1, 0), (0, 1)):
+                    try:
+                        num, den, degenerate = reference_objective_terms(poly, z, c, *pair)
+                    except (InputError, UnsupportedError):
+                        pass
+                    else:
+                        keys = [atom_class, num] if degenerate else [atom_class, num, den]
+                        want_first = reference_classes(keys)[1]
+                        gap = _gap_classes(poly, z, c, *pair)
+                        assert np.array_equal(gap.first, want_first)
+                        assert np.array_equal(gap.coarse, atom_class[want_first])
+                        assert gap.num.tobytes() == num[want_first].tobytes()
+                    for direction in ("min", "max"):
+                        got = _outcome(lambda: optimize_gap(poly, z, c, *pair, direction))
+                        want = _outcome(lambda: reference_gap(poly, z, c, *pair, direction)[0])
+                        assert got == want, (seed, z, c, pair, direction)
+                        kind = "degenerate" if all(k in z for k in c) else "Charnes-Cooper"
+                        seen[got if got == "UnsupportedError" else kind] += 1
+        x = lp.solve_lp(np.zeros(space.dimension), a_eq, b_eq).x
+        model = feasible_scm(poly)
+        assert model.exo == reference_exo(space, x)
+        assert {n: model.mechanisms[n].table for n in names} == reference_tables(space)
+        for name, flag in features.items():
+            seen[name] += flag
+    assert all(seen.values()), seen
 
 
 def test_refined_programs_start_from_the_stored_phase_one(medai, medai_exp):
@@ -542,7 +688,7 @@ def test_refined_programs_start_from_the_stored_phase_one(medai, medai_exp):
             polytopes.append(build_polytope(*chained_dataset(seed, sizes)))
     checked = 0
     for poly in polytopes:
-        num = _objective_terms(poly, Z1, Z1, 1, 0)[0]
+        num = reference_objective_terms(poly, Z1, Z1, 1, 0)[0]
         dimension = poly.space.dimension
         for cost in (num, -num, rng.integers(-1, 2, dimension), rng.integers(0, 2, dimension)):
             coarse = poly.atom_class[_classes([poly.atom_class, cost.astype(float)])[1]]
@@ -573,9 +719,8 @@ def _count_phases(monkeypatch):
     return shapes, starts
 
 
-def test_merged_programs_stay_small(monkeypatch):
-    """Z in 0..6 and Y <- (D, Z) give 114,688 atoms but only 28 distinct
-    feasibility columns: Z's value and Y's responses at (0, Z) and (1, Z)."""
+def seven_valued_shift_dataset():
+    """Z in 0..6 and Y <- (D, Z): 114,688 atoms, the largest ladder shape."""
     rng = np.random.default_rng(0)
     d, y = VariableRef("D", (0, 1)), VariableRef("Y", (0, 1))
     z = VariableRef("Z", tuple(range(7)))
@@ -593,14 +738,52 @@ def test_merged_programs_stay_small(monkeypatch):
         for dv in d.domain
     }
     skeleton = [SkeletonVariable("Z", z.domain), SkeletonVariable("Y", y.domain, ("D", "Z"))]
+    return BehaviouralDataset(d, tables), skeleton
+
+
+def test_merged_programs_stay_small(monkeypatch):
+    """Z in 0..6 and Y <- (D, Z) give 114,688 atoms but only 28 distinct
+    feasibility columns: Z's value and Y's responses at (0, Z) and (1, Z)."""
+    data, skeleton = seven_valued_shift_dataset()
     shapes, starts = _count_phases(monkeypatch)
-    poly = build_polytope(BehaviouralDataset(d, tables), skeleton)
+    poly = build_polytope(data, skeleton)
     assert poly.space.dimension == 114_688
     assert shapes == [(29, 28)] and starts == []
     for direction in ("min", "max"):
         optimize_gap(poly, Z1, Z1, 1, 0, direction)
     assert shapes == [(29, 28)]
     assert len(starts) == 2 and all(cols <= 100 for _, cols in starts)
+
+
+def test_build_solve_and_witness_enumerate_classes_not_atoms(monkeypatch):
+    """On the 114,688-atom shape the build, both gap solves and the witness
+    run with every per-atom view disabled.  The build allocates less than one
+    float per atom in all, and a solve only the value's two scatter vectors."""
+    import tracemalloc
+
+    data, skeleton = seven_valued_shift_dataset()
+
+    def per_atom(*args, **kwargs):
+        raise AssertionError("per-atom view used")
+
+    monkeypatch.setattr(CanonicalAtomSpace, "_atom_responses", per_atom)
+    monkeypatch.setattr(oracle, "_classes", per_atom)
+    tracemalloc.start()
+    try:
+        poly = build_polytope(data, skeleton)
+        atom_vector = 8 * poly.space.dimension
+        assert tracemalloc.get_traced_memory()[1] < atom_vector
+        for direction in ("min", "max"):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            optimize_gap(poly, Z1, Z1, 1, 0, direction)
+            assert tracemalloc.get_traced_memory()[1] - held < 2 * atom_vector + 2**16
+    finally:
+        tracemalloc.stop()
+    model = feasible_scm(poly)
+    assert len(model.exo.atoms) <= poly.merged.shape[0]
+    with pytest.raises(AssertionError, match="per-atom"):
+        poly.a_eq
 
 
 # -- model extraction and witnesses -------------------------------------------
@@ -734,7 +917,7 @@ def test_feasible_scm_reuses_the_polytope_point(medai, monkeypatch):
     assert len(shapes) == 1 and starts == []
     model = feasible_scm(poly)
     first = poly.feasible_point()
-    assert np.array_equal(first, _solve_classes(poly, np.zeros(poly.space.dimension)))
+    assert np.array_equal(first, poly.feasible_point(objective=np.zeros(poly.space.dimension)))
     first[:] = -1.0  # a fresh array each call: mutating one leaves the next alone
     again = poly.feasible_point()
     assert again is not first and np.all(again >= 0)
