@@ -38,11 +38,13 @@ so it is solved in full.
 A gap's value is still the dot product of the per-atom program: class costs
 and masses are scattered onto their first atoms in zero vectors of atom
 length, because a sum over the classes alone rounds differently (the oracle
-goldens pin the last ulp).  Nothing else on the build, solve and witness
-paths has atom length.  Per-atom views (`CanonicalAtomSpace.atom_cells`,
-`Polytope.atom_class` and `a_eq`, `feasible_point` with a per-atom objective)
-are computed on access from the shared evaluation kernel
-(`scm.evaluate_columns`), for callers and checks that index atoms.
+goldens pin the last ulp).  The dot runs in fixed chunks, so its value does
+not depend on how many threads the BLAS splits a long one across.  Nothing
+else on the build, solve and witness paths has atom length.  The one
+per-atom view left is `Polytope.a_eq`, built on access from
+`CanonicalAtomSpace.atom_cells` (the shared evaluation kernel,
+`scm.evaluate_columns`, over every atom) for readers that count its rows; the
+per-atom program itself is defined by the tests' reference.
 
 Also houses the constructive side: extracting a concrete model from any
 feasible point, the bound-achieving witness models for atomic shifts, and the
@@ -135,8 +137,8 @@ class CanonicalAtomSpace:
 
     `dimension` is computed arithmetically and `walk` enumerates classes of
     atoms without visiting atoms.  `atom_cells` evaluates every atom, building
-    arrays of atom length on each call, for per-atom views; `evaluate` answers
-    for one atom.
+    arrays of atom length on each call, for `Polytope.a_eq` only; `evaluate`
+    answers for one atom.
     """
 
     def __init__(
@@ -214,10 +216,6 @@ class CanonicalAtomSpace:
             lookup[v.name] = np.arange(k**n)[:, None] // k ** np.arange(n - 1, -1, -1) % k
             lookup[v.name].flags.writeable = False
         return lookup
-
-    def atoms(self):
-        """Deterministic enumeration of response-index tuples (name-sorted vars)."""
-        return product(*[range(self.counts[v.name]) for v in self.variables])
 
     def _atom_responses(self) -> dict[str, np.ndarray]:
         """Every atom's response index per variable: the per-atom view (atom
@@ -314,11 +312,9 @@ class Polytope:
     is the phase one of `merged x = b_eq`, which every plain gap solve starts
     its phase two from.
 
-    `atom_class`, `a_eq` and `feasible_point` with an objective are per-atom
-    views, built on access by evaluating every atom: `a_eq` for readers that
-    index atoms (the benchmark's tracer reads its row count, tests compare it
-    with the response-type definition), an objective because it has one
-    coefficient per atom.  No build, solve or witness reads them.
+    `a_eq` is the per-atom view, built on access by evaluating every atom:
+    the benchmark's tracer reads its row count.  No build, solve or witness
+    reads it.
     """
 
     space: CanonicalAtomSpace
@@ -331,63 +327,17 @@ class Polytope:
     classes: dict[tuple[int, ...], int]
 
     @property
-    def row_labels(self) -> tuple[str, ...]:
-        """What each row of `merged` pins: a (domain, decision, cell), then the total mass."""
-        names = [v.name for v in self.space.variables]
-        cells = list(product(*[v.domain for v in self.space.variables]))
-        return tuple(
-            f"{dom.label or 'base'}: P_{d}({dict(zip(names, values))})"
-            for dom in self.data.all_domains()
-            for d in self.data.decisions
-            for values in cells
-        ) + ("total mass",)
-
-    @property
-    def atom_class(self) -> np.ndarray:
-        """Each atom's class (evaluates every atom in every block)."""
-        return _classes([self.space.atom_cells(block) for block in self.blocks])[0]
-
-    @property
     def a_eq(self) -> np.ndarray:
-        """The per-atom constraint matrix (a read-only copy, built on access)."""
-        a_eq = self.merged[:, self.atom_class]
+        """The per-atom constraint matrix, rows ordered as `merged`'s: one row
+        block per data block, then the mass row (read-only, built on access)."""
+        rows, n = self.merged.shape[0], self.space.dimension
+        cells = (rows - 1) // len(self.blocks)
+        a_eq, atoms = np.zeros((rows, n)), np.arange(n)
+        for b, block in enumerate(self.blocks):
+            a_eq[b * cells + self.space.atom_cells(block), atoms] = 1.0
+        a_eq[-1] = 1.0
         a_eq.flags.writeable = False
         return a_eq
-
-    def feasible_point(self, objective: Sequence[float] | None = None) -> np.ndarray:
-        """A feasible atom-probability vector, optionally optimizing a per-atom
-        direction (without one, the vertex phase one ended on)."""
-        if objective is None:
-            return _scatter(self.space.dimension, self.first, _vertex(self))
-        objective = np.asarray(objective, float)
-        atom_class = self.atom_class
-        first = _classes([atom_class, objective])[1]
-        with _solver_errors():
-            sol = lp.phase_two(_refined_start(self, atom_class[first]), objective[first])
-        return _scatter(self.space.dimension, first, sol.x)
-
-
-def _classes(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Classes of atoms agreeing on every per-atom key, numbered in order of
-    first atom: (class of each atom, first atom of each class).  Per-atom
-    views only; the build and solve paths number the walk's leaves."""
-    n = len(keys[0])
-    ids = np.zeros(n, dtype=np.intp)
-    for key in keys:
-        if key.dtype.kind == "f":
-            key = np.unique(key, return_inverse=True)[1]
-        ids = ids * (int(key.max()) + 1) + key
-        if ids.max() >= 4 * n:  # too sparse to renumber through a dense table
-            ids = np.unique(ids, return_inverse=True)[1]
-        # Renumber by first atom, so ids stay below n and the next key fits.
-        size = int(ids.max()) + 1
-        first = np.full(size, n)
-        np.minimum.at(first, ids, np.arange(n))
-        first = np.sort(first[first < n])
-        label = np.empty(size, dtype=np.intp)
-        label[ids[first]] = np.arange(first.size)
-        ids = label[ids]
-    return ids, first
 
 
 @contextmanager
@@ -428,6 +378,21 @@ def _scatter(dimension: int, first: np.ndarray, x: np.ndarray) -> np.ndarray:
     out[first] = x[: first.size]
     out[dimension:] = x[first.size :]
     return out
+
+
+# OpenBLAS splits a ddot across threads above about 10,000 elements, and how
+# it splits depends on the thread count; a chunk this long is dotted in one.
+_DOT_CHUNK = 8192
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b, the same under any BLAS thread count: chunks of `_DOT_CHUNK`
+    elements are dotted alone and their results added exactly (`fsum`).  A
+    vector of one chunk gets the plain dot, bit for bit (the goldens pin it)."""
+    parts = [
+        float(a[i : i + _DOT_CHUNK] @ b[i : i + _DOT_CHUNK]) for i in range(0, a.size, _DOT_CHUNK)
+    ]
+    return parts[0] if len(parts) == 1 else math.fsum(parts)
 
 
 def build_polytope(
@@ -604,9 +569,7 @@ def optimize_gap(
     weights = np.zeros(x.size)
     weights[: cost.size] = cost
     dimension = polytope.space.dimension
-    return sign * float(
-        _scatter(dimension, gap.first, weights) @ _scatter(dimension, gap.first, x)
-    )
+    return sign * _dot(_scatter(dimension, gap.first, weights), _scatter(dimension, gap.first, x))
 
 
 def feasible_scm(polytope: Polytope) -> Scm:
@@ -614,8 +577,8 @@ def feasible_scm(polytope: Polytope) -> Scm:
 
     The returned model reproduces every per-decision observational joint of
     the data (up to LP tolerance); verification is by reproduction, not by
-    uniqueness of the feasible point.  Each class's mass sits on its first
-    atom, as in `Polytope.feasible_point()`.
+    uniqueness of the feasible point: the vertex phase one ended on, each
+    class's mass on its first atom.
     """
     x = _vertex(polytope)
     space = polytope.space

@@ -87,6 +87,30 @@ def random_binary_dataset(seed: int) -> BehaviouralDataset:
     return BehaviouralDataset(D, tables)
 
 
+def k_valued_shift_dataset(k: int):
+    """Z in 0..k-1 and Y <- (D, Z), random interior tables: (data, skeleton).
+    k = 6 gives 24,576 atoms, k = 7 114,688 (the largest ladder shape)."""
+    from beliefbound.oracle import SkeletonVariable
+
+    rng = np.random.default_rng(0)
+    z = VariableRef("Z", tuple(range(k)))
+    pz = rng.dirichlet(np.ones(k))
+    py = rng.uniform(0.1, 0.9, size=(2, k))
+    tables = {
+        dv: DistTable(
+            (z, Y),
+            {
+                (zv, yv): float(pz[zv] * (py[dv, zv] if yv else 1 - py[dv, zv]))
+                for zv in z.domain
+                for yv in Y.domain
+            },
+        )
+        for dv in D.domain
+    }
+    skeleton = [SkeletonVariable("Z", z.domain), SkeletonVariable("Y", Y.domain, ("D", "Z"))]
+    return BehaviouralDataset(D, tables), skeleton
+
+
 def exact_dataset(per_decision_cells: dict) -> BehaviouralDataset:
     """Dataset over (Y, Z) from {(y, z): Fraction} cell maps, keyed by decision."""
     tables = {
@@ -238,6 +262,14 @@ def reference_gap(poly, z, c, d, d_star, direction):
 
 def _parent_combos(space, v) -> list:
     return list(product(*[space.refs[p].domain for p in v.parents]))
+
+
+def reference_atoms(space) -> list:
+    """Every atom's response-index tuple over the name-sorted variables, in
+    atom order."""
+    return list(
+        product(*[range(len(v.domain) ** len(_parent_combos(space, v))) for v in space.variables])
+    )
 
 
 def reference_exo(space, x):

@@ -19,13 +19,12 @@ from beliefbound.errors import (
     UnsupportedError,
 )
 from beliefbound import lp
-from beliefbound import oracle
 from beliefbound.oracle import (
-    _classes,
     _gap_classes,
     _refined_start,
     _scatter,
     _solve_gap,
+    _vertex,
     CanonicalAtomSpace,
     SkeletonVariable,
     build_polytope,
@@ -56,8 +55,10 @@ from beliefbound.tables import (
 from support import (
     assert_lookups_compiled_once,
     exact_dataset,
+    k_valued_shift_dataset,
     random_behaviour_model,
     random_binary_dataset,
+    reference_atoms,
     reference_classes,
     reference_columns,
     reference_exo,
@@ -170,7 +171,7 @@ def test_vectorised_build_matches_per_atom_reference(sizes):
         data, skeleton = chained_dataset(seed, sizes)
         poly = build_polytope(data, skeleton)
         space = poly.space
-        atoms = list(space.atoms())
+        atoms = reference_atoms(space)
         names = [v.name for v in space.variables]
         rows = []
         for dom in data.all_domains():
@@ -209,10 +210,15 @@ def test_vectorised_build_matches_per_atom_reference(sizes):
 # -- polytope -----------------------------------------------------------------
 
 
+def vertex(poly):
+    """The atom-probability vector of the vertex phase one ended on."""
+    return _scatter(poly.space.dimension, poly.first, _vertex(poly))
+
+
 def test_polytope_rows_and_feasibility(medai):
     poly = medai_polytope(medai)
     assert poly.a_eq.shape == (9, 32)  # 2 decisions x 4 cells + mass row
-    x = poly.feasible_point()
+    x = vertex(poly)
     assert np.all(x >= -1e-9)
     assert abs(x.sum() - 1.0) <= 1e-9
 
@@ -223,7 +229,7 @@ def test_single_binary_variable_feasibility():
     table = DistTable((y,), {(1,): 0.3, (0,): 0.7})
     data = BehaviouralDataset(d, {0: table})
     poly = build_polytope(data, [SkeletonVariable("Y", (0, 1))])
-    x = poly.feasible_point()
+    x = vertex(poly)
     assert x[1] == pytest.approx(0.3, abs=1e-9)  # constant-success atom mass
 
 
@@ -429,15 +435,16 @@ def test_conditional_sandwich_on_random_feasible_points():
     high = optimize_gap(poly, Z1, {"C": 1}, 1, 0, "max")
     space = poly.space
     num, den = [], []
-    for atom in space.atoms():
+    for atom in reference_atoms(space):
         ev1 = space.evaluate(atom, 1, Z1)
         ev0 = space.evaluate(atom, 0, Z1)
         sat = 1.0 if ev1["C"] == 1 else 0.0
         num.append((float(ev1["Y"]) - float(ev0["Y"])) * sat)
         den.append(sat)
     num, den = np.array(num), np.array(den)
+    a_eq, b_eq = reference_program(poly)[:2]
     for _ in range(60):
-        q = poly.feasible_point(objective=rng.uniform(-1, 1, size=space.dimension))
+        q = lp.solve_lp(rng.uniform(-1, 1, size=space.dimension), a_eq, b_eq).x
         mass = float(den @ q)
         if mass <= 1e-9:
             continue
@@ -502,13 +509,14 @@ def test_sandwich_soundness_random_feasible_points(medai):
     rng = np.random.default_rng(17)
     space = poly.space
     weights = []
-    for i, atom in enumerate(space.atoms()):
+    for atom in reference_atoms(space):
         ev1 = space.evaluate(atom, 1, Z1)
         ev0 = space.evaluate(atom, 0, Z1)
         weights.append(float(ev1["Y"]) - float(ev0["Y"]))
     weights = np.array(weights)
+    a_eq, b_eq = reference_program(poly)[:2]
     for _ in range(100):
-        x = poly.feasible_point(objective=rng.uniform(-1, 1, size=space.dimension))
+        x = lp.solve_lp(rng.uniform(-1, 1, size=space.dimension), a_eq, b_eq).x
         value = float(weights @ x)
         assert low - 1e-9 <= value <= high + 1e-9
 
@@ -524,7 +532,7 @@ def test_merged_columns_match_per_atom_program(sizes, with_domain):
         if not with_domain:
             data = dataclasses.replace(data, domains=())
         poly = build_polytope(data, skeleton)
-        a_eq, b_eq = poly.a_eq, poly.b_eq
+        a_eq, b_eq = reference_program(poly)[:2]
         for c in (Z1, {"W": 1}):
             num, den, degenerate = reference_objective_terms(poly, Z1, c, 1, 0)
             gap = _gap_classes(poly, Z1, c, 1, 0)
@@ -541,7 +549,7 @@ def test_merged_columns_match_per_atom_program(sizes, with_domain):
                 assert optimize_gap(poly, Z1, c, 1, 0, direction) == sign * want.value
                 assert np.array_equal(_scatter(poly.space.dimension, gap.first, got), want.x)
         x = lp.solve_lp(np.zeros(poly.space.dimension), a_eq, b_eq).x
-        assert np.array_equal(poly.feasible_point(), x)
+        assert np.array_equal(vertex(poly), x)
         assert feasible_scm(poly).exo == reference_exo(poly.space, x)
 
 
@@ -631,14 +639,13 @@ def test_class_walk_matches_the_per_atom_program_on_random_skeletons():
     for seed in range(30):
         data, skeleton, features = random_skeleton_case(seed)
         poly = build_polytope(data, skeleton)
-        a_eq, b_eq, atom_class, first = reference_program(poly)
+        a_eq, b_eq, of_atom, first = reference_program(poly)
         assert np.array_equal(poly.merged, a_eq[:, first])
         assert np.array_equal(poly.b_eq, b_eq)
         assert np.array_equal(poly.first, first)
         start = lp.phase_one(a_eq[:, first], b_eq)
         assert poly.start.tableau.tobytes() == start.tableau.tobytes()
         assert poly.start.basis == start.basis
-        assert np.array_equal(poly.atom_class, atom_class)
         assert np.array_equal(poly.a_eq, a_eq)
 
         space = poly.space
@@ -656,11 +663,11 @@ def test_class_walk_matches_the_per_atom_program_on_random_skeletons():
                     except (InputError, UnsupportedError):
                         pass
                     else:
-                        keys = [atom_class, num] if degenerate else [atom_class, num, den]
+                        keys = [of_atom, num] if degenerate else [of_atom, num, den]
                         want_first = reference_classes(keys)[1]
                         gap = _gap_classes(poly, z, c, *pair)
                         assert np.array_equal(gap.first, want_first)
-                        assert np.array_equal(gap.coarse, atom_class[want_first])
+                        assert np.array_equal(gap.coarse, of_atom[want_first])
                         assert gap.num.tobytes() == num[want_first].tobytes()
                     for direction in ("min", "max"):
                         got = _outcome(lambda: optimize_gap(poly, z, c, *pair, direction))
@@ -689,9 +696,10 @@ def test_refined_programs_start_from_the_stored_phase_one(medai, medai_exp):
     checked = 0
     for poly in polytopes:
         num = reference_objective_terms(poly, Z1, Z1, 1, 0)[0]
+        of_atom = reference_program(poly)[2]
         dimension = poly.space.dimension
         for cost in (num, -num, rng.integers(-1, 2, dimension), rng.integers(0, 2, dimension)):
-            coarse = poly.atom_class[_classes([poly.atom_class, cost.astype(float)])[1]]
+            coarse = of_atom[reference_classes([of_atom, cost])[1]]
             cold = lp.phase_one(poly.merged[:, coarse], poly.b_eq)
             start = _refined_start(poly, coarse)
             assert start.tableau.tobytes() == cold.tableau.tobytes()
@@ -719,32 +727,10 @@ def _count_phases(monkeypatch):
     return shapes, starts
 
 
-def seven_valued_shift_dataset():
-    """Z in 0..6 and Y <- (D, Z): 114,688 atoms, the largest ladder shape."""
-    rng = np.random.default_rng(0)
-    d, y = VariableRef("D", (0, 1)), VariableRef("Y", (0, 1))
-    z = VariableRef("Z", tuple(range(7)))
-    pz = rng.dirichlet(np.ones(7))
-    py = rng.uniform(0.1, 0.9, size=(2, 7))
-    tables = {
-        dv: DistTable(
-            (z, y),
-            {
-                (zv, yv): float(pz[zv] * (py[dv, zv] if yv else 1 - py[dv, zv]))
-                for zv in z.domain
-                for yv in y.domain
-            },
-        )
-        for dv in d.domain
-    }
-    skeleton = [SkeletonVariable("Z", z.domain), SkeletonVariable("Y", y.domain, ("D", "Z"))]
-    return BehaviouralDataset(d, tables), skeleton
-
-
 def test_merged_programs_stay_small(monkeypatch):
     """Z in 0..6 and Y <- (D, Z) give 114,688 atoms but only 28 distinct
     feasibility columns: Z's value and Y's responses at (0, Z) and (1, Z)."""
-    data, skeleton = seven_valued_shift_dataset()
+    data, skeleton = k_valued_shift_dataset(7)
     shapes, starts = _count_phases(monkeypatch)
     poly = build_polytope(data, skeleton)
     assert poly.space.dimension == 114_688
@@ -761,13 +747,13 @@ def test_build_solve_and_witness_enumerate_classes_not_atoms(monkeypatch):
     float per atom in all, and a solve only the value's two scatter vectors."""
     import tracemalloc
 
-    data, skeleton = seven_valued_shift_dataset()
+    data, skeleton = k_valued_shift_dataset(7)
 
     def per_atom(*args, **kwargs):
         raise AssertionError("per-atom view used")
 
     monkeypatch.setattr(CanonicalAtomSpace, "_atom_responses", per_atom)
-    monkeypatch.setattr(oracle, "_classes", per_atom)
+    monkeypatch.setattr(CanonicalAtomSpace, "atom_cells", per_atom)
     tracemalloc.start()
     try:
         poly = build_polytope(data, skeleton)
@@ -784,6 +770,40 @@ def test_build_solve_and_witness_enumerate_classes_not_atoms(monkeypatch):
     assert len(model.exo.atoms) <= poly.merged.shape[0]
     with pytest.raises(AssertionError, match="per-atom"):
         poly.a_eq
+
+
+def test_gap_values_do_not_depend_on_the_blas_thread_count():
+    """OpenBLAS splits a long ddot across threads; the value's dot runs in
+    chunks short enough for one thread, so one and two threads agree to the
+    bit on the 24,576- and 114,688-atom shapes."""
+    import os
+    import subprocess
+    import sys
+
+    import beliefbound
+
+    script = (
+        "from beliefbound.oracle import build_polytope, optimize_gap\n"
+        "from support import k_valued_shift_dataset\n"
+        "for k in (6, 7):\n"
+        "    poly = build_polytope(*k_valued_shift_dataset(k))\n"
+        "    print(poly.space.dimension, [repr(optimize_gap(poly, {'Z': z}, {'Z': z}, 1, 0, d))\n"
+        "                                 for z in range(k) for d in ('min', 'max')])\n"
+    )
+    src = os.path.dirname(os.path.dirname(beliefbound.__file__))
+    path = os.pathsep.join([src, os.path.dirname(__file__)])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path},
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert [line.split()[0] for line in outputs[0].splitlines()] == ["24576", "114688"]
+    assert outputs[0] == outputs[1]
 
 
 # -- model extraction and witnesses -------------------------------------------
@@ -910,22 +930,15 @@ def test_witness_models_reuse_lookups_that_match_a_fresh_compile(medai, medai_ex
 
 
 def test_feasible_scm_reuses_the_polytope_point(medai, monkeypatch):
-    """Phase one runs once per polytope: plain gaps, feasible points and
-    witnesses start phase two from it; only Charnes-Cooper solves run their own."""
+    """Phase one runs once per polytope: plain gaps and witnesses start phase
+    two from it; only Charnes-Cooper solves run their own."""
     shapes, starts = _count_phases(monkeypatch)
     poly = build_polytope(medai, SKELETON)
     assert len(shapes) == 1 and starts == []
     model = feasible_scm(poly)
-    first = poly.feasible_point()
-    assert np.array_equal(first, poly.feasible_point(objective=np.zeros(poly.space.dimension)))
-    first[:] = -1.0  # a fresh array each call: mutating one leaves the next alone
-    again = poly.feasible_point()
-    assert again is not first and np.all(again >= 0)
-    assert np.array_equal(again, poly.feasible_point())
+    assert model.exo == reference_exo(poly.space, vertex(poly))
     assert feasible_scm(poly).exo == model.exo
-    rng = np.random.default_rng(0)
     for _ in range(3):
-        poly.feasible_point(objective=rng.uniform(-1, 1, size=poly.space.dimension))
         for direction in ("min", "max"):
             optimize_gap(poly, Z1, Z1, 1, 0, direction)
     assert len(shapes) == 1
