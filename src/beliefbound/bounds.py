@@ -142,10 +142,12 @@ def digest(payload: object) -> str:
 def _pieces(
     table: DistTable, utility: str, c: Assignment, z: Assignment
 ) -> tuple[Number, Number]:
-    """Per-decision envelope of E[Y | do(z), c] from one observational table.
+    """Per-decision envelope of E[Y | do(z), c] from one observational table,
+    with the unobserved mass 1 - P(z) at the utility domain's least value lo
+    (lower end) or greatest value hi (upper end).
 
-    lower = E[Y|c,z] P(c,z) / (P(c,z) + 1 - P(z))
-    upper = (E[Y|c,z] P(c,z) + 1 - P(z)) / (P(c,z) + 1 - P(z))
+    lower = (E[Y|c,z] P(c,z) + lo (1 - P(z))) / (P(c,z) + 1 - P(z))
+    upper = (E[Y|c,z] P(c,z) + hi (1 - P(z))) / (P(c,z) + 1 - P(z))
     """
     cz = merge_assignments(c, z)
     p_cz, cells = _scan(table, cz, (utility,))
@@ -156,8 +158,17 @@ def _pieces(
     if float(den) <= 0.0:
         raise ZeroMassError(f"denominator P{cz} + 1 - P{dict(z)} vanishes")
     _check_numeric(table, utility)
+    lo, hi = _utility_range(table, utility)
     e = _mean(cells, p_cz if cz else None)
-    return e * p_cz / den, (e * p_cz + 1 - p_z) / den
+    # With lo = 0 and hi = 1 both ends keep the 0/1 formula's arithmetic.
+    lower = e * p_cz if lo == 0 else e * p_cz + lo - lo * p_z
+    return lower / den, (e * p_cz + hi - hi * p_z) / den
+
+
+def _utility_range(table: DistTable, utility: str) -> tuple[Value, Value]:
+    """(lo, hi): the least and greatest value of a numeric utility domain."""
+    domain = table.ref(utility).domain
+    return min(domain), max(domain)
 
 
 def _check_pair(data: BehaviouralDataset, d: Value, d_star: Value) -> None:
@@ -350,9 +361,9 @@ def fairness_gap_interval(
 ) -> GapInterval:
     """Counterfactual fairness gap relative to baseline attribute value z0.
 
-    The interval is [-E, 1 - E] with E = E_d[Y | z0, c]: width exactly one,
-    whatever the data.  Flipping the protected attribute is never ruled in or
-    out by behaviour alone.
+    The interval is [lo - E, hi - E] with E = E_d[Y | z0, c] and [lo, hi] the
+    utility domain's range: width hi - lo, whatever the data.  Flipping the
+    protected attribute is never ruled in or out by behaviour alone.
     """
     if d not in data.decisions:
         raise InputError(f"decision {d!r} not in {data.decisions}")
@@ -367,10 +378,11 @@ def fairness_gap_interval(
     if attr in c:
         raise InputError(f"protected attribute {attr!r} must not appear in the context")
     e = expectation(data.table(d), data.utility, merge_assignments(z0, c))
-    lower = -float(e)
+    lo, hi = _utility_range(data.table(d), data.utility)
+    lower = -float(e - lo)
     return GapInterval(
         lower=lower,
-        upper=lower + 1.0,
+        upper=lower + (hi - lo),
         kind="fairness",
         theorem="counterfactual-fairness",
         tight=True,
@@ -413,7 +425,9 @@ def direct_discrimination_interval(
     c: Assignment,
 ) -> GapInterval:
     """Direct-discrimination gap: utility difference when the protected
-    attribute is set to z1 versus z0 with everything else held at c."""
+    attribute is set to z1 versus z0 with everything else held at c.  The
+    unobserved mass of each side lies anywhere in the utility domain's range
+    [lo, hi]."""
     if d not in data.decisions:
         raise InputError(f"decision {d!r} not in {data.decisions}")
     if len(z0) != 1 or len(z1) != 1 or set(z0) != set(z1):
@@ -429,10 +443,14 @@ def direct_discrimination_interval(
         raise InputError(f"protected attribute {attr!r} must not appear in the context")
     p1, e1 = _moments(table, data.utility, merge_assignments(z1, c))
     p0, e0 = _moments(table, data.utility, merge_assignments(z0, c))
+    lo, hi = _utility_range(table, data.utility)
     diff = e1 * p1 - e0 * p0
+    lower, upper = diff + hi * p0 - hi, diff + hi - hi * p1
+    if lo != 0:  # as in `_pieces`, a 0/1 utility keeps its arithmetic
+        lower, upper = lower + lo - lo * p1, upper - lo + lo * p0
     return GapInterval(
-        lower=float(diff + p0 - 1),
-        upper=float(diff + 1 - p1),
+        lower=float(lower),
+        upper=float(upper),
         kind="direct-discrimination",
         theorem="direct-discrimination",
         tight=True,

@@ -40,9 +40,11 @@ if TYPE_CHECKING:
 def _parse_prob(raw) -> Number:
     if isinstance(raw, str):
         try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
+            value = Fraction(raw)
+            float(value)  # the checks compare probabilities as floats
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputError(f"bad probability literal {raw!r}") from exc
+        return value
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         return float(raw)
     raise InputError(f"bad probability value {raw!r}")

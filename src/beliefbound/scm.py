@@ -23,6 +23,8 @@ rest.  `Scm` trusts an array handed over in `lookup` and compiles the others.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from itertools import product
 from math import prod
@@ -40,6 +42,8 @@ from .tables import (
     Value,
     VariableRef,
     _close_to_one,
+    _integer_view,
+    _total,
     query,
 )
 
@@ -111,15 +115,20 @@ class ExoDistribution:
                 raise InputError(f"negative exogenous probability {p}")
             seen.add(key)
             atoms.append((key, p))
-        total = sum((p for _, p in atoms), start=0)
-        if not _close_to_one(total):
-            raise InputError(f"exogenous mass {float(total)} is not 1 within 1e-12")
         object.__setattr__(self, "variables", refs)
         object.__setattr__(self, "atoms", tuple(atoms))
+        total = _total(self._exact, (p for _, p in atoms))
+        if not _close_to_one(total):
+            raise InputError(f"exogenous mass {float(total)} is not 1 within 1e-12")
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(r.name for r in self.variables)
+
+    @cached_property
+    def _exact(self) -> tuple[int, tuple[int, ...]] | None:
+        """The atoms' integer view (see the `tables` docstring), or None."""
+        return _integer_view(tuple(p for _, p in self.atoms))
 
     def assignments(self):
         for key, p in self.atoms:
@@ -352,9 +361,12 @@ def joint_distribution(scm: Scm) -> DistTable:
     refs = tuple(scm.ref(n) for n in sorted(scm.names))
     columns = _evaluate_keys(scm, [key for key, _ in scm.exo.atoms])
     values = zip(*(np.array(r.domain, dtype=object)[columns[r.name]] for r in refs))
+    common, probs = scm.exo._exact or (None, (p for _, p in scm.exo.atoms))
     cells: dict[tuple[Value, ...], Number] = {}
-    for key, (_, p) in zip(values, scm.exo.atoms):
+    for key, p in zip(values, probs):
         cells[key] = cells.get(key, 0) + p
+    if common is not None:
+        cells = {k: Fraction(n, common) for k, n in cells.items()}
     return DistTable(refs, cells)
 
 
@@ -374,7 +386,10 @@ def counterfactual_probability(
         for name, value in event.items():
             domain = scm.ref(name).domain
             holds &= columns[name] == (domain.index(value) if value in domain else -1)
-    return sum((p for (_, p), ok in zip(scm.exo.atoms, holds.tolist()) if ok), start=0)
+    common, probs = scm.exo._exact or (None, (p for _, p in scm.exo.atoms))
+    hits = [p for p, ok in zip(probs, holds.tolist()) if ok]
+    total = sum(hits, start=0)
+    return total if common is None or not hits else Fraction(total, common)
 
 
 # -- stochastic policies and induced data ---------------------------------

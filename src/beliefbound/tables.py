@@ -24,6 +24,21 @@ scan keeps this contract:
   its own key order before anything is summed, and zero-mass errors come
   before errors about the target variable;
 * a scan asked for no target accumulates no cells.
+
+Exact tables add as integers.  A table whose entries are all exactly
+`Fraction` keeps an integer view (`DistTable._exact`; `ExoDistribution._exact`
+for a model's atoms): L, the lcm of the entries' denominators, and each
+entry's numerator over L, in entry order.  Masses, cells, the mass checks of
+`DistTable` and `ExoDistribution` and the model sums in `scm` add plain ints
+and build one ``Fraction(total, L)`` per result; an event with no hits is
+still the int 0.  A mean over exact cells of int values reads the cells and
+the mass over one common denominator the same way.  Exact addition does not
+depend on order and a `Fraction` is always in lowest terms, so each result is
+``==`` to, of the same type as and `repr`-equal to the `sum` above, at one
+gcd per result instead of one per entry.  Float tables, tables holding any
+entry that is not exactly a `Fraction` (an int, a float, a subclass) and
+tables whose L is 2**63 or more keep `sum`; the limit keeps each stored
+numerator to about one machine word.
 """
 
 from __future__ import annotations
@@ -42,6 +57,28 @@ Number = Union[int, float, Fraction]
 Assignment = Mapping[str, Value]
 
 SUM_TOL = 1e-12
+_EXACT_LIMIT = 2**63
+
+
+def _integer_view(probs: Sequence[Number]) -> tuple[int, tuple[int, ...]] | None:
+    """(L, numerators over L) of `probs` when every one is exactly a `Fraction`
+    and the lcm L of their denominators is below `_EXACT_LIMIT`; else None."""
+    if set(map(type, probs)) != {Fraction}:
+        return None
+    common = 1
+    for den in {p.denominator for p in probs}:
+        common = math.lcm(common, den)
+        if common >= _EXACT_LIMIT:
+            return None
+    return common, tuple(p.numerator * (common // p.denominator) for p in probs)
+
+
+def _total(view: tuple[int, tuple[int, ...]] | None, probs: Iterable[Number]) -> Number:
+    """``sum(probs, start=0)``, added as integers when `view` is theirs."""
+    if view is None:
+        return sum(probs, start=0)
+    common, nums = view
+    return Fraction(sum(nums), common)
 
 
 def _close_to_one(total: Number) -> bool:
@@ -117,11 +154,11 @@ class DistTable:
             if key in fixed:
                 raise InputError(f"duplicate entry for assignment {key}")
             fixed[key] = p
-        total = sum(fixed.values(), start=0)
-        if not _close_to_one(total):
-            raise InputError(f"table mass {float(total)} is not 1 within {SUM_TOL}")
         object.__setattr__(self, "scope", refs)
         object.__setattr__(self, "entries", fixed)
+        total = _total(self._exact, fixed.values())
+        if not _close_to_one(total):
+            raise InputError(f"table mass {float(total)} is not 1 within {SUM_TOL}")
 
     # -- lookups ---------------------------------------------------------
 
@@ -132,6 +169,11 @@ class DistTable:
     @cached_property
     def _index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.names)}
+
+    @cached_property
+    def _exact(self) -> tuple[int, tuple[int, ...]] | None:
+        """The entries' integer view (module docstring), or None."""
+        return _integer_view(tuple(self.entries.values()))
 
     def ref(self, name: str) -> VariableRef:
         for r in self.scope:
@@ -198,16 +240,20 @@ def _scan(
     get, want = _picker([i for i, _ in pos]), tuple(v for _, v in pos)
     at = None if target is None else [table._index.get(name) for name in target]
     pick = None if at is None or None in at else _picker(at)
+    common, probs = table._exact or (None, table.entries.values())
     hits: list[Number] = []
     cells: dict[tuple[Value, ...], Number] = {}
-    for key, p in table.entries.items():
+    for key, p in zip(table.entries, probs):
         if get(key) != want:
             continue
         hits.append(p)
         if pick is not None:
             k = pick(key)
             cells[k] = cells.get(k, 0) + p
-    return sum(hits, start=0), cells
+    mass = sum(hits, start=0)
+    if common is None or not hits:
+        return mass, cells
+    return Fraction(mass, common), {k: Fraction(n, common) for k, n in cells.items()}
 
 
 def _conditional(
@@ -251,7 +297,21 @@ def _mean(cells: dict[tuple[Value, ...], Number], mass: Number | None) -> Number
     """Mean of the first target value over the cells, each divided by `mass`
     unless it is None (an unconditional expectation).  The divided cells are
     checked as `DistTable` checks a table's probabilities, so a mean raises
-    what building its `query` table would."""
+    what building its `query` table would.  A given `mass` is positive
+    (callers check it first).  Exact cells of int values and an exact mass
+    are read over one common denominator and added as integers (module
+    docstring): the mean and each message stay the same."""
+    view = _integer_view((*cells.values(), *(() if mass is None else (mass,))))
+    if view is not None and all(type(key[0]) is int for key in cells):
+        common, nums = view
+        den, nums = (common, nums) if mass is None else (nums[-1], nums[:-1])
+        for key, n in zip(cells, nums):
+            if n / den < -SUM_TOL:
+                raise InputError(f"negative probability {Fraction(n, den)} at {key}")
+        total = sum(nums) / den
+        if not _close_to_one(total):
+            raise InputError(f"table mass {total} is not 1 within {SUM_TOL}")
+        return Fraction(sum(key[0] * n for key, n in zip(cells, nums)), den)
     if mass is not None:
         cells = {k: _div(p, mass) for k, p in cells.items()}
     for key, p in cells.items():

@@ -19,12 +19,13 @@ Z = VariableRef("Z", (0, 1))
 Y = VariableRef("Y", (0, 1))
 
 
-def random_behaviour_model(seed: int, max_atoms: int = 16) -> Scm:
+def random_behaviour_model(seed: int, max_atoms: int = 16, y: VariableRef = Y) -> Scm:
     """Random hidden model: Z <- U, Y <- (D, Z, U), shared latent U.
 
     Atom probabilities are exact rationals so the engine's exactness
     guarantees hold on every generated model; Z is forced non-constant so
-    positivity-style preconditions are satisfiable.
+    positivity-style preconditions are satisfiable.  `y` is the utility
+    variable; its values are drawn as indices into its domain.
     """
     rng = np.random.default_rng(seed)
     k = int(rng.integers(3, max_atoms + 1))
@@ -35,15 +36,15 @@ def random_behaviour_model(seed: int, max_atoms: int = 16) -> Scm:
     exo = ExoDistribution((u,), tuple(((i,), p) for i, p in enumerate(probs)))
     z_out = rng.integers(0, 2, size=k)
     z_out[0], z_out[1] = 0, 1
-    y_out = rng.integers(0, 2, size=(2, 2, k))
+    y_out = rng.integers(0, len(y.domain), size=(2, 2, k))
     mechanisms = {
         "D": Mechanism.constant(D, 0),
         "Z": Mechanism.from_function(Z, (), (u,), lambda a: int(z_out[a["U"]])),
         "Y": Mechanism.from_function(
-            Y, (D, Z), (u,), lambda a: int(y_out[a["D"], a["Z"], a["U"]])
+            y, (D, Z), (u,), lambda a: y.domain[y_out[a["D"], a["Z"], a["U"]]]
         ),
     }
-    return Scm((D, Z, Y), mechanisms, exo)
+    return Scm((D, Z, y), mechanisms, exo)
 
 
 def model_with_positive_cells(seed: int, cells=None) -> Scm:
@@ -428,6 +429,47 @@ def reference_prob(table, event):
         (p for key, p in table.entries.items() if all(key[i] == v for i, v in pos)),
         start=0,
     )
+
+
+def reference_scan(table, event, target=None):
+    """(P(event), its mass per value of `target`) by `sum` and a dict loop;
+    no cells when `target` is None or names a variable outside the scope."""
+    pos = _reference_positions(table, event)
+    hits = [(key, p) for key, p in table.entries.items() if all(key[i] == v for i, v in pos)]
+    cells = {}
+    if target is not None and all(name in table.names for name in target):
+        idx = [table.names.index(name) for name in target]
+        for key, p in hits:
+            sub = tuple(key[i] for i in idx)
+            cells[sub] = cells.get(sub, 0) + p
+    return sum((p for _, p in hits), start=0), cells
+
+
+def reference_joint(scm):
+    """The model's joint table, one `evaluate` per exogenous atom."""
+    from beliefbound.scm import evaluate
+
+    refs = tuple(scm.ref(n) for n in sorted(scm.names))
+    cells = {}
+    for u, p in scm.exo.assignments():
+        values = evaluate(scm, u)
+        key = tuple(values[r.name] for r in refs)
+        cells[key] = cells.get(key, 0) + p
+    return DistTable(refs, cells)
+
+
+def reference_counterfactual(scm, events):
+    """`counterfactual_probability` by one `evaluate` per atom and event."""
+    from beliefbound.scm import evaluate, submodel
+
+    hits = []
+    for u, p in scm.exo.assignments():
+        if all(
+            all(evaluate(submodel(scm, iv), u)[name] == value for name, value in event.items())
+            for iv, event in events
+        ):
+            hits.append(p)
+    return sum(hits, start=0)
 
 
 def reference_query(table, target, given=None):

@@ -23,8 +23,8 @@ from beliefbound.bounds import (
 )
 from beliefbound.errors import DataError, InputError, ZeroMassError
 from beliefbound.predictability import strong_verdict, weak_verdict
-from beliefbound.scm import scm_dataset
-from beliefbound.tables import DistTable, VariableRef
+from beliefbound.scm import counterfactual_probability, joint_distribution, scm_dataset, submodel
+from beliefbound.tables import BehaviouralDataset, DistTable, VariableRef, expectation
 
 from support import exact_dataset, random_behaviour_model, random_binary_dataset
 
@@ -340,6 +340,46 @@ def test_direct_discrimination_symmetric_table():
     assert gap.lower == pytest.approx(float(m - 1), abs=1e-12)
     assert gap.upper == pytest.approx(float(1 - m), abs=1e-12)
     assert gap.lower == -gap.upper
+
+
+@pytest.mark.parametrize("domain", [(0, 1), (0, 0.5), (0.2, 0.7), (0.1, 0.4, 0.9)])
+@pytest.mark.parametrize("exact", [True, False], ids=["fraction", "float"])
+def test_fairness_and_direct_discrimination_contain_the_hidden_truth(domain, exact):
+    # Unobserved mass lies anywhere in the utility's range, not in [0, 1]:
+    # both intervals must hold the hidden model's counterfactual gap.
+    y = VariableRef("Y", domain)
+    for seed in range(20):
+        scm = random_behaviour_model(seed, y=y)
+        data = scm_dataset(scm, "D")
+        if not exact:
+            data = BehaviouralDataset(data.decision, {
+                d: DistTable(t.scope, {k: float(p) for k, p in t.entries.items()})
+                for d, t in data.per_decision.items()
+            })
+        for d in (0, 1):
+            for z0, z1 in ((0, 1), (1, 0)):
+                mass = counterfactual_probability(scm, [({"D": d}, {"Z": z0})])
+                flipped = sum(
+                    v * counterfactual_probability(
+                        scm, [({"D": d}, {"Z": z0}), ({"D": d, "Z": z1}, {"Y": v})]
+                    )
+                    for v in domain
+                )
+                stayed = sum(
+                    v * counterfactual_probability(scm, [({"D": d}, {"Z": z0, "Y": v})])
+                    for v in domain
+                )
+                truth = float((flipped - stayed) / mass)
+                gap = fairness_gap_interval(data, d, {"Z": z0}, {})
+                assert gap.lower - 1e-12 <= truth <= gap.upper + 1e-12, (seed, d, z0)
+                assert gap.width == pytest.approx(max(domain) - min(domain), abs=1e-12)
+            means = {
+                z: expectation(joint_distribution(submodel(scm, {"D": d, "Z": z})), "Y")
+                for z in (0, 1)
+            }
+            truth = float(means[1] - means[0])
+            gap = direct_discrimination_interval(data, d, {"Z": 0}, {"Z": 1}, {})
+            assert gap.lower - 1e-12 <= truth <= gap.upper + 1e-12, (seed, d)
 
 
 # -- causal harm ------------------------------------------------------------

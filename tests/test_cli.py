@@ -10,6 +10,7 @@ import operator
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,9 @@ from hypothesis import strategies as st
 from beliefbound import fileio
 from beliefbound.cli import main
 from beliefbound.scm import ExoDistribution, Mechanism, Scm, scm_dataset
-from beliefbound.tables import VariableRef
+from beliefbound.tables import DistTable, VariableRef
+
+from support import random_behaviour_model
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = "src/beliefbound/fixtures"
@@ -415,6 +418,27 @@ def test_explicit_skeleton_reproduces_the_default(tmp_path, capsys, monkeypatch)
     assert (code, out) == (0, (GOLDEN / "oracle_min.json").read_text(encoding="utf-8"))
 
 
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "1e400/3"])
+@pytest.mark.parametrize(
+    "fixture, where",
+    [
+        ("medai.tables.json", ("per_decision", "0", "entries", 0, "p")),
+        ("medai.scm.json", ("exogenous_distribution", 0, "p")),
+    ],
+    ids=["table", "exogenous"],
+)
+def test_exit_two_on_a_probability_literal_too_large_for_a_float(
+    literal, fixture, where, tmp_path, capsys, monkeypatch
+):
+    doc = json.loads((REPO / FIXTURES / fixture).read_text())
+    path = tmp_path / fixture
+    path.write_text(json.dumps(_replaced(doc, where, literal)))
+    argv = ["bounds", "--data", str(path), "--theorem", "harm", "--decision", "1",
+            "--baseline", "0"]
+    code, out, err = run_inprocess(argv, capsys, monkeypatch)
+    assert (code, out, err) == (2, "", f"error: bad probability literal {literal!r}\n")
+
+
 def test_exit_two_on_json_nested_too_deeply(tmp_path, capsys, monkeypatch):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
@@ -458,6 +482,77 @@ def test_oracle_pools_only_the_domains_that_agree_with_the_shift(capsys, monkeyp
         oracle = json.loads(out)["oracle"]
         assert oracle["certified"] is True
         assert oracle["closed_form"] == interval[endpoint]
+
+
+# -- utility domains narrower than [0, 1] --------------------------------------
+
+
+def _relabelled(doc: dict, values: dict) -> dict:
+    """A dataset document with every table's Y values renamed by `values`."""
+    out = json.loads(json.dumps(doc))
+    tables = [*out["per_decision"].values()]
+    tables += [t for dom in out.get("domains", ()) for t in dom["per_decision"].values()]
+    for table in tables:
+        for ref in table["scope"]:
+            if ref["name"] == "Y":
+                ref["domain"] = [values[v] for v in ref["domain"]]
+        for entry in table["entries"]:
+            entry["assignment"]["Y"] = values[entry["assignment"]["Y"]]
+    return out
+
+
+def _oracle(path, direction, capsys, monkeypatch) -> tuple[int, dict]:
+    argv = ["oracle", "--data", str(path), "--direction", direction, "--shift", "Z=1",
+            "--context", "Z=1", "--decision", "1", "--baseline", "0"]
+    code, out, _ = run_inprocess(argv, capsys, monkeypatch)
+    return code, json.loads(out)["oracle"]
+
+
+def test_relabelled_fixture_certifies_in_both_directions(tmp_path, capsys, monkeypatch):
+    # The fixture with Y in {0, 0.5}: unobserved mass goes to 0 and 0.5, so
+    # the closed form is half the fixture's [-0.4, 0.8], as the LP says.
+    doc = json.loads((REPO / FIXTURES / "medai.tables.json").read_text())
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(_relabelled(doc, {0: 0, 1: 0.5})))
+    for direction, value in (("min", -0.2), ("max", 0.4)):
+        code, oracle = _oracle(path, direction, capsys, monkeypatch)
+        assert code == 0 and oracle["certified"] is True
+        assert oracle["closed_form"] == pytest.approx(value, abs=1e-12)
+    argv = ["bounds", "--data", str(path), "--theorem", "fairness", "--decision", "1",
+            "--attribute-baseline", "Z=0"]
+    code, out, _ = run_inprocess(argv, capsys, monkeypatch)
+    (interval,) = json.loads(out)["intervals"]
+    assert code == 0 and interval["tight"] is True
+    assert interval["lower"] == pytest.approx(-1 / 6, abs=1e-12)
+    assert interval["upper"] == pytest.approx(1 / 3, abs=1e-12)
+
+
+@pytest.mark.parametrize("domain", [(0, 0.5), (0.2, 0.7), (0.1, 0.4, 0.9)])
+@pytest.mark.parametrize("exact", [True, False], ids=["fraction", "float"])
+def test_oracle_certifies_any_utility_range(domain, exact, tmp_path, capsys, monkeypatch):
+    """thm1 (base tables only) and thm2 (with the do(Z=1) domain) match the LP
+    at the default tolerance in both directions, for hidden models whose
+    utility takes the listed values."""
+    y = VariableRef("Y", domain)
+    for seed in range(3):
+        pooled = scm_dataset(random_behaviour_model(seed, y=y), "D", domains=[("exp", {"Z": 1})])
+        if not exact:
+            def to_float(tables):
+                return {d: DistTable(t.scope, {k: float(p) for k, p in t.entries.items()})
+                        for d, t in tables.items()}
+
+            pooled = replace(
+                pooled,
+                per_decision=to_float(pooled.per_decision),
+                domains=tuple(replace(dom, per_decision=to_float(dom.per_decision))
+                              for dom in pooled.domains),
+            )
+        for data in (replace(pooled, domains=()), pooled):
+            path = tmp_path / f"data{seed}.json"
+            path.write_text(json.dumps(fileio.dump_dataset(data)))
+            for direction in ("min", "max"):
+                code, oracle = _oracle(path, direction, capsys, monkeypatch)
+                assert (code, oracle["certified"]) == (0, True), (seed, direction, oracle)
 
 
 # -- start-up: numpy stays off the closed-form path ----------------------------
