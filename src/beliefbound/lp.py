@@ -26,10 +26,9 @@ PIVOT_EPS = 1e-10
 COST_EPS = 1e-10
 FEAS_EPS = 1e-8
 # Pivots allowed per phase (a phase two started from a stored phase one gets
-# the same allowance).  Bland's rule needs about one pivot per row on the
-# package's programs (at most 51 in a phase across the benchmark's oracle and
-# TV-ball programs, whose rows number in the tens), so this cap only stops a
-# runaway solve.
+# the same allowance).  Bland's rule needs at most about one pivot per row on
+# the oracle's programs (136 in a phase on the 257-row program of a binary Y
+# with seven binary parents), so this cap only stops a runaway solve.
 MAX_PIVOTS = 10_000
 
 

@@ -16,13 +16,16 @@ parent combinations that branch realises in some block; every other response
 is free.  Each leaf is a product set of atoms whose variables take one value
 per block, and two leaves differ in a response that some block reads, so the
 leaves are exactly the classes; a leaf's first atom (free responses 0) is
-computed arithmetically.  A gap walks the data blocks together with the
-objective's (d, z) and (d*, z) blocks and groups the leaves by polytope
-class, objective coefficient and context indicator.  The simplex runs over
-these classes, numbered in order of first atom, with each class's mass put
-back on its first atom.  Under Bland's rule a later duplicate never enters
-the basis ahead of its first occurrence, so the pivots, the vertex and every
-value are those of the per-atom program.
+computed arithmetically, as a Python int, since the atom count passes any
+fixed-width integer on a handful of binary covariates.  A gap walks the data
+blocks together with the objective's (d, z) and (d*, z) blocks and groups the
+leaves by polytope class, objective coefficient and context indicator.  The
+simplex runs over these classes, numbered in order of first atom, with each
+class's mass put back on its first atom.  Under Bland's rule a later duplicate
+never enters the basis ahead of its first occurrence, so the pivots and the
+vertex are those of the per-atom program, and so is the value: the exactly
+rounded sum (`math.fsum`) of each class's cost times its mass, to which the
+massless atoms add nothing.
 
 The same argument lets every plain gap solve skip phase one.  `build_polytope`
 runs phase one once, over one column per feasibility class; a gap program's
@@ -35,16 +38,13 @@ columns gathered and each basic class moved to its first refined class, and
 phase two starts there.  The Charnes-Cooper program adds a column and a row,
 so it is solved in full.
 
-A gap's value is still the dot product of the per-atom program: class costs
-and masses are scattered onto their first atoms in zero vectors of atom
-length, because a sum over the classes alone rounds differently (the oracle
-goldens pin the last ulp).  The dot runs in fixed chunks, so its value does
-not depend on how many threads the BLAS splits a long one across.  Nothing
-else on the build, solve and witness paths has atom length.  The one
-per-atom view left is `Polytope.a_eq`, built on access from
-`CanonicalAtomSpace.atom_cells` (the shared evaluation kernel,
-`scm.evaluate_columns`, over every atom) for readers that count its rows; the
-per-atom program itself is defined by the tests' reference.
+Nothing on the build, solve and witness paths has atom length or
+response-count length: the witness decodes the responses of its support's
+classes from their first atoms.  The one per-atom view left is
+`Polytope.a_eq`, built on access from `CanonicalAtomSpace.atom_cells` (the
+shared evaluation kernel, `scm.evaluate_columns`, over every atom) for readers
+that count its rows; the per-atom program itself is defined by the tests'
+reference.
 
 Also houses the constructive side: extracting a concrete model from any
 feasible point, the bound-achieving witness models for atomic shifts, and the
@@ -135,10 +135,12 @@ class CanonicalAtomSpace:
     variable is r's base-k digits, most significant first, one per parent
     combination (the order of `product`).
 
-    `dimension` is computed arithmetically and `walk` enumerates classes of
-    atoms without visiting atoms.  `atom_cells` evaluates every atom, building
-    arrays of atom length on each call, for `Polytope.a_eq` only; `evaluate`
-    answers for one atom.
+    The atom count and an atom's index are numbers, not array sizes:
+    `dimension` is computed arithmetically, `walk` enumerates classes of atoms
+    without visiting atoms and names each by its first atom's index (a Python
+    int), and `responses` undoes an index's ravel with divmod.  `atom_cells`
+    evaluates every atom, building arrays of atom length on each call, for
+    `Polytope.a_eq` only; `evaluate` answers for one atom.
     """
 
     def __init__(
@@ -207,8 +209,9 @@ class CanonicalAtomSpace:
     @cached_property
     def _lookup(self) -> dict[str, np.ndarray]:
         """Read-only [response, parent combination] -> value index arrays, one
-        per variable (built on first use: the build and solve paths never
-        evaluate a response)."""
+        per variable, of response-count length (built on first use, for
+        `evaluate` and `atom_cells`: the build, solve and witness paths never
+        read it)."""
         lookup = {}
         for v in self.variables:
             k, n = len(v.domain), math.prod(self._sizes[p] for p in v.parents)
@@ -223,6 +226,14 @@ class CanonicalAtomSpace:
         counts = [self.counts[v.name] for v in self.variables]
         return dict(zip(self._parents, np.unravel_index(np.arange(self.dimension), counts)))
 
+    def responses(self, atom: int) -> tuple[int, ...]:
+        """Atom `atom`'s response index per name-sorted variable."""
+        out = []
+        for v in reversed(self.variables):
+            atom, r = divmod(atom, self.counts[v.name])
+            out.append(r)
+        return tuple(out[::-1])
+
     def _fixed(self, d: Value, intervention: Assignment | None = None) -> dict[str, int]:
         """Value indices held fixed under do(intervention) and decision d."""
         fixed = {self.decision.name: self.decision.index(d)}
@@ -231,7 +242,7 @@ class CanonicalAtomSpace:
                 fixed[name] = self.refs[name].index(value)
         return fixed
 
-    def walk(self, blocks: Sequence[Mapping[str, int]]) -> tuple[np.ndarray, np.ndarray]:
+    def walk(self, blocks: Sequence[Mapping[str, int]]) -> tuple[list[int], np.ndarray]:
         """Classes of atoms whose variables take one value in each block (a
         `_fixed` mapping each), in order of first atom: (first atom of each
         class, value indices [class, slot, block]), slot 0 holding the
@@ -265,9 +276,8 @@ class CanonicalAtomSpace:
                     grown.append((first + sum(map(mul, place, digits)), values + tuple(row)))
             leaves = grown
         leaves.sort(key=itemgetter(0))
-        first = np.array([leaf[0] for leaf in leaves], dtype=np.intp)
         values = np.array([leaf[1] for leaf in leaves], dtype=np.intp)
-        return first, values.reshape(len(leaves), -1, nb)
+        return [leaf[0] for leaf in leaves], values.reshape(len(leaves), -1, nb)
 
     def cells(self, values: np.ndarray) -> np.ndarray:
         """Joint cell (C-order over the name-sorted variables) of `walk`'s
@@ -307,10 +317,10 @@ class Polytope:
 
     `merged` holds one 0/1 constraint column per class of atoms with
     identical columns, numbered in order of first atom: `first[j]` is class
-    j's lowest atom index, and `classes` maps a class's cells (one per block,
-    `blocks` holding each block's `_fixed` indices) to its number.  `start`
-    is the phase one of `merged x = b_eq`, which every plain gap solve starts
-    its phase two from.
+    j's lowest atom index (a Python int), and `classes` maps a class's cells
+    (one per block, `blocks` holding each block's `_fixed` indices) to its
+    number.  `start` is the phase one of `merged x = b_eq`, which every plain
+    gap solve starts its phase two from.
 
     `a_eq` is the per-atom view, built on access by evaluating every atom:
     the benchmark's tracer reads its row count.  No build, solve or witness
@@ -321,7 +331,7 @@ class Polytope:
     data: BehaviouralDataset
     merged: np.ndarray
     b_eq: np.ndarray
-    first: np.ndarray
+    first: list[int]
     start: lp.PhaseOne
     blocks: tuple[dict[str, int], ...]
     classes: dict[tuple[int, ...], int]
@@ -368,31 +378,7 @@ def _refined_start(polytope: Polytope, coarse: np.ndarray) -> lp.PhaseOne:
 
 def _vertex(polytope: Polytope) -> np.ndarray:
     """The class masses of the vertex phase one ended on."""
-    return lp.phase_two(polytope.start, np.zeros(polytope.first.size)).x
-
-
-def _scatter(dimension: int, first: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Class values `x` put on their first atoms of an atom-length zero
-    vector, with what follows the classes (the Charnes-Cooper t) appended."""
-    out = np.zeros(dimension + x.size - first.size)
-    out[first] = x[: first.size]
-    out[dimension:] = x[first.size :]
-    return out
-
-
-# OpenBLAS splits a ddot across threads above about 10,000 elements, and how
-# it splits depends on the thread count; a chunk this long is dotted in one.
-_DOT_CHUNK = 8192
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a . b, the same under any BLAS thread count: chunks of `_DOT_CHUNK`
-    elements are dotted alone and their results added exactly (`fsum`).  A
-    vector of one chunk gets the plain dot, bit for bit (the goldens pin it)."""
-    parts = [
-        float(a[i : i + _DOT_CHUNK] @ b[i : i + _DOT_CHUNK]) for i in range(0, a.size, _DOT_CHUNK)
-    ]
-    return parts[0] if len(parts) == 1 else math.fsum(parts)
+    return lp.phase_two(polytope.start, np.zeros(len(polytope.first))).x
 
 
 def build_polytope(
@@ -438,8 +424,8 @@ def build_polytope(
             rhs += [float(table.entries.get(values, 0)) for values in cells]
     first, values = space.walk(blocks)
     keys = space.cells(values)
-    merged = np.zeros((len(blocks) * len(cells) + 1, first.size))
-    merged[keys + len(cells) * np.arange(len(blocks)), np.arange(first.size)[:, None]] = 1.0
+    merged = np.zeros((len(blocks) * len(cells) + 1, len(first)))
+    merged[keys + len(cells) * np.arange(len(blocks)), np.arange(len(first))[:, None]] = 1.0
     merged[-1] = 1.0
     rhs.append(1.0)
     b_eq = np.asarray(rhs)
@@ -463,7 +449,6 @@ class _GapClasses:
     polytope class (`coarse`) with one numerator coefficient `num` and, for a
     conditional gap (`den` not None), one context indicator."""
 
-    first: np.ndarray
     coarse: np.ndarray
     num: np.ndarray
     den: np.ndarray | None
@@ -486,9 +471,9 @@ def _gap_classes(
     merge_assignments(c, z)
     degenerate = all(name in z for name in c)
     n = len(polytope.blocks)
-    first, values = space.walk([*polytope.blocks, space._fixed(d, z), space._fixed(d_star, z)])
+    values = space.walk([*polytope.blocks, space._fixed(d, z), space._fixed(d_star, z)])[1]
     ev_d, ev_s = values[:, :, n], values[:, :, n + 1]
-    sat = np.ones(first.size, dtype=bool)
+    sat = np.ones(len(values), dtype=bool)
     for name, value in c.items():
         slot = space._slot[name]
         if np.any(ev_d[:, slot] != ev_s[:, slot]):
@@ -510,7 +495,7 @@ def _gap_classes(
     for j, key in enumerate(zip(*keys)):
         at.setdefault(key, j)  # leaves come in order of first atom
     pick = np.fromiter(at.values(), dtype=np.intp, count=len(at))
-    return _GapClasses(first[pick], coarse[pick], num[pick], None if degenerate else den[pick])
+    return _GapClasses(coarse[pick], num[pick], None if degenerate else den[pick])
 
 
 def _solve_gap(
@@ -564,12 +549,8 @@ def optimize_gap(
     )
     if gap.den is not None and x[-1] <= lp.FEAS_EPS:
         raise OracleError("degenerate rescaling (t = 0); context mass collapses")
-    # The per-atom program's dot product (the Charnes-Cooper t costs 0): a sum
-    # over the classes alone rounds differently.
-    weights = np.zeros(x.size)
-    weights[: cost.size] = cost
-    dimension = polytope.space.dimension
-    return sign * _dot(_scatter(dimension, gap.first, weights), _scatter(dimension, gap.first, x))
+    # The Charnes-Cooper t costs 0.
+    return sign * math.fsum((cost * x[: cost.size]).tolist())
 
 
 def feasible_scm(polytope: Polytope) -> Scm:
@@ -578,35 +559,37 @@ def feasible_scm(polytope: Polytope) -> Scm:
     The returned model reproduces every per-decision observational joint of
     the data (up to LP tolerance); verification is by reproduction, not by
     uniqueness of the feasible point: the vertex phase one ended on, each
-    class's mass on its first atom.
+    class's mass on its first atom.  R_v ranges over v's responses in those
+    atoms only, so the model grows with the support, not with the space.
     """
     x = _vertex(polytope)
     space = polytope.space
-    exo_refs = tuple(
-        VariableRef(f"R_{v.name}", tuple(range(space.counts[v.name]))) for v in space.variables
-    )
     kept = np.flatnonzero(x > 1e-12).tolist()
     total = sum(x[j] for j in kept)
-    counts = [space.counts[v.name] for v in space.variables]
-    keys = zip(*[r.tolist() for r in np.unravel_index(polytope.first[kept], counts)])
+    keys = [space.responses(polytope.first[j]) for j in kept]
+    exo_refs = tuple(
+        VariableRef(f"R_{v.name}", tuple(sorted(set(column))))
+        for v, column in zip(space.variables, zip(*keys))
+    )
     exo = ExoDistribution(exo_refs, tuple((key, x[j] / total) for key, j in zip(keys, kept)))
 
     decision = space.decision
     mechanisms: dict[str, Mechanism] = {
         decision.name: Mechanism.constant(decision, decision.domain[0])
     }
-    for i, v in enumerate(space.variables):
-        # lookup[r, k] is response r's value at parent combination k (the
-        # layout of `Scm._compile`); the table maps (*combination k, r) to it.
-        lookup = space._lookup[v.name]
-        inputs = product(*[space.refs[p].domain for p in v.parents], range(len(lookup)))
-        domain = np.fromiter(v.domain, dtype=object, count=len(v.domain))
-        outputs = domain[lookup.T.ravel()].tolist()
-        table = dict(zip(inputs, outputs))
-        mechanisms[v.name] = Mechanism(
-            space.refs[v.name], v.parents, (exo_refs[i].name,), table
-        )
-    return Scm(tuple(space.refs.values()), mechanisms, exo, lookup=dict(space._lookup))
+    for v, ref in zip(space.variables, exo_refs):
+        k = len(v.domain)
+        combos = list(product(*[space.refs[p].domain for p in v.parents]))
+        table = {}
+        for r in ref.domain:
+            # Response r is its base-k digits, most significant first, one per
+            # parent combination.
+            rest = r
+            for combo in reversed(combos):
+                rest, digit = divmod(rest, k)
+                table[(*combo, r)] = v.domain[digit]
+        mechanisms[v.name] = Mechanism(space.refs[v.name], v.parents, (ref.name,), table)
+    return Scm(tuple(space.refs.values()), mechanisms, exo)
 
 
 def witness_thm1_scm(

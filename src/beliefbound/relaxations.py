@@ -9,23 +9,23 @@ from the utility.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from math import isfinite
-from typing import TYPE_CHECKING
+from operator import itemgetter
+from typing import Sequence
 
 from .bounds import GapInterval, _RANGE_TOL
-from .errors import InputError, OracleError, SamplingError, UnsupportedError
+from .errors import InputError, SamplingError, UnsupportedError
 from .tables import (
     Assignment,
     BehaviouralDataset,
     DistTable,
+    Number,
     Value,
     _moments,
     merge_assignments,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_SAMPLES = 10_000
 DEFAULT_CONCENTRATION = 400.0
@@ -76,57 +76,39 @@ def _cell_coeff(
     z: Assignment,
     utility: str,
     success_side: bool,
-) -> float:
+) -> Number:
+    """The objective's coefficient of a cell, in the utility's domain values."""
     if any(cell[positions[n]] != v for n, v in z.items()):
-        return 0.0
-    y = float(cell[positions[utility]])
-    return y if success_side else 1.0 - y
+        return 0
+    y = cell[positions[utility]]
+    return y if success_side else 1 - y
 
 
 def _ball_minimum(
     centre: DistTable,
-    coeffs: np.ndarray,
+    coeffs: Sequence[Number],
     delta: float,
     cells: list[tuple[Value, ...]],
-) -> float:
-    """min coeffs . p over the simplex intersected with the TV ball."""
-    import numpy as np
+) -> Number:
+    """min coeffs . p over the simplex intersected with the TV ball of radius
+    delta around the centre, unrounded.
 
-    from . import lp
-
-    n = len(coeffs)
-    centre_vec = np.array([float(centre.entries.get(k, 0)) for k in cells])
-    # variables: p (n), u (n), a (n), b (n), s (1)
-    nv = 4 * n + 1
-    rows, rhs = [], []
-    row = np.zeros(nv)
-    row[:n] = 1.0
-    rows.append(row)
-    rhs.append(1.0)
-    for i in range(n):
-        row = np.zeros(nv)
-        row[i] = 1.0
-        row[n + i] = -1.0
-        row[2 * n + i] = 1.0
-        rows.append(row)
-        rhs.append(centre_vec[i])
-        row = np.zeros(nv)
-        row[i] = 1.0
-        row[n + i] = 1.0
-        row[3 * n + i] = -1.0
-        rows.append(row)
-        rhs.append(centre_vec[i])
-    row = np.zeros(nv)
-    row[n : 2 * n] = 1.0
-    row[-1] = 1.0
-    rows.append(row)
-    rhs.append(2.0 * delta)
-    cost = np.zeros(nv)
-    cost[:n] = coeffs
-    try:
-        return lp.solve_lp(cost, np.vstack(rows), np.asarray(rhs)).value
-    except (lp.LpInfeasible, lp.LpUnbounded, lp.LpIterationLimit) as exc:  # pragma: no cover
-        raise OracleError(f"TV-ball program failed: {exc}") from exc
+    Moving mass m from a cell onto another changes the value by m times their
+    coefficients' difference and uses m of the radius, so the minimum moves up
+    to delta of mass from the cells with the highest coefficients onto one with
+    the lowest.  The sum runs in the table's own arithmetic (delta enters as
+    the exact value of its float), so an all-`Fraction` table gets the exact
+    minimum.
+    """
+    lowest = min(coeffs)
+    budget = Fraction(delta)
+    value = 0
+    masses = [centre.entries.get(k, 0) for k in cells]
+    for c, p in sorted(zip(coeffs, masses), key=itemgetter(0), reverse=True):
+        moved = min(budget, p) if c > lowest else 0
+        budget -= moved
+        value += c * p - moved * (c - lowest)
+    return value
 
 
 def approx_grounding_lower(
@@ -147,7 +129,8 @@ def approx_grounding_lower(
     The objective is the reduced context-equals-shift form
         E[Y 1_z] under d  +  E[(1-Y) 1_z] under d*  -  1,
     minimised over independent TV balls around the two centre tables.
-    `exact-lp` solves the two small linear programs; `sample` reproduces the
+    `exact-lp` takes each ball's minimum in closed form (`_ball_minimum`) and
+    rounds their sum once, in plain Python; `sample` reproduces the
     propose/accept procedure (simplex proposals concentrated on the centres,
     rejected outside the ball) and returns the empirical minimum, which can
     only sit above the exact one.
@@ -160,8 +143,6 @@ def approx_grounding_lower(
     Dirichlet breaks sticks instead, and the block is filled from those
     per-proposal calls.
     """
-    import numpy as np
-
     if merge_assignments(c, z) != dict(z):
         raise UnsupportedError(
             "the ball relaxation is implemented for the reduced objective with "
@@ -171,9 +152,7 @@ def approx_grounding_lower(
         raise InputError(f"bad decision pair ({d!r}, {d_star!r})")
     cells, positions = _reduced_objective_cells(data, z)
     coeff = {
-        t: np.array(
-            [_cell_coeff(cell, positions, z, data.utility, side) for cell in cells]
-        )
+        t: [_cell_coeff(cell, positions, z, data.utility, side) for cell in cells]
         for t, side in ((d, True), (d_star, False))
     }
     centres = {t: ball.centre(data, t) for t in (d, d_star)}
@@ -188,7 +167,7 @@ def approx_grounding_lower(
         return float(
             _ball_minimum(centres[d], coeff[d], ball.delta, cells)
             + _ball_minimum(centres[d_star], coeff[d_star], ball.delta, cells)
-            - 1.0
+            - 1
         )
     if method != "sample":
         raise InputError(f"method must be 'exact-lp' or 'sample', got {method!r}")
@@ -199,7 +178,10 @@ def approx_grounding_lower(
     if not (isfinite(concentration) and concentration > 0):
         raise InputError(f"concentration must be finite and > 0, got {concentration}")
 
+    import numpy as np
+
     rng = np.random.default_rng(seed)
+    coeff = {t: np.array(coeff[t], dtype=float) for t in (d, d_star)}
     support = {
         t: [k for k in cells if float(centres[t].entries.get(k, 0)) > 0.0]
         for t in (d, d_star)

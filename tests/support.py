@@ -112,6 +112,45 @@ def k_valued_shift_dataset(k: int):
     return BehaviouralDataset(D, tables), skeleton
 
 
+def wide_skeleton_dataset(k: int, seed: int = 0):
+    """Z a root, W1..Wk <- Z and Y <- (D, Z, W1..Wk), all binary, with data
+    drawn from a random model with an 8-valued latent: (data, skeleton).  The
+    canonical space has 2 * 4**k * 2**(2**(k + 2)) atoms (7e41 at k = 5)."""
+    from beliefbound.oracle import SkeletonVariable
+    from beliefbound.scm import scm_dataset
+
+    rng = np.random.default_rng(seed)
+    u = VariableRef("U", tuple(range(8)))
+    weights = [int(w) for w in rng.integers(1, 20, size=len(u.domain))]
+    probs = [Fraction(w, sum(weights)) for w in weights]
+    exo = ExoDistribution((u,), tuple(((i,), p) for i, p in enumerate(probs)))
+    ws = [VariableRef(f"W{i}", (0, 1)) for i in range(1, k + 1)]
+    z_out = rng.integers(0, 2, size=len(u.domain))
+    w_out = rng.integers(0, 2, size=(k, 2, len(u.domain)))
+    y_out = rng.integers(0, 2, size=(2 ** (k + 2), len(u.domain)))
+
+    def y_fn(a):
+        combo = int("".join(str(a[n]) for n in ("D", "Z", *(w.name for w in ws))), 2)
+        return int(y_out[combo, a["U"]])
+
+    mechanisms = {
+        "D": Mechanism.constant(D, 0),
+        "Z": Mechanism.from_function(Z, (), (u,), lambda a: int(z_out[a["U"]])),
+        "Y": Mechanism.from_function(Y, (D, Z, *ws), (u,), y_fn),
+    }
+    for i, w in enumerate(ws):
+        mechanisms[w.name] = Mechanism.from_function(
+            w, (Z,), (u,), lambda a, i=i: int(w_out[i, a["Z"], a["U"]])
+        )
+    model = Scm((D, Z, *ws, Y), mechanisms, exo)
+    skeleton = [
+        SkeletonVariable("Z", (0, 1)),
+        *(SkeletonVariable(w.name, (0, 1), ("Z",)) for w in ws),
+        SkeletonVariable("Y", (0, 1), ("D", "Z", *(w.name for w in ws))),
+    ]
+    return scm_dataset(model, "D"), skeleton
+
+
 def exact_dataset(per_decision_cells: dict) -> BehaviouralDataset:
     """Dataset over (Y, Z) from {(y, z): Fraction} cell maps, keyed by decision."""
     tables = {
@@ -241,7 +280,9 @@ def reference_objective_terms(poly, z, c, d, d_star):
 
 def reference_gap(poly, z, c, d, d_star, direction):
     """The gap optimum solved over every atom's own column: (value, x), with
-    the Charnes-Cooper t appended to x for a context outside the shift."""
+    the Charnes-Cooper t appended to x for a context outside the shift.  The
+    value is the exactly rounded sum (`math.fsum`) of every atom's cost times
+    its mass."""
     from beliefbound import lp
     from beliefbound.errors import OracleError
 
@@ -251,14 +292,14 @@ def reference_gap(poly, z, c, d, d_star, direction):
     cost = sign * num
     if degenerate:
         sol = lp.solve_lp(cost, a_eq, b_eq)
-        return sign * float(cost @ sol.x), sol.x
+        return sign * math.fsum((cost * sol.x).tolist()), sol.x
     a_cc = np.vstack([np.hstack([a_eq, -b_eq[:, None]]), np.append(den, 0.0)])
     b_cc = np.zeros(len(a_cc))
     b_cc[-1] = 1.0
     sol = lp.solve_lp(np.append(cost, 0.0), a_cc, b_cc)
     if sol.x[-1] <= lp.FEAS_EPS:
         raise OracleError("degenerate rescaling")
-    return sign * float(np.append(cost, 0.0) @ sol.x), sol.x
+    return sign * math.fsum((np.append(cost, 0.0) * sol.x).tolist()), sol.x
 
 
 def _parent_combos(space, v) -> list:
@@ -275,30 +316,75 @@ def reference_atoms(space) -> list:
 
 def reference_exo(space, x):
     """The witness's exogenous law from a per-atom point: each atom above
-    1e-12 as one response tuple, its mass renormalised."""
+    1e-12 as one response tuple, its mass renormalised; R_v ranges over v's
+    responses in those atoms."""
     counts = [len(v.domain) ** len(_parent_combos(space, v)) for v in space.variables]
-    exo_refs = tuple(
-        VariableRef(f"R_{v.name}", tuple(range(n))) for v, n in zip(space.variables, counts)
-    )
     kept = np.flatnonzero(x > 1e-12).tolist()
     total = sum(x[i] for i in kept)
     responses = np.unravel_index(np.arange(space.dimension), counts)
-    keys = zip(*[r[kept].tolist() for r in responses])
+    support = [r[kept].tolist() for r in responses]
+    exo_refs = tuple(
+        VariableRef(f"R_{v.name}", tuple(sorted(set(column))))
+        for v, column in zip(space.variables, support)
+    )
+    keys = zip(*support)
     return ExoDistribution(exo_refs, tuple((key, x[i] / total) for key, i in zip(keys, kept)))
 
 
-def reference_tables(space) -> dict:
-    """Each variable's witness mechanism table, by the nested loop over its
-    responses and parent combinations."""
+def reference_tables(space, exo) -> dict:
+    """Each variable's witness mechanism table over the responses `exo`
+    carries, by the nested loop over its responses and parent combinations."""
     tables = {}
-    for v in space.variables:
+    for v, ref in zip(space.variables, exo.variables):
         combos = _parent_combos(space, v)
         table = {}
         for r, response in enumerate(product(v.domain, repeat=len(combos))):
-            for ci, combo in enumerate(combos):
-                table[(*combo, r)] = response[ci]
+            if r in ref.domain:
+                for ci, combo in enumerate(combos):
+                    table[(*combo, r)] = response[ci]
         tables[v.name] = table
     return tables
+
+
+# -- reference TV-ball minimum: the linear program the closed form replaced ---
+
+
+def reference_ball_minimum(centre, coeffs, delta, cells) -> float:
+    """min coeffs . p over the simplex intersected with the TV ball of radius
+    delta around the centre, solved as a linear program over p, its excess u
+    = |p - centre| and the two slacks of that bound, and the radius's slack."""
+    from beliefbound import lp
+
+    n = len(coeffs)
+    centre_vec = np.array([float(centre.entries.get(k, 0)) for k in cells])
+    # variables: p (n), u (n), a (n), b (n), s (1)
+    nv = 4 * n + 1
+    rows, rhs = [], []
+    row = np.zeros(nv)
+    row[:n] = 1.0
+    rows.append(row)
+    rhs.append(1.0)
+    for i in range(n):
+        row = np.zeros(nv)
+        row[i] = 1.0
+        row[n + i] = -1.0
+        row[2 * n + i] = 1.0
+        rows.append(row)
+        rhs.append(centre_vec[i])
+        row = np.zeros(nv)
+        row[i] = 1.0
+        row[n + i] = 1.0
+        row[3 * n + i] = -1.0
+        rows.append(row)
+        rhs.append(centre_vec[i])
+    row = np.zeros(nv)
+    row[n : 2 * n] = 1.0
+    row[-1] = 1.0
+    rows.append(row)
+    rhs.append(2.0 * delta)
+    cost = np.zeros(nv)
+    cost[:n] = np.asarray(coeffs, dtype=float)
+    return lp.solve_lp(cost, np.vstack(rows), np.asarray(rhs)).value
 
 
 # -- reference simplex: the row-by-row kernel the vectorised one replaced -----

@@ -291,11 +291,27 @@ def test_exit_three_when_verdict_required(capsys, monkeypatch):
     assert "ruled out" in result.stderr
 
 
-def test_exit_four_on_certification_mismatch():
-    argv = GOLDEN_CASES["oracle_min"] + ["--tol", "1e-30"]
-    result = run_subprocess(argv)
-    assert result.returncode == 4
-    assert "delta" in result.stderr
+def test_exit_four_on_certification_mismatch(tmp_path):
+    """With Y <- D only, do(Z = 1) cannot move Y, so the LP pins the gap at
+    0.2 while thm1 claims [-0.4, 0.8] as tight: both ends miss by 0.6."""
+    path = tmp_path / "skeleton.json"
+    path.write_text(json.dumps({
+        "variables": [{"name": "Y", "parents": ["D"]}, {"name": "Z", "parents": []}]
+    }))
+    for name in ("oracle_min", "oracle_max"):
+        result = run_subprocess([*GOLDEN_CASES[name], "--skeleton", str(path)])
+        assert result.returncode == 4
+        assert json.loads(result.stdout)["oracle"]["delta"] == pytest.approx(0.6, abs=1e-12)
+        assert result.stderr == "error: oracle delta 6.000e-01 exceeds tolerance 1.000e-06\n"
+
+
+def test_fixture_certifies_at_zero_tolerance(capsys, monkeypatch):
+    """The gap's value is an exactly rounded class sum, so the fixture's
+    lower end reads -0.4 to the bit."""
+    argv = GOLDEN_CASES["oracle_min"] + ["--tol", "0"]
+    code, out, err = run_inprocess(argv, capsys, monkeypatch)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["oracle"]["delta"] == 0.0
 
 
 def test_exit_five_on_atom_limit():
@@ -571,7 +587,7 @@ print(json.dumps(runs))
 
 
 def test_closed_form_commands_never_import_numpy():
-    names = ["bounds_intervention", "predict_weak", "relax_proxy", "oracle_min"]
+    names = ["bounds_intervention", "predict_weak", "relax_proxy", "relax_exact", "oracle_min"]
     result = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE,
          json.dumps([(name, GOLDEN_CASES[name]) for name in names])],
@@ -580,7 +596,7 @@ def test_closed_form_commands_never_import_numpy():
     runs = json.loads(result.stdout)
     assert [(name, numpy) for name, numpy, _ in runs] == [
         ("import", False), ("bounds_intervention", False), ("predict_weak", False),
-        ("relax_proxy", False), ("oracle_min", True),
+        ("relax_proxy", False), ("relax_exact", False), ("oracle_min", True),
     ]
     for name, _, out in runs[1:]:
         assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")

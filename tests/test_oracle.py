@@ -22,7 +22,6 @@ from beliefbound import lp
 from beliefbound.oracle import (
     _gap_classes,
     _refined_start,
-    _scatter,
     _solve_gap,
     _vertex,
     CanonicalAtomSpace,
@@ -66,6 +65,7 @@ from support import (
     reference_objective_terms,
     reference_program,
     reference_tables,
+    wide_skeleton_dataset,
 )
 
 Z1 = {"Z": 1}
@@ -198,9 +198,10 @@ def test_vectorised_build_matches_per_atom_reference(sizes):
             assert np.array_equal(den, np.array(want_den))
             # The walk's classes carry their first atom's coefficients.
             gap = _gap_classes(poly, Z1, c, 1, 0)
-            assert np.array_equal(gap.num, num[gap.first])
+            first = gap_first_atoms(poly, num, den, degenerate)
+            assert np.array_equal(gap.num, num[first])
             assert (gap.den is None) == degenerate
-            assert degenerate or np.array_equal(gap.den, den[gap.first])
+            assert degenerate or np.array_equal(gap.den, den[first])
         for a in atoms[:: max(1, len(atoms) // 50)]:
             assert space.evaluate(a, 1, Z1) == reference_evaluate(
                 skeleton, data.decision, a, 1, Z1
@@ -210,9 +211,25 @@ def test_vectorised_build_matches_per_atom_reference(sizes):
 # -- polytope -----------------------------------------------------------------
 
 
+def scatter(poly, first, x):
+    """Class values `x` put on their first atoms of an atom-length zero
+    vector, with what follows the classes (the Charnes-Cooper t) appended."""
+    dimension = poly.space.dimension
+    out = np.zeros(dimension + len(x) - len(first))
+    out[first] = x[: len(first)]
+    out[dimension:] = x[len(first) :]
+    return out
+
+
+def gap_first_atoms(poly, num, den, degenerate):
+    """First atom of each of a gap's classes, by the per-atom reference."""
+    of_atom = reference_program(poly)[2]
+    return reference_classes([of_atom, num] if degenerate else [of_atom, num, den])[1]
+
+
 def vertex(poly):
     """The atom-probability vector of the vertex phase one ended on."""
-    return _scatter(poly.space.dimension, poly.first, _vertex(poly))
+    return scatter(poly, poly.first, _vertex(poly))
 
 
 def test_polytope_rows_and_feasibility(medai):
@@ -536,18 +553,12 @@ def test_merged_columns_match_per_atom_program(sizes, with_domain):
         for c in (Z1, {"W": 1}):
             num, den, degenerate = reference_objective_terms(poly, Z1, c, 1, 0)
             gap = _gap_classes(poly, Z1, c, 1, 0)
+            first = gap_first_atoms(poly, num, den, degenerate)
             for sign, direction in ((1.0, "min"), (-1.0, "max")):
-                cost = sign * num
-                if degenerate:
-                    want = lp.solve_lp(cost, a_eq, b_eq)
-                else:
-                    a_cc = np.vstack([np.hstack([a_eq, -b_eq[:, None]]), np.append(den, 0.0)])
-                    b_cc = np.zeros(len(a_cc))
-                    b_cc[-1] = 1.0
-                    want = lp.solve_lp(np.append(cost, 0.0), a_cc, b_cc)
+                value, want = reference_gap(poly, Z1, c, 1, 0, direction)
                 got = _solve_gap(poly, gap, sign * gap.num)
-                assert optimize_gap(poly, Z1, c, 1, 0, direction) == sign * want.value
-                assert np.array_equal(_scatter(poly.space.dimension, gap.first, got), want.x)
+                assert optimize_gap(poly, Z1, c, 1, 0, direction) == value
+                assert np.array_equal(scatter(poly, first, got), want)
         x = lp.solve_lp(np.zeros(poly.space.dimension), a_eq, b_eq).x
         assert np.array_equal(vertex(poly), x)
         assert feasible_scm(poly).exo == reference_exo(poly.space, x)
@@ -666,7 +677,6 @@ def test_class_walk_matches_the_per_atom_program_on_random_skeletons():
                         keys = [of_atom, num] if degenerate else [of_atom, num, den]
                         want_first = reference_classes(keys)[1]
                         gap = _gap_classes(poly, z, c, *pair)
-                        assert np.array_equal(gap.first, want_first)
                         assert np.array_equal(gap.coarse, of_atom[want_first])
                         assert gap.num.tobytes() == num[want_first].tobytes()
                     for direction in ("min", "max"):
@@ -678,7 +688,9 @@ def test_class_walk_matches_the_per_atom_program_on_random_skeletons():
         x = lp.solve_lp(np.zeros(space.dimension), a_eq, b_eq).x
         model = feasible_scm(poly)
         assert model.exo == reference_exo(space, x)
-        assert {n: model.mechanisms[n].table for n in names} == reference_tables(space)
+        assert {n: model.mechanisms[n].table for n in names} == reference_tables(
+            space, model.exo
+        )
         for name, flag in features.items():
             seen[name] += flag
     assert all(seen.values()), seen
@@ -743,8 +755,9 @@ def test_merged_programs_stay_small(monkeypatch):
 
 def test_build_solve_and_witness_enumerate_classes_not_atoms(monkeypatch):
     """On the 114,688-atom shape the build, both gap solves and the witness
-    run with every per-atom view disabled.  The build allocates less than one
-    float per atom in all, and a solve only the value's two scatter vectors."""
+    run with every per-atom and per-response view disabled.  The build and
+    the witness each allocate less than one float per atom in all, and a
+    solve under 64 KiB."""
     import tracemalloc
 
     data, skeleton = k_valued_shift_dataset(7)
@@ -754,6 +767,7 @@ def test_build_solve_and_witness_enumerate_classes_not_atoms(monkeypatch):
 
     monkeypatch.setattr(CanonicalAtomSpace, "_atom_responses", per_atom)
     monkeypatch.setattr(CanonicalAtomSpace, "atom_cells", per_atom)
+    monkeypatch.setattr(CanonicalAtomSpace, "_lookup", property(per_atom))
     tracemalloc.start()
     try:
         poly = build_polytope(data, skeleton)
@@ -763,19 +777,47 @@ def test_build_solve_and_witness_enumerate_classes_not_atoms(monkeypatch):
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             optimize_gap(poly, Z1, Z1, 1, 0, direction)
-            assert tracemalloc.get_traced_memory()[1] - held < 2 * atom_vector + 2**16
+            assert tracemalloc.get_traced_memory()[1] - held < 2**16
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        model = feasible_scm(poly)
+        assert tracemalloc.get_traced_memory()[1] - held < atom_vector
     finally:
         tracemalloc.stop()
-    model = feasible_scm(poly)
     assert len(model.exo.atoms) <= poly.merged.shape[0]
+    assert all(len(ref.domain) <= len(model.exo.atoms) for ref in model.exo.variables)
     with pytest.raises(AssertionError, match="per-atom"):
         poly.a_eq
 
 
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_wide_skeletons_certify_with_a_witness(k):
+    """Z a root, W1..Wk <- Z and Y <- (D, Z, W1..Wk) have 5.5e11 atoms at
+    k = 3 and 7e41 at k = 5, past any fixed-width index.  With the cap raised
+    both ends certify thm1 and the witness reproduces the tables, in under a
+    second from build to witness tables."""
+    import time
+
+    data, skeleton = wide_skeleton_dataset(k)
+    start = time.perf_counter()
+    poly = build_polytope(data, skeleton, limit=2**200)
+    ends = [optimize_gap(poly, Z1, Z1, 1, 0, direction) for direction in ("min", "max")]
+    tables = scm_dataset(feasible_scm(poly), "D")
+    elapsed = time.perf_counter() - start
+    assert poly.space.dimension == 2 * 4**k * 2 ** (2 ** (k + 2))
+    closed = thm1_gap_interval(data, Z1, Z1, 1, 0)
+    assert ends == pytest.approx([closed.lower, closed.upper], abs=1e-9)
+    for d in data.decisions:
+        want, got = data.table(d).entries, tables.table(d).entries
+        for cell in {*want, *got}:
+            assert float(got.get(cell, 0)) == pytest.approx(float(want.get(cell, 0)), abs=1e-9)
+    assert elapsed < 1.0
+
+
 def test_gap_values_do_not_depend_on_the_blas_thread_count():
-    """OpenBLAS splits a long ddot across threads; the value's dot runs in
-    chunks short enough for one thread, so one and two threads agree to the
-    bit on the 24,576- and 114,688-atom shapes."""
+    """A gap's value is an exact sum over classes, never a BLAS reduction
+    over atoms, so one and two OpenBLAS threads agree to the bit on the
+    24,576- and 114,688-atom shapes."""
     import os
     import subprocess
     import sys

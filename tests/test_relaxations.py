@@ -13,6 +13,7 @@ from beliefbound.bounds import thm1_gap_interval
 from beliefbound.errors import InputError, SamplingError, UnsupportedError
 from beliefbound.relaxations import (
     GroundingBall,
+    _ball_minimum,
     _cell_coeff,
     _reduced_objective_cells,
     approx_grounding_lower,
@@ -22,13 +23,16 @@ from beliefbound.relaxations import (
 from beliefbound.scm import ExoDistribution, Mechanism, Scm, scm_dataset
 from beliefbound.tables import BehaviouralDataset, DistTable, VariableRef
 
+from support import reference_ball_minimum
+
 Z1 = {"Z": 1}
 
 
 def test_exact_lp_fixture_minima(medai):
+    # The fixture is exact and the minimum is rounded once.
     ball = GroundingBall(0.1)
-    assert approx_grounding_lower(medai, ball, Z1, Z1, 1, 0) == pytest.approx(-0.6, abs=1e-9)
-    assert approx_grounding_lower(medai, ball, Z1, Z1, 0, 1) == pytest.approx(-0.9, abs=1e-9)
+    assert approx_grounding_lower(medai, ball, Z1, Z1, 1, 0) == -0.6
+    assert approx_grounding_lower(medai, ball, Z1, Z1, 0, 1) == -0.9
 
 
 def test_zero_radius_recovers_grounded_bound(medai):
@@ -43,6 +47,76 @@ def test_ball_monotone_in_radius(medai):
     ]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
     assert values[-1] == pytest.approx(-1.0, abs=1e-9)
+
+
+def random_ball_cases(exact, count=600):
+    """(centre, coeffs, delta, cells) over one variable of 1 to 8 cells:
+    integer weights with about a fifth of the cells empty, coefficients drawn
+    from four values so that ties are common, and radii from 0 to 1, a third
+    of them above the mass that can move, each a multiple of 2**-20.  `exact`
+    gives `Fraction` entries and coefficients, otherwise floats."""
+    rng = np.random.default_rng(31 + exact)
+    values = [Fraction(0), Fraction(3, 10), Fraction(1, 2), Fraction(1)]
+    for _ in range(count):
+        n = int(rng.integers(1, 9))
+        x = VariableRef("X", tuple(range(n)))
+        cells = [(i,) for i in x.domain]
+        weights = [int(w) for w in rng.integers(-2, 9, size=n).clip(0)]
+        weights[int(rng.integers(n))] += 1
+        total = sum(weights)
+        coeffs = [values[i] for i in rng.integers(0, len(values), size=n)]
+        if not exact:
+            coeffs = [float(c) for c in coeffs]
+        centre = DistTable((x,), {
+            cell: Fraction(w, total) if exact else w / total
+            for cell, w in zip(cells, weights) if w
+        })
+        movable = sum(Fraction(w, total) for w, c in zip(weights, coeffs) if c > min(coeffs))
+        if rng.random() < 1 / 3:
+            delta = float(rng.uniform(float(movable), 1.0))
+        else:
+            delta = float(rng.uniform(0.0, 1.0))
+        delta = round(delta * 2**20) / 2**20
+        yield centre, coeffs, delta, cells, movable
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_ball_minimum_matches_the_linear_program(exact):
+    """The closed form against the TV-ball program it replaced, on 600 float
+    and 600 `Fraction` tables; an exact table's minimum stays a `Fraction`."""
+    above = 0
+    for centre, coeffs, delta, cells, movable in random_ball_cases(exact):
+        value = _ball_minimum(centre, coeffs, delta, cells)
+        assert float(value) == pytest.approx(
+            reference_ball_minimum(centre, coeffs, delta, cells), abs=1e-12
+        )
+        assert isinstance(value, Fraction) == exact
+        above += delta > movable
+    assert above >= 150
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_ball_minimum_matches_highs(exact):
+    optimize = pytest.importorskip("scipy.optimize")
+    for centre, coeffs, delta, cells, _ in random_ball_cases(exact):
+        # p, then its moves up (a) and down (b) from the centre.
+        n = len(cells)
+        centre_vec = [float(centre.entries.get(k, 0)) for k in cells]
+        eye = np.eye(n)
+        ref = optimize.linprog(
+            np.concatenate([np.asarray(coeffs, dtype=float), np.zeros(2 * n)]),
+            A_ub=np.concatenate([np.zeros(n), np.ones(2 * n)])[None, :],
+            b_ub=[2 * delta],
+            A_eq=np.vstack([np.hstack([eye, -eye, eye]),
+                            np.concatenate([np.ones(n), np.zeros(2 * n)])]),
+            b_eq=[*centre_vec, 1.0],
+            bounds=(0, None),
+            method="highs",
+        )
+        assert ref.status == 0
+        assert float(_ball_minimum(centre, coeffs, delta, cells)) == pytest.approx(
+            ref.fun, abs=1e-12
+        )
 
 
 def test_sampling_lands_in_bands_and_dominates_lp(medai):
