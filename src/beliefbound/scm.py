@@ -18,6 +18,15 @@ Lookup arrays are read-only and shared: a model derived from another
 (`submodel`, `apply_shift`, `policy_model`, the oracle's witnesses) compiles and
 checks only the mechanisms it replaces and hands its parent's arrays on for the
 rest.  `Scm` trusts an array handed over in `lookup` and compiles the others.
+
+Each exogenous block is indexed once: `ExoDistribution._columns` holds one
+read-only domain-index column per exogenous variable over the atoms, and a
+derived model that keeps its parent's block (`submodel`, a shift without an
+exogenous replacement) keeps the same object, so every model sum over one
+block reads the same columns.  `scm_dataset` pushes the atoms straight onto
+the variables other than the decision and builds one table per decision; its
+entries are those of `query(joint_distribution(...), rest)`, because under
+do(D=d) dropping D maps the joint's cells one to one onto those of the rest.
 """
 
 from __future__ import annotations
@@ -44,7 +53,6 @@ from .tables import (
     _close_to_one,
     _integer_view,
     _total,
-    query,
 )
 
 
@@ -130,6 +138,17 @@ class ExoDistribution:
         """The atoms' integer view (see the `tables` docstring), or None."""
         return _integer_view(tuple(p for _, p in self.atoms))
 
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """Read-only domain-index column of each variable over `atoms`."""
+        columns = []
+        for j, ref in enumerate(self.variables):
+            position = {v: i for i, v in enumerate(ref.domain)}
+            column = np.array([position[key[j]] for key, _ in self.atoms], dtype=np.intp)
+            column.flags.writeable = False
+            columns.append(column)
+        return tuple(columns)
+
     def assignments(self):
         for key, p in self.atoms:
             yield dict(zip(self.names, key)), p
@@ -147,10 +166,10 @@ class ExoDistribution:
             raise InputError(f"exogenous name clash: {sorted(clash)}")
         atoms = []
         for lk, lp in left.atoms:
-            if float(lp) == 0.0:
+            if lp == 0:
                 continue
             for rk, rp in right.atoms:
-                if float(rp) == 0.0:
+                if rp == 0:
                     continue
                 atoms.append((lk + rk, lp * rp))
         return cls(left.variables + right.variables, tuple(atoms))
@@ -294,19 +313,18 @@ class Scm:
         raise InputError(f"no endogenous variable {name!r}")
 
 
-def _evaluate_keys(scm: Scm, keys: Sequence[tuple[Value, ...]]) -> dict[str, np.ndarray]:
-    """One kernel call over exogenous keys (values in `scm.exo.names` order)."""
-    units, exo_sizes = {}, {}
-    for j, ref in enumerate(scm.exo.variables):
-        units[ref.name] = np.array([ref.domain.index(key[j]) for key in keys], dtype=np.intp)
-        exo_sizes[ref.name] = len(ref.domain)
+def _evaluate_units(scm: Scm, units: Sequence[np.ndarray], rows: int) -> dict[str, np.ndarray]:
+    """One kernel call over `rows` exogenous rows: `units` holds one
+    domain-index column per variable of `scm.exo`, in its order."""
+    by_name = dict(zip(scm.exo.names, units))
+    exo_sizes = {ref.name: len(ref.domain) for ref in scm.exo.variables}
     exo = {
-        name: _ravel(units, m.exo_parents, exo_sizes, len(keys))
+        name: _ravel(by_name, m.exo_parents, exo_sizes, rows)
         for name, m in scm.mechanisms.items()
     }
     parents = {name: m.parents for name, m in scm.mechanisms.items()}
     sizes = {ref.name: len(ref.domain) for ref in scm.variables}
-    return evaluate_columns(scm.order, parents, sizes, scm.lookup, exo, len(keys))
+    return evaluate_columns(scm.order, parents, sizes, scm.lookup, exo, rows)
 
 
 def evaluate(scm: Scm, u: Assignment) -> dict[str, Value]:
@@ -316,7 +334,8 @@ def evaluate(scm: Scm, u: Assignment) -> dict[str, Value]:
             raise InputError(f"exogenous variable {ref.name!r} unassigned")
         if u[ref.name] not in ref.domain:
             raise InputError(f"value {u[ref.name]!r} outside domain of {ref.name!r}")
-    columns = _evaluate_keys(scm, [tuple(u[name] for name in scm.exo.names)])
+    units = [np.array([ref.domain.index(u[ref.name])], dtype=np.intp) for ref in scm.exo.variables]
+    columns = _evaluate_units(scm, units, 1)
     return {name: scm.ref(name).domain[columns[name][0]] for name in scm.order}
 
 
@@ -356,10 +375,10 @@ def apply_shift(scm: Scm, shift: Shift) -> Scm:
     return _derive(scm, {name: shift.mechanisms[name] for name in shift.targets}, exo)
 
 
-def joint_distribution(scm: Scm) -> DistTable:
-    """Push the exogenous distribution through the mechanisms."""
-    refs = tuple(scm.ref(n) for n in sorted(scm.names))
-    columns = _evaluate_keys(scm, [key for key, _ in scm.exo.atoms])
+def _pushforward(scm: Scm, refs: tuple[VariableRef, ...]) -> DistTable:
+    """The law of the name-sorted `refs` under the exogenous distribution:
+    each atom's mass is added to the cell of its values, in atom order."""
+    columns = _evaluate_units(scm, scm.exo._columns, len(scm.exo.atoms))
     values = zip(*(np.array(r.domain, dtype=object)[columns[r.name]] for r in refs))
     common, probs = scm.exo._exact or (None, (p for _, p in scm.exo.atoms))
     cells: dict[tuple[Value, ...], Number] = {}
@@ -368,6 +387,11 @@ def joint_distribution(scm: Scm) -> DistTable:
     if common is not None:
         cells = {k: Fraction(n, common) for k, n in cells.items()}
     return DistTable(refs, cells)
+
+
+def joint_distribution(scm: Scm) -> DistTable:
+    """Push the exogenous distribution through the mechanisms."""
+    return _pushforward(scm, tuple(scm.ref(n) for n in sorted(scm.names)))
 
 
 def counterfactual_probability(
@@ -379,10 +403,9 @@ def counterfactual_probability(
     Sums P(u) over exogenous atoms whose potential responses satisfy all the
     listed counterfactual events simultaneously.
     """
-    keys = [key for key, _ in scm.exo.atoms]
-    holds = np.ones(len(keys), dtype=bool)
+    holds = np.ones(len(scm.exo.atoms), dtype=bool)
     for iv, event in events:
-        columns = _evaluate_keys(submodel(scm, iv), keys)
+        columns = _evaluate_units(submodel(scm, iv), scm.exo._columns, len(holds))
         for name, value in event.items():
             domain = scm.ref(name).domain
             holds &= columns[name] == (domain.index(value) if value in domain else -1)
@@ -427,7 +450,7 @@ def policy_model(scm: Scm, policy: Policy) -> Scm:
         p: Number = 1
         for ctx, d in zip(contexts, choice):
             p = p * policy.rows[ctx].get(d, 0)
-        if float(p) != 0.0:
+        if p != 0:
             atoms.append(((i,), p))
     block = ExoDistribution((noise,), tuple(atoms))
 
@@ -455,14 +478,10 @@ def scm_dataset(
     from .tables import ExperimentalDomain
 
     dref = scm.ref(decision)
-    rest = sorted(n for n in scm.names if n != decision)
+    rest = tuple(scm.ref(n) for n in sorted(scm.names) if n != decision)
 
     def tables_under(base: Assignment) -> dict[Value, DistTable]:
-        out = {}
-        for d in dref.domain:
-            joint = joint_distribution(submodel(scm, {**base, decision: d}))
-            out[d] = query(joint, rest)
-        return out
+        return {d: _pushforward(submodel(scm, {**base, decision: d}), rest) for d in dref.domain}
 
     extra = tuple(
         ExperimentalDomain(label, dict(iv), tables_under(iv)) for label, iv in domains

@@ -47,6 +47,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -103,6 +104,11 @@ class VariableRef:
         if len(distinct) != len(self.domain):
             raise InputError(f"variable {self.name!r} has duplicate domain values")
 
+    @cached_property
+    def _members(self) -> frozenset[Value]:
+        """The domain as a set, for membership checks of hashable values."""
+        return frozenset(self.domain)
+
     def index(self, value: Value) -> int:
         try:
             return self.domain.index(value)
@@ -137,19 +143,23 @@ class DistTable:
 
     def __post_init__(self) -> None:
         refs = _sorted_scope(self.scope)
-        order = [r.name for r in refs]
         original = {r.name: i for i, r in enumerate(self.scope)}
-        remap = tuple(original[name] for name in order)
+        remap = tuple(original[r.name] for r in refs)
+        if remap == tuple(range(len(refs))):
+            remap = None
+        members = [r._members for r in refs]
         fixed: dict[tuple[Value, ...], Number] = {}
         for key, p in self.entries.items():
             key = tuple(key)
             if len(key) != len(refs):
                 raise InputError(f"entry {key} does not match scope arity {len(refs)}")
-            key = tuple(key[i] for i in remap)
-            for ref, v in zip(refs, key):
-                if v not in ref.domain:
-                    raise InputError(f"value {v!r} not in domain of {ref.name!r}")
-            if float(p) < -SUM_TOL:
+            if remap is not None:
+                key = tuple(key[i] for i in remap)
+            # Entry keys are dict keys, so their values are hashable.
+            if not all(map(frozenset.__contains__, members, key)):
+                ref, v = next((r, v) for r, v in zip(refs, key) if v not in r._members)
+                raise InputError(f"value {v!r} not in domain of {ref.name!r}")
+            if (type(p) is not Fraction or p.numerator < 0) and float(p) < -SUM_TOL:
                 raise InputError(f"negative probability {p} at {key}")
             if key in fixed:
                 raise InputError(f"duplicate entry for assignment {key}")
@@ -218,16 +228,6 @@ class DistTable:
     __hash__ = None  # type: ignore[assignment]
 
 
-def _picker(at: Sequence[int]):
-    """Key function returning the tuple of a key's values at `at`."""
-    if len(at) == 1:
-        (i,) = at
-        return lambda key: (key[i],)
-    if not at:
-        return lambda key: ()
-    return itemgetter(*at)
-
-
 def _scan(
     table: DistTable, event: Assignment, target: Sequence[str] | None = None
 ) -> tuple[Number, dict[tuple[Value, ...], Number]]:
@@ -235,21 +235,33 @@ def _scan(
     the mass of the event per value of those variables (no cells otherwise).
     The event is validated in its own key order; a target naming a variable
     outside the scope gets no cells, so callers raise for it after their
-    zero-mass checks.  See the module docstring for the summation contract."""
+    zero-mass checks.  See the module docstring for the summation contract.
+
+    A one-variable event compares ``key[i]`` with its value as a 1-tuple
+    comparison would (identity, then ``==``), and a one-variable target
+    accumulates by the value itself and wraps each cell's key into a 1-tuple
+    at the end, keeping first-seen order."""
     pos = table._positions(event)
-    get, want = _picker([i for i, _ in pos]), tuple(v for _, v in pos)
     at = None if target is None else [table._index.get(name) for name in target]
-    pick = None if at is None or None in at else _picker(at)
     common, probs = table._exact or (None, table.entries.values())
-    hits: list[Number] = []
+    keys: Iterable[tuple[Value, ...]] = table.entries
+    if len(pos) == 1:
+        ((i, v),) = pos
+        mask = [key[i] is v or key[i] == v for key in keys]
+    elif pos:
+        get, want = itemgetter(*[i for i, _ in pos]), tuple(v for _, v in pos)
+        mask = [get(key) == want for key in keys]
+    if pos:
+        keys, probs = compress(keys, mask), compress(probs, mask)
+    hits = list(probs)
     cells: dict[tuple[Value, ...], Number] = {}
-    for key, p in zip(table.entries, probs):
-        if get(key) != want:
-            continue
-        hits.append(p)
-        if pick is not None:
+    if at is not None and None not in at:
+        pick = itemgetter(*at) if at else (lambda key: ())
+        for key, p in zip(keys, hits):
             k = pick(key)
             cells[k] = cells.get(k, 0) + p
+        if len(at) == 1:
+            cells = {(k,): n for k, n in cells.items()}
     mass = sum(hits, start=0)
     if common is None or not hits:
         return mass, cells

@@ -558,6 +558,56 @@ def reference_counterfactual(scm, events):
     return sum(hits, start=0)
 
 
+def reference_scm_dataset(scm, decision, utility="Y", domains=()):
+    """`scm_dataset` as the marginal of each sub-model's joint: one
+    `evaluate` per atom, then the one-loop `reference_query` onto the
+    variables other than the decision."""
+    from beliefbound.scm import submodel
+    from beliefbound.tables import ExperimentalDomain
+
+    dref = scm.ref(decision)
+    rest = sorted(n for n in scm.names if n != decision)
+
+    def tables_under(base):
+        return {
+            d: reference_query(reference_joint(submodel(scm, {**base, decision: d})), rest)
+            for d in dref.domain
+        }
+
+    extra = tuple(ExperimentalDomain(label, dict(iv), tables_under(iv)) for label, iv in domains)
+    return BehaviouralDataset(dref, tables_under({}), utility=utility, domains=extra)
+
+
+def reference_dist_table(scope, entries):
+    """(sorted scope, checked entries) as `DistTable` validated them with one
+    loop per entry and a tuple membership test per value; raises what it
+    raised, in the same order."""
+    from beliefbound.errors import InputError
+    from beliefbound.tables import SUM_TOL, _sorted_scope
+
+    refs = _sorted_scope(scope)
+    original = {r.name: i for i, r in enumerate(scope)}
+    remap = tuple(original[r.name] for r in refs)
+    fixed = {}
+    for key, p in entries.items():
+        key = tuple(key)
+        if len(key) != len(refs):
+            raise InputError(f"entry {key} does not match scope arity {len(refs)}")
+        key = tuple(key[i] for i in remap)
+        for ref, v in zip(refs, key):
+            if v not in ref.domain:
+                raise InputError(f"value {v!r} not in domain of {ref.name!r}")
+        if float(p) < -SUM_TOL:
+            raise InputError(f"negative probability {p} at {key}")
+        if key in fixed:
+            raise InputError(f"duplicate entry for assignment {key}")
+        fixed[key] = p
+    total = sum(fixed.values(), start=0)
+    if abs(float(total) - 1.0) > SUM_TOL:
+        raise InputError(f"table mass {float(total)} is not 1 within {SUM_TOL}")
+    return refs, fixed
+
+
 def reference_query(table, target, given=None):
     from beliefbound.errors import ZeroMassError
     from beliefbound.tables import _div

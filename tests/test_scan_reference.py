@@ -24,16 +24,19 @@ from beliefbound.tables import (
     DistTable,
     ExperimentalDomain,
     VariableRef,
+    _scan,
     expectation,
     query,
 )
 
 from support import (
     reference_direct,
+    reference_dist_table,
     reference_expectation,
     reference_pieces,
     reference_prob,
     reference_query,
+    reference_scan,
     reference_thm4,
     reference_unconfoundedness,
 )
@@ -236,3 +239,109 @@ def test_marginal_mass_off_by_rounding_raises_as_the_query_table_would():
     got = scalar_outcome(expectation, table, "Y", {})
     assert got[:2] == ("raised", InputError) and "is not 1 within" in got[2]
     assert got == scalar_outcome(reference_expectation, table, "Y", {})
+
+
+# Event values per variable: string values equal to the domain's but not the
+# same object, and values of another type equal to an int domain value.
+ONE_VARIABLE_EVENTS = {
+    "S": ("lo", "hi", "".join(["h", "i"])),
+    "W": (0, 1, True, False, 1.0, 0.0),
+    "C": (0, 1, 2, 2.0, Fraction(1)),
+}
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["fraction", "float"])
+def test_one_variable_events_and_targets_match_the_reference(exact):
+    targets = (None, [], ["S"], ["W"], ["C"], ["S", "W"], ["W", "C"], ["Q"])
+    for seed in SEEDS:
+        rng = np.random.default_rng(3000 + seed)
+        table = random_table(rng, (C, S, W, Z), exact, keep=0.5)
+        for name, values in ONE_VARIABLE_EVENTS.items():
+            for value in values:
+                for target in targets:
+                    got = _scan(table, {name: value}, target)
+                    want = reference_scan(table, {name: value}, target)
+                    assert repr(got) == repr(want), (seed, name, value, target)
+                    assert type(got[0]) is type(want[0])
+
+
+def test_a_one_variable_event_with_no_hits_is_the_int_zero():
+    exact = DistTable((S, W), {("lo", 0): Fraction(1, 3), ("lo", 1): Fraction(2, 3)})
+    floats = DistTable((S, W), {("lo", 0): 0.25, ("lo", 1): 0.75})
+    for table in (exact, floats):
+        for target in (None, ["W"], ["S", "W"]):
+            mass, cells = _scan(table, {"S": "hi"}, target)
+            assert type(mass) is int and mass == 0 and cells == {}
+        assert type(table.prob({"S": "hi"})) is int
+
+
+class Distinct(tuple):
+    """A key equal only to itself: a dict holds it beside the plain tuple of
+    the same values, and `tuple()` turns it into that tuple."""
+
+    def __eq__(self, other):
+        return self is other
+
+    def __hash__(self):
+        return id(self)
+
+
+def faulty_entries(rng, scope, exact: bool) -> dict:
+    """A normalised table over `scope` with up to three faults, mostly on its
+    first two entries: wrong arity, an out-of-domain value, a negative entry,
+    a key that duplicates another only once both are plain tuples, and values
+    of another type equal to an int domain value (not a fault)."""
+    keys = [k for k in product(*(r.domain for r in scope)) if rng.random() < 0.8]
+    keys = keys or [tuple(r.domain[0] for r in scope)]
+    weights = [int(w) for w in rng.integers(1, 30, size=len(keys))]
+    total = sum(weights)
+    items = [(k, Fraction(w, total) if exact else w / total) for k, w in zip(keys, weights)]
+    for fault in rng.choice(["arity", "domain", "negative", "duplicate", "alias"],
+                            size=int(rng.integers(0, 4))):
+        j = int(rng.integers(0, min(2, len(items))))  # faults pile up on one entry
+        key, p = items[j]
+        if fault == "arity":
+            items.insert(j, (key[:-1] if rng.random() < 0.5 else (*key, 0), p))
+        elif fault == "domain":
+            at = int(rng.integers(0, len(key)))
+            items[j] = ((*key[:at], "zz" if rng.random() < 0.5 else 7, *key[at + 1:]), p)
+        elif fault == "negative":
+            tiny = rng.random() < 0.3  # within the tolerance: accepted
+            if exact:
+                items[j] = (key, Fraction(-1, 10**14) if tiny else -p)
+            else:
+                items[j] = (key, -1e-13 if tiny else -p)
+        elif fault == "duplicate":
+            items.insert(int(rng.integers(0, len(items) + 1)), (Distinct(key), p))
+        else:
+            items[j] = (tuple(True if v == 1 else 1.0 if v == 2 else v for v in key), p)
+    return dict(items)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["fraction", "float"])
+def test_table_construction_raises_the_reference_first_error(exact):
+    def build(make, scope, entries):
+        try:
+            refs, fixed = make(scope, entries)
+        except InputError as exc:
+            return ("raised", str(exc))
+        return (refs, repr(list(fixed.items())))
+
+    def construct(scope, entries):
+        table = DistTable(scope, entries)
+        return table.scope, table.entries
+
+    raised, built = set(), 0
+    for seed in range(200):
+        rng = np.random.default_rng(4000 + seed)
+        scope = (Z, C, S) if seed % 2 else (C, S, Z)  # unsorted / sorted
+        entries = faulty_entries(rng, scope, exact)
+        got = build(construct, scope, entries)
+        assert got == build(reference_dist_table, scope, entries), (seed, entries)
+        if got[0] == "raised":
+            raised.add(got[1].split(" ")[0])
+        else:
+            built += 1
+    # Every fault was seen first at least once, and some tables were built.
+    assert {"entry", "value", "negative", "duplicate"} <= raised, raised
+    assert built > 0

@@ -223,3 +223,19 @@ def test_derived_models_reuse_lookups_that_match_a_fresh_compile(m1, m2):
         assert_lookups_compiled_once(base)
         assert derived[0].lookup["Y"] is base.lookup["Y"]  # shared, not copied
         assert derived[-1].lookup["Z"] is base.lookup["Z"]
+
+
+def test_exact_atoms_below_the_float_range_are_kept(m1):
+    """An exact atom whose float is 0.0 is not a zero atom: products and
+    policy blocks keep it, and the mass stays exactly 1."""
+    tiny = Fraction(1, 10**400)
+    a = ExoDistribution((VariableRef("A", (0, 1)),), (((0,), 1 - tiny), ((1,), tiny)))
+    half = Fraction(1, 2)
+    coin = ExoDistribution.independent(VariableRef("B", (0, 1)), {0: half, 1: half})
+    both = ExoDistribution.product(a, coin)
+    assert len(both.atoms) == 4
+    assert sum(p for _, p in both.atoms) == 1
+    rows = {(): {0: 1 - tiny, 1: tiny}}
+    model = policy_model(m1, Policy(m1.ref("D"), (), rows))
+    assert len(model.exo.atoms) == 2 * len(m1.exo.atoms)
+    assert sum(p for _, p in model.exo.atoms) == 1
