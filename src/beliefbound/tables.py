@@ -98,16 +98,13 @@ class VariableRef:
         if not self.domain:
             raise InputError(f"variable {self.name!r} has an empty domain")
         try:
-            distinct = set(self.domain)
+            members = frozenset(self.domain)
         except TypeError:  # unhashable, e.g. a JSON array or object
             raise InputError(f"variable {self.name!r} has a list or object in its domain") from None
-        if len(distinct) != len(self.domain):
+        if len(members) != len(self.domain):
             raise InputError(f"variable {self.name!r} has duplicate domain values")
-
-    @cached_property
-    def _members(self) -> frozenset[Value]:
-        """The domain as a set, for membership checks of hashable values."""
-        return frozenset(self.domain)
+        # The domain as a set, for membership checks of hashable values.
+        object.__setattr__(self, "_members", members)
 
     def index(self, value: Value) -> int:
         try:
