@@ -72,7 +72,7 @@ from .errors import (
     OracleError,
     UnsupportedError,
 )
-from .scm import ExoDistribution, Mechanism, Scm, _derive, evaluate_columns, toposort
+from .scm import ExoDistribution, Mechanism, Scm, evaluate_columns, toposort
 from .tables import (
     Assignment,
     BehaviouralDataset,
@@ -238,8 +238,7 @@ class CanonicalAtomSpace:
         """Value indices held fixed under do(intervention) and decision d."""
         fixed = {self.decision.name: self.decision.index(d)}
         for name, value in (intervention or {}).items():
-            if name in self._parents:
-                fixed[name] = self.refs[name].index(value)
+            fixed[name] = self.refs[name].index(value)
         return fixed
 
     def walk(self, blocks: Sequence[Mapping[str, int]]) -> tuple[list[int], np.ndarray]:
@@ -678,7 +677,7 @@ def witness_thm1_scm(
         utility,
         lambda assign: y_hi if assign[decision] == d0 else y_lo,
     )
-    return _derive(base, mechanisms, base.exo)
+    return Scm(base.variables, {**base.mechanisms, **mechanisms}, base.exo)
 
 
 # -- canonical (z, y) response tables and unknown-shift witnesses ----------

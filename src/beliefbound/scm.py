@@ -14,10 +14,10 @@ The package's one topological sort (`toposort`) and one evaluation kernel
 out) live here and serve `Scm` and the oracle's canonical space alike.  Only
 value indices enter numpy; masses are summed in Python, so rationals stay exact.
 
-Lookup arrays are read-only and shared: a model derived from another
-(`submodel`, `apply_shift`, `policy_model`, the oracle's witnesses) compiles and
-checks only the mechanisms it replaces and hands its parent's arrays on for the
-rest.  `Scm` trusts an array handed over in `lookup` and compiles the others.
+A query under do(x) builds no sub-model: it holds x's value indices in the
+kernel (`evaluate_columns`' `fixed`), as the oracle's canonical space does, and
+never reads the intervened mechanisms.  Every `Scm`, `submodel`'s included,
+compiles and checks all of its mechanisms.
 
 Each exogenous block is indexed once: `ExoDistribution._columns` holds one
 read-only domain-index column per exogenous variable over the atoms, and a
@@ -249,8 +249,8 @@ class Scm:
     variables: tuple[VariableRef, ...]
     mechanisms: dict[str, Mechanism]
     exo: ExoDistribution
-    order: tuple[str, ...] = field(default=(), compare=False)
-    lookup: dict[str, np.ndarray] = field(default_factory=dict, compare=False, repr=False)
+    order: tuple[str, ...] = field(init=False, compare=False)
+    lookup: dict[str, np.ndarray] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         refs = tuple(self.variables)
@@ -263,10 +263,8 @@ class Scm:
             )
         by_name = {r.name: r for r in refs}
         exo_by_name = {r.name: r for r in self.exo.variables}
-        lookup = dict(self.lookup)
+        lookup = {}
         for name, mech in self.mechanisms.items():
-            if name in lookup:
-                continue
             if mech.target.name != name or mech.target != by_name[name]:
                 raise ModelError(f"mechanism for {name!r} targets {mech.target}")
             for p in mech.parents:
@@ -313,18 +311,22 @@ class Scm:
         raise InputError(f"no endogenous variable {name!r}")
 
 
-def _evaluate_units(scm: Scm, units: Sequence[np.ndarray], rows: int) -> dict[str, np.ndarray]:
-    """One kernel call over `rows` exogenous rows: `units` holds one
-    domain-index column per variable of `scm.exo`, in its order."""
+def _evaluate_units(
+    scm: Scm, units: Sequence[np.ndarray], rows: int, iv: Assignment | None = None
+) -> dict[str, np.ndarray]:
+    """One kernel call over `rows` exogenous rows under do(iv): `units` holds
+    one domain-index column per variable of `scm.exo`, in its order."""
+    fixed = {name: scm.ref(name).index(value) for name, value in (iv or {}).items()}
     by_name = dict(zip(scm.exo.names, units))
     exo_sizes = {ref.name: len(ref.domain) for ref in scm.exo.variables}
     exo = {
         name: _ravel(by_name, m.exo_parents, exo_sizes, rows)
         for name, m in scm.mechanisms.items()
+        if name not in fixed
     }
     parents = {name: m.parents for name, m in scm.mechanisms.items()}
     sizes = {ref.name: len(ref.domain) for ref in scm.variables}
-    return evaluate_columns(scm.order, parents, sizes, scm.lookup, exo, rows)
+    return evaluate_columns(scm.order, parents, sizes, scm.lookup, exo, rows, fixed)
 
 
 def evaluate(scm: Scm, u: Assignment) -> dict[str, Value]:
@@ -339,17 +341,12 @@ def evaluate(scm: Scm, u: Assignment) -> dict[str, Value]:
     return {name: scm.ref(name).domain[columns[name][0]] for name in scm.order}
 
 
-def _derive(scm: Scm, new: Mapping[str, Mechanism], exo: ExoDistribution) -> Scm:
-    """`scm` with `new` mechanisms and `exo` (holding `scm.exo`'s variables)."""
-    kept = {name: array for name, array in scm.lookup.items() if name not in new}
-    return Scm(scm.variables, {**scm.mechanisms, **new}, exo, lookup=kept)
-
-
 def submodel(scm: Scm, iv: Assignment) -> Scm:
     """Sub-model under do(x): targeted mechanisms become constants."""
     if not iv:
         return scm
-    return _derive(scm, {n: Mechanism.constant(scm.ref(n), v) for n, v in iv.items()}, scm.exo)
+    new = {n: Mechanism.constant(scm.ref(n), v) for n, v in iv.items()}
+    return Scm(scm.variables, {**scm.mechanisms, **new}, scm.exo)
 
 
 def apply_shift(scm: Scm, shift: Shift) -> Scm:
@@ -372,13 +369,14 @@ def apply_shift(scm: Scm, shift: Shift) -> Scm:
     if missing:
         raise UnsupportedError(f"shift lacks replacement mechanisms for {sorted(missing)}")
     exo = scm.exo if shift.exo is None else ExoDistribution.product(scm.exo, shift.exo)
-    return _derive(scm, {name: shift.mechanisms[name] for name in shift.targets}, exo)
+    new = {name: shift.mechanisms[name] for name in shift.targets}
+    return Scm(scm.variables, {**scm.mechanisms, **new}, exo)
 
 
-def _pushforward(scm: Scm, refs: tuple[VariableRef, ...]) -> DistTable:
-    """The law of the name-sorted `refs` under the exogenous distribution:
-    each atom's mass is added to the cell of its values, in atom order."""
-    columns = _evaluate_units(scm, scm.exo._columns, len(scm.exo.atoms))
+def _pushforward(scm: Scm, refs: tuple[VariableRef, ...], iv: Assignment) -> DistTable:
+    """The law of the name-sorted `refs` under do(iv): each exogenous atom's
+    mass is added to the cell of its values, in atom order."""
+    columns = _evaluate_units(scm, scm.exo._columns, len(scm.exo.atoms), iv)
     values = zip(*(np.array(r.domain, dtype=object)[columns[r.name]] for r in refs))
     common, probs = scm.exo._exact or (None, (p for _, p in scm.exo.atoms))
     cells: dict[tuple[Value, ...], Number] = {}
@@ -391,7 +389,7 @@ def _pushforward(scm: Scm, refs: tuple[VariableRef, ...]) -> DistTable:
 
 def joint_distribution(scm: Scm) -> DistTable:
     """Push the exogenous distribution through the mechanisms."""
-    return _pushforward(scm, tuple(scm.ref(n) for n in sorted(scm.names)))
+    return _pushforward(scm, tuple(scm.ref(n) for n in sorted(scm.names)), {})
 
 
 def counterfactual_probability(
@@ -405,7 +403,7 @@ def counterfactual_probability(
     """
     holds = np.ones(len(scm.exo.atoms), dtype=bool)
     for iv, event in events:
-        columns = _evaluate_units(submodel(scm, iv), scm.exo._columns, len(holds))
+        columns = _evaluate_units(scm, scm.exo._columns, len(holds), iv)
         for name, value in event.items():
             domain = scm.ref(name).domain
             holds &= columns[name] == (domain.index(value) if value in domain else -1)
@@ -452,7 +450,7 @@ def policy_model(scm: Scm, policy: Policy) -> Scm:
             p = p * policy.rows[ctx].get(d, 0)
         if p != 0:
             atoms.append(((i,), p))
-    block = ExoDistribution((noise,), tuple(atoms))
+    exo = ExoDistribution.product(scm.exo, ExoDistribution((noise,), tuple(atoms)))
 
     position = {ctx: i for i, ctx in enumerate(contexts)}
     table = {
@@ -461,7 +459,7 @@ def policy_model(scm: Scm, policy: Policy) -> Scm:
         for i in range(len(choices))
     }
     mech = Mechanism(ref, tuple(policy.context), (noise_name,), table)
-    return _derive(scm, {dname: mech}, ExoDistribution.product(scm.exo, block))
+    return Scm(scm.variables, {**scm.mechanisms, dname: mech}, exo)
 
 
 def scm_dataset(
@@ -473,7 +471,7 @@ def scm_dataset(
     """Per-decision behavioural tables generated by a known model.
 
     `domains` lists extra (label, intervened assignment) environments whose
-    per-decision tables are computed from the corresponding sub-models.
+    per-decision tables are computed under the corresponding do().
     """
     from .tables import ExperimentalDomain
 
@@ -481,7 +479,7 @@ def scm_dataset(
     rest = tuple(scm.ref(n) for n in sorted(scm.names) if n != decision)
 
     def tables_under(base: Assignment) -> dict[Value, DistTable]:
-        return {d: _pushforward(submodel(scm, {**base, decision: d}), rest) for d in dref.domain}
+        return {d: _pushforward(scm, rest, {**base, decision: d}) for d in dref.domain}
 
     extra = tuple(
         ExperimentalDomain(label, dict(iv), tables_under(iv)) for label, iv in domains

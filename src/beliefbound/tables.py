@@ -481,11 +481,24 @@ class BehaviouralDataset:
         if self.decision.name in names:
             raise InputError("per-decision tables must not include the decision variable")
         for dom in self.domains:
-            for d, t in dom.per_decision.items():
-                if d not in self.decision.domain:
-                    raise InputError(f"domain {dom.label!r} has unknown decision {d!r}")
+            if set(dom.per_decision) != set(self.decision.domain):
+                raise InputError(
+                    f"domain {dom.label!r} has tables for decisions "
+                    f"{sorted(map(str, dom.per_decision))}, expected {self.decision.domain}"
+                )
+            for t in dom.per_decision.values():
                 if t.names != names:
                     raise InputError(f"domain {dom.label!r} scope differs from base scope")
+            for name, value in dom.intervened.items():
+                if name not in names:
+                    raise InputError(
+                        f"domain {dom.label!r} intervenes on {name!r}, not a variable of "
+                        f"its tables {names}"
+                    )
+                if any(value not in t.ref(name).domain for t in dom.per_decision.values()):
+                    raise InputError(
+                        f"domain {dom.label!r} fixes {name}={value!r}, outside its domain"
+                    )
         self._check_utility(names)
 
     def _check_utility(self, names: tuple[str, ...]) -> None:

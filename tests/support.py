@@ -162,9 +162,10 @@ def exact_dataset(per_decision_cells: dict) -> BehaviouralDataset:
 
 
 def assert_lookups_compiled_once(model: Scm, domains=()) -> None:
-    """A derived model's lookup arrays equal a fresh compile of its mechanisms
-    and are read-only; it answers exactly as the model rebuilt from its parts;
-    and a public build from those parts still checks every mechanism."""
+    """A model's lookup arrays equal a fresh compile of its mechanisms and are
+    read-only, whichever way the model was built; it answers exactly as the
+    model rebuilt from its parts; and a build from those parts checks every
+    mechanism."""
     import pytest
 
     from beliefbound.errors import ModelError

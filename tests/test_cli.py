@@ -406,6 +406,40 @@ def test_exit_two_when_an_object_field_is_a_list(fixture, where, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "intervened, message",
+    [
+        (None, "domain 'do_z1' has tables for decisions ['1'], expected (0, 1)"),
+        ({"Z": 1, "Q": 0},
+         "domain 'do_z1' intervenes on 'Q', not a variable of its tables ('Y', 'Z')"),
+        ({"Q": 1}, "domain 'do_z1' intervenes on 'Q', not a variable of its tables ('Y', 'Z')"),
+        ({"D": 1}, "domain 'do_z1' intervenes on 'D', not a variable of its tables ('Y', 'Z')"),
+        ({"Z": 7}, "domain 'do_z1' fixes Z=7, outside its domain"),
+        ({"Z": [1]}, "domain 'do_z1' fixes Z=[1], outside its domain"),
+    ],
+)
+def test_exit_two_on_a_domain_its_tables_cannot_describe(
+    intervened, message, tmp_path, capsys, monkeypatch
+):
+    """A domain must have a table for every decision (`None`: the fixture's
+    domain without its decision-0 table) and intervene only on its tables'
+    variables, within their domains."""
+    doc = json.loads((REPO / FIXTURES / "medai_experiment.tables.json").read_text())
+    domain = doc["domains"][0]
+    if intervened is None:
+        del domain["per_decision"]["0"]
+    else:
+        domain["intervened"] = intervened
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(doc))
+    for command in (
+        ["oracle", "--direction", "min"],
+        ["bounds", "--theorem", "multidomain"],
+    ):
+        argv = [command[0], "--data", str(path), *command[1:], *_GAP]
+        assert run_inprocess(argv, capsys, monkeypatch) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "skeleton, message",
     [
         ({}, "skeleton lacks field 'variables'"),
@@ -704,9 +738,11 @@ def _mutated(doc: Path | dict):
     return st.builds(functools.partial(_replaced, doc), wheres, _JSON)
 
 
-def _filled(weights, exact, with_domain):
-    """Dataset over (Y, Z), one table per weight list, cells in (Y, Z) order;
-    the optional do(Z=1) domain keeps each list's Z=1 cells."""
+def _filled(weights, exact, domain):
+    """Dataset over (Y, Z), one table per weight list, cells in (Y, Z) order.
+    `domain` adds a do(Z=1) domain that keeps each list's Z=1 cells ("z1"),
+    the same without decision 0's table ("omit"), or one that intervenes on W,
+    which the tables do not hold, as well ("w")."""
 
     def table(ws):
         total = sum(ws) or 1
@@ -722,9 +758,12 @@ def _filled(weights, exact, with_domain):
         "decision": {"name": "D", "domain": list(range(len(weights)))},
         "per_decision": {str(d): table(ws) for d, ws in enumerate(weights)},
     }
-    if with_domain:
+    if domain:
         per_decision = {str(d): table([0, ws[1], 0, ws[3]]) for d, ws in enumerate(weights)}
-        doc["domains"] = [{"label": "exp", "intervened": {"Z": 1}, "per_decision": per_decision}]
+        if domain == "omit":
+            del per_decision["0"]
+        intervened = {"Z": 1, "W": 0} if domain == "w" else {"Z": 1}
+        doc["domains"] = [{"label": "exp", "intervened": intervened, "per_decision": per_decision}]
     return doc
 
 
@@ -732,7 +771,7 @@ _FILLED = st.builds(
     _filled,
     st.lists(st.lists(st.integers(0, 4), min_size=4, max_size=4), min_size=2, max_size=3),
     st.booleans(),
-    st.booleans(),
+    st.sampled_from([None, "z1", "omit", "w"]),
 )
 _DOCUMENTS = st.one_of(
     _DATASET,
@@ -800,6 +839,25 @@ def _run_on_file(name: str, text: str, argv) -> str:
 @given(_FILES, st.sampled_from(_COMMANDS))
 def test_malformed_inputs_exit_with_one_line_diagnostic(file, command):
     _run_on_file(*file, [command[0], "--data", "{}", "--context-vars", "Z", *command[1:]])
+
+
+_DOMAIN_COMMANDS = [cmd for cmd in _COMMANDS if cmd[0] == "oracle" or "multidomain" in cmd]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_FILLED, st.sampled_from(_DOMAIN_COMMANDS))
+def test_domains_of_filled_datasets_exit_with_one_line_diagnostic(doc, command):
+    """The commands that read a dataset's domains: a domain without a
+    decision's table or intervening outside its tables is an error, and the
+    oracle never reports a mismatch with a closed form it certifies."""
+    argv = [command[0], "--data", "{}", "--context-vars", "Z", *command[1:]]
+    err = _run_on_file("input.json", json.dumps(doc), argv)
+    if any(
+        "W" in dom["intervened"] or len(dom["per_decision"]) < len(doc["per_decision"])
+        for dom in doc.get("domains", ())
+    ):
+        assert err, "a domain its tables cannot describe was accepted"
+    assert not err.startswith("error: oracle delta"), err
 
 
 _SKELETON_VARIABLE = st.fixed_dictionaries(

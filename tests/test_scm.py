@@ -18,6 +18,7 @@ from beliefbound.scm import (
     evaluate,
     joint_distribution,
     policy_model,
+    scm_dataset,
     submodel,
 )
 from beliefbound.tables import Policy, VariableRef, total_variation
@@ -61,8 +62,42 @@ def test_submodel_empty_is_identity(m1):
 
 
 def test_submodel_rejects_bad_value(m1):
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^constant 7 outside domain of 'Z'$"):
         submodel(m1, {"Z": 7})
+
+
+def test_queries_reject_a_bad_intervention_value(m1):
+    message = r"^value 7 not in domain of 'Z' \(0, 1\)$"
+    with pytest.raises(InputError, match=message):
+        counterfactual_probability(m1, [({"Z": 7}, {"Y": 1})])
+    with pytest.raises(InputError, match=message):
+        scm_dataset(m1, "D", domains=[("exp", {"Z": 7})])
+    with pytest.raises(InputError, match=r"^no endogenous variable 'Q'$"):
+        counterfactual_probability(m1, [({"Q": 0}, {"Y": 1})])
+
+
+def test_model_queries_build_no_model(m1, m2, monkeypatch):
+    """do(x) holds x's value indices in the kernel: no query builds an `Scm`."""
+    built = []
+    init = Scm.__post_init__
+
+    def counted(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(Scm, "__post_init__", counted)
+    for model in (m1, m2):
+        scm_dataset(model, "D", domains=[("exp", {"Z": 1}), ("both", {"Z": 0, "Y": 1})])
+        counterfactual_probability(model, [({"D": 1}, {"Y": 1}), ({"D": 0, "Z": 1}, {"Y": 0})])
+        joint_distribution(model)
+    assert built == []
+
+
+@pytest.mark.parametrize("name", ["lookup", "order"])
+def test_scm_takes_no_precompiled_arrays(m1, name):
+    """Every model compiles and checks its own mechanisms."""
+    with pytest.raises(TypeError):
+        Scm(m1.variables, m1.mechanisms, m1.exo, **{name: getattr(m1, name)})
 
 
 def test_joint_distribution_fixture_values(m1, m2):
@@ -221,8 +256,6 @@ def test_derived_models_reuse_lookups_that_match_a_fresh_compile(m1, m2):
         for model in derived:
             assert_lookups_compiled_once(model, domains=[("exp", {"Z": 1})])
         assert_lookups_compiled_once(base)
-        assert derived[0].lookup["Y"] is base.lookup["Y"]  # shared, not copied
-        assert derived[-1].lookup["Z"] is base.lookup["Z"]
 
 
 def test_exact_atoms_below_the_float_range_are_kept(m1):
