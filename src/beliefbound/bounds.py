@@ -21,6 +21,7 @@ from .tables import (
     Number,
     Value,
     _check_numeric,
+    _check_pair,
     _mean,
     _moments,
     _scan,
@@ -169,14 +170,6 @@ def _utility_range(table: DistTable, utility: str) -> tuple[Value, Value]:
     """(lo, hi): the least and greatest value of a numeric utility domain."""
     domain = table.ref(utility).domain
     return min(domain), max(domain)
-
-
-def _check_pair(data: BehaviouralDataset, d: Value, d_star: Value) -> None:
-    if d == d_star:
-        raise InputError("decision and baseline must differ")
-    for value in (d, d_star):
-        if value not in data.decisions:
-            raise InputError(f"decision {value!r} not in {data.decisions}")
 
 
 def thm1_gap_interval(

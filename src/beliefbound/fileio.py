@@ -331,18 +331,7 @@ def dataset_from_log(
     """
     joint = estimate_from_samples(list(rows), weights)
     dref = joint.ref(decision)
-    ctx = tuple(sorted(context))
-    rows_by_ctx: dict[tuple[Value, ...], dict[Value, Number]] = {}
-    from itertools import product as _product
-
-    for combo in _product(*[joint.ref(name).domain for name in ctx]):
-        assignment = dict(zip(ctx, combo))
-        mass = joint.prob(assignment)
-        if float(mass) <= 0:
-            continue
-        rows_by_ctx[combo] = {
-            d: joint.prob({**assignment, decision: d}) / mass for d in dref.domain
-        }
-    policy = Policy(dref, ctx, rows_by_ctx)
+    # `policy_to_atomic` reads P(d | context) off the joint, not the policy's rows.
+    policy = Policy(dref, tuple(context), {})
     per_decision = {d: policy_to_atomic(joint, policy, d) for d in dref.domain}
     return BehaviouralDataset(dref, per_decision, utility=utility)

@@ -40,11 +40,12 @@ so it is solved in full.
 
 Nothing on the build, solve and witness paths has atom length or
 response-count length: the witness decodes the responses of its support's
-classes from their first atoms.  The one per-atom view left is
-`Polytope.a_eq`, built on access from `CanonicalAtomSpace.atom_cells` (the
-shared evaluation kernel, `scm.evaluate_columns`, over every atom) for readers
-that count its rows; the per-atom program itself is defined by the tests'
-reference.
+classes from their first atoms.  A variable's value is read off its response
+by one digit rule (`CanonicalAtomSpace._values`), no lookup table: on Python
+ints for one atom (`evaluate`), on index arrays for every atom.  The one
+per-atom view left is `Polytope.a_eq`, built on access from
+`CanonicalAtomSpace.atom_cells` for readers that count its rows; the per-atom
+program itself is defined by the tests' reference.
 
 Also houses the constructive side: extracting a concrete model from any
 feasible point, the bound-achieving witness models for atomic shifts, and the
@@ -55,9 +56,8 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from operator import itemgetter, mul
 from typing import Mapping, Sequence
@@ -72,7 +72,7 @@ from .errors import (
     OracleError,
     UnsupportedError,
 )
-from .scm import ExoDistribution, Mechanism, Scm, evaluate_columns, toposort
+from .scm import ExoDistribution, Mechanism, Scm, toposort
 from .tables import (
     Assignment,
     BehaviouralDataset,
@@ -80,6 +80,7 @@ from .tables import (
     Number,
     Value,
     VariableRef,
+    _check_pair,
     merge_assignments,
     query,
 )
@@ -97,13 +98,19 @@ def atom_limit(override: int | str | None = None) -> int:
         name, raw = ATOM_LIMIT_ENV, os.environ.get(ATOM_LIMIT_ENV)
         if not raw:
             return DEFAULT_ATOM_LIMIT
-    try:
-        number = float(raw)
-    except (TypeError, ValueError, OverflowError):
-        number = 0.0
-    if not (math.isfinite(number) and number.is_integer() and number >= 1):
+    number = raw
+    if isinstance(raw, str):
+        with suppress(ValueError):
+            number = int(raw)  # exact at any size; "1e6" stays a string
+    if not isinstance(number, int):
+        try:
+            number = float(number)
+        except (TypeError, ValueError, OverflowError):
+            number = 0.0
+        number = int(number) if number.is_integer() else 0  # inf and nan are not
+    if number < 1:
         raise InputError(f"{name} must be a positive integer, got {raw!r}")
-    return raw if isinstance(raw, int) else int(number)
+    return number
 
 
 @dataclass(frozen=True)
@@ -138,9 +145,10 @@ class CanonicalAtomSpace:
     The atom count and an atom's index are numbers, not array sizes:
     `dimension` is computed arithmetically, `walk` enumerates classes of atoms
     without visiting atoms and names each by its first atom's index (a Python
-    int), and `responses` undoes an index's ravel with divmod.  `atom_cells`
-    evaluates every atom, building arrays of atom length on each call, for
-    `Polytope.a_eq` only; `evaluate` answers for one atom.
+    int), and `responses` undoes an index's ravel with divmod.  `_values` reads
+    the digits: `evaluate` answers for one atom in Python ints, whatever the
+    space's size, and `atom_cells` for every atom in index arrays of atom
+    length, built on each call, for `Polytope.a_eq` only.
     """
 
     def __init__(
@@ -167,6 +175,7 @@ class CanonicalAtomSpace:
 
         cap = atom_limit(limit)
         combos = {v.name: math.prod(self._sizes[p] for p in v.parents) for v in self.variables}
+        self._combos = combos
         bits = sum(n * math.log2(len(v.domain)) for v, n in zip(self.variables, combos.values()))
         if bits > cap.bit_length() + 1:  # too large to be worth counting exactly
             raise AtomLimitError(
@@ -205,26 +214,6 @@ class CanonicalAtomSpace:
             terms.append((self._slot[name], stride))
             stride *= self._sizes[name]
         return terms[::-1]
-
-    @cached_property
-    def _lookup(self) -> dict[str, np.ndarray]:
-        """Read-only [response, parent combination] -> value index arrays, one
-        per variable, of response-count length (built on first use, for
-        `evaluate` and `atom_cells`: the build, solve and witness paths never
-        read it)."""
-        lookup = {}
-        for v in self.variables:
-            k, n = len(v.domain), math.prod(self._sizes[p] for p in v.parents)
-            # Row r is r's base-k digits, most significant first.
-            lookup[v.name] = np.arange(k**n)[:, None] // k ** np.arange(n - 1, -1, -1) % k
-            lookup[v.name].flags.writeable = False
-        return lookup
-
-    def _atom_responses(self) -> dict[str, np.ndarray]:
-        """Every atom's response index per variable: the per-atom view (atom
-        length, built on each access)."""
-        counts = [self.counts[v.name] for v in self.variables]
-        return dict(zip(self._parents, np.unravel_index(np.arange(self.dimension), counts)))
 
     def responses(self, atom: int) -> tuple[int, ...]:
         """Atom `atom`'s response index per name-sorted variable."""
@@ -283,31 +272,38 @@ class CanonicalAtomSpace:
         value indices: [class, block]."""
         return self._cell_strides @ values[:, self._cell_slots, :]
 
-    def _columns(self, fixed: Mapping[str, int], atoms=None) -> dict[str, np.ndarray]:
-        """Value-index columns with the `fixed` indices held, one row per atom
-        of `atoms` (response-index tuples; default: every atom)."""
-        if atoms is None:
-            responses, rows = self._atom_responses(), self.dimension
-        else:
-            responses = dict(zip(self._parents, np.asarray(atoms, dtype=np.intp).T))
-            rows = len(atoms)
-        return evaluate_columns(
-            self.order, self._parents, self._sizes, self._lookup, responses, rows, fixed
-        )
+    def _values(self, fixed: Mapping[str, int], responses: Mapping[str, int]) -> dict:
+        """Value index of every variable with the `fixed` indices held; any
+        other variable takes its response's base-k digit at its parents'
+        combination.  Plain operators, so the responses may be Python ints (one
+        atom) or intp arrays (every atom)."""
+        values = dict(fixed)
+        for name in self.order:
+            if name not in values:
+                combo = 0
+                for p in self._parents[name]:
+                    combo = combo * self._sizes[p] + values[p]
+                k, n = self._sizes[name], self._combos[name]
+                values[name] = responses[name] // k ** (n - 1 - combo) % k
+        return values
 
     def atom_cells(self, fixed: Mapping[str, int]) -> np.ndarray:
         """Every atom's joint cell under `fixed`: the per-atom view of `cells`."""
-        columns = self._columns(fixed)
-        return np.ravel_multi_index(
-            [columns[v.name] for v in self.variables], [len(v.domain) for v in self.variables]
-        )
+        counts = [self.counts[v.name] for v in self.variables]
+        responses = np.unravel_index(np.arange(self.dimension), counts)
+        values = self._values(fixed, dict(zip(self._parents, responses)))
+        cells = np.zeros(self.dimension, dtype=np.intp)
+        for v in self.variables:
+            cells = cells * len(v.domain) + values[v.name]
+        return cells
 
     def evaluate(
         self, atom: Sequence[int], d: Value, intervention: Assignment | None = None
     ) -> dict[str, Value]:
         """Potential response of one atom under do(intervention) and decision d."""
-        columns = self._columns(self._fixed(d, intervention), [atom])
-        return {name: self.refs[name].domain[columns[name][0]] for name in self.order}
+        responses = dict(zip(self._parents, map(int, atom)))
+        values = self._values(self._fixed(d, intervention), responses)
+        return {name: self.refs[name].domain[values[name]] for name in self.order}
 
 
 @dataclass(eq=False)
@@ -529,11 +525,7 @@ def optimize_gap(
     """
     if direction not in ("min", "max"):
         raise InputError(f"direction must be 'min' or 'max', got {direction!r}")
-    if d == d_star:
-        raise InputError("decision and baseline must differ")
-    for value in (d, d_star):
-        if value not in polytope.data.decisions:
-            raise InputError(f"decision {value!r} not in {polytope.data.decisions}")
+    _check_pair(polytope.data, d, d_star)
     gap = _gap_classes(polytope, z, c, d, d_star)
     sign = 1.0 if direction == "min" else -1.0
     cost = sign * gap.num
@@ -577,16 +569,14 @@ def feasible_scm(polytope: Polytope) -> Scm:
         decision.name: Mechanism.constant(decision, decision.domain[0])
     }
     for v, ref in zip(space.variables, exo_refs):
-        k = len(v.domain)
-        combos = list(product(*[space.refs[p].domain for p in v.parents]))
-        table = {}
-        for r in ref.domain:
-            # Response r is its base-k digits, most significant first, one per
-            # parent combination.
-            rest = r
-            for combo in reversed(combos):
-                rest, digit = divmod(rest, k)
-                table[(*combo, r)] = v.domain[digit]
+        k, n = len(v.domain), space._combos[v.name]
+        combos = list(enumerate(product(*[space.refs[p].domain for p in v.parents])))
+        # Response r's value at parent combination c is its c-th base-k digit (`_values`).
+        table = {
+            (*combo, r): v.domain[r // k ** (n - 1 - c) % k]
+            for r in ref.domain
+            for c, combo in combos
+        }
         mechanisms[v.name] = Mechanism(space.refs[v.name], v.parents, (ref.name,), table)
     return Scm(tuple(space.refs.values()), mechanisms, exo)
 

@@ -127,8 +127,7 @@ def strong_verdict(
     a decision nothing is ruled out (uniqueness cannot be certified).
     """
     decisions = _check_inputs(decisions, lam)
-    winners = []
-    witness: dict[Value, list[Certificate]] = {}
+    witness: dict[Value, tuple[Certificate, ...]] = {}
     for w in decisions:
         certs = []
         for rival in decisions:
@@ -140,30 +139,19 @@ def strong_verdict(
             else:
                 break
         else:
-            winners.append(w)
-            witness[w] = certs
-    if len(winners) > 1:
+            witness[w] = tuple(certs)
+    if len(witness) > 1:
         raise ProviderError(
-            f"bound provider certifies mutually dominant decisions {winners}; "
+            f"bound provider certifies mutually dominant decisions {list(witness)}; "
             "valid gap bounds cannot do that"
         )
-    if not winners:
-        return PredictabilityVerdict(
-            mode="strong",
-            ruled_out=frozenset(),
-            surviving=frozenset(decisions),
-            strong_winner=None,
-            lam=lam,
-            certificates=(),
-            context=dict(c or {}),
-        )
-    (winner,) = winners
+    surviving = frozenset(witness or decisions)
     return PredictabilityVerdict(
         mode="strong",
-        ruled_out=frozenset(decisions) - {winner},
-        surviving=frozenset({winner}),
-        strong_winner=winner,
+        ruled_out=frozenset(decisions) - surviving,
+        surviving=surviving,
+        strong_winner=next(iter(witness), None),
         lam=lam,
-        certificates=tuple(witness[winner]),
+        certificates=next(iter(witness.values()), ()),
         context=dict(c or {}),
     )

@@ -9,15 +9,18 @@ Mechanisms are tables rather than expressions: the whole package relies on
 exhaustive exogenous enumeration, and tables keep that exact (rationals pass
 through untouched).
 
-The package's one topological sort (`toposort`) and one evaluation kernel
-(`evaluate_columns`, exogenous atoms in, one value-index column per variable
-out) live here and serve `Scm` and the oracle's canonical space alike.  Only
-value indices enter numpy; masses are summed in Python, so rationals stay exact.
+The package's one topological sort (`toposort`) lives here.  A model is
+evaluated one way: `Scm` compiles each mechanism into a lookup array indexed
+like its table, and `_evaluate_units` reads those arrays at the exogenous
+atoms' index columns, one value-index column per variable out.  (The oracle's
+canonical space needs no tables: a response's value is one of its digits.)
+Only value indices enter numpy; masses are summed in Python, so rationals stay
+exact.
 
-A query under do(x) builds no sub-model: it holds x's value indices in the
-kernel (`evaluate_columns`' `fixed`), as the oracle's canonical space does, and
-never reads the intervened mechanisms.  Every `Scm`, `submodel`'s included,
-compiles and checks all of its mechanisms.
+A query under do(x) builds no sub-model: `_evaluate_units` holds x's value
+indices, as the oracle's canonical space does, and never reads the intervened
+mechanisms.  Every `Scm`, `submodel`'s included, compiles and checks all of
+its mechanisms.
 
 Each exogenous block is indexed once: `ExoDistribution._columns` holds one
 read-only domain-index column per exogenous variable over the atoms, and a
@@ -36,7 +39,6 @@ from fractions import Fraction
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from itertools import product
-from math import prod
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -204,40 +206,6 @@ def toposort(parents: Mapping[str, Sequence[str]]) -> tuple[str, ...]:
         raise ModelError(f"cyclic dependencies among {sorted(set(exc.args[1]))}") from None
 
 
-def _ravel(
-    columns: Mapping[str, np.ndarray], names: Sequence[str], sizes: Mapping[str, int], rows: int
-) -> np.ndarray:
-    """C-order flat index of the named columns (zeros when there are none)."""
-    if not names:
-        return np.zeros(rows, dtype=np.intp)
-    return np.ravel_multi_index([columns[n] for n in names], [sizes[n] for n in names])
-
-
-def evaluate_columns(
-    order: Sequence[str],
-    parents: Mapping[str, Sequence[str]],
-    sizes: Mapping[str, int],
-    lookup: Mapping[str, np.ndarray],
-    exo: Mapping[str, np.ndarray],
-    rows: int,
-    fixed: Mapping[str, int] | None = None,
-) -> dict[str, np.ndarray]:
-    """Value-index column of every variable over `rows` exogenous atoms.
-
-    ``lookup[v][e, k]`` is v's domain index when its exogenous input is e
-    (``exo[v]`` holds e per atom) and its parents' indices ravel to k.
-    Variables in `fixed` (do-assignments, outside inputs) keep the given index.
-    """
-    columns = {
-        name: np.full(rows, index, dtype=np.intp) for name, index in (fixed or {}).items()
-    }
-    for name in order:
-        if name not in columns:
-            combo = _ravel(columns, parents[name], sizes, rows)
-            columns[name] = lookup[name][exo[name], combo]
-    return columns
-
-
 @dataclass(frozen=True)
 class Scm:
     """Recursive structural model over finite domains.
@@ -282,7 +250,8 @@ class Scm:
 
     @staticmethod
     def _compile(mech: Mechanism, by_name, exo_by_name) -> np.ndarray:
-        """Check the table is total into the target domain; return its lookup array."""
+        """Check the table is total into the target domain; return its lookup
+        array, indexed like the table by parent then exogenous value indices."""
         parent_doms = [by_name[p].domain for p in mech.parents]
         exo_doms = [exo_by_name[e].domain for e in mech.exo_parents]
         flat = []
@@ -295,8 +264,7 @@ class Scm:
                     f"mechanism for {mech.target.name!r} outputs {out!r} outside domain"
                 )
             flat.append(mech.target.domain.index(out))
-        shape = (prod(map(len, parent_doms)), prod(map(len, exo_doms)))
-        array = np.array(flat, dtype=np.intp).reshape(shape).T
+        array = np.array(flat, dtype=np.intp).reshape([len(d) for d in (*parent_doms, *exo_doms)])
         array.flags.writeable = False
         return array
 
@@ -314,23 +282,26 @@ class Scm:
 def _evaluate_units(
     scm: Scm, units: Sequence[np.ndarray], rows: int, iv: Assignment | None = None
 ) -> dict[str, np.ndarray]:
-    """One kernel call over `rows` exogenous rows under do(iv): `units` holds
-    one domain-index column per variable of `scm.exo`, in its order."""
-    fixed = {name: scm.ref(name).index(value) for name, value in (iv or {}).items()}
-    by_name = dict(zip(scm.exo.names, units))
-    exo_sizes = {ref.name: len(ref.domain) for ref in scm.exo.variables}
-    exo = {
-        name: _ravel(by_name, m.exo_parents, exo_sizes, rows)
-        for name, m in scm.mechanisms.items()
-        if name not in fixed
+    """Value-index column of every variable over `rows` exogenous rows under
+    do(iv): `units` holds one domain-index column per variable of `scm.exo`,
+    in its order.  An intervened variable keeps its value's index; any other
+    reads its lookup array at its parents' and exogenous inputs' columns."""
+    exo = dict(zip(scm.exo.names, units))
+    columns = {
+        name: np.full(rows, scm.ref(name).index(value), dtype=np.intp)
+        for name, value in (iv or {}).items()
     }
-    parents = {name: m.parents for name, m in scm.mechanisms.items()}
-    sizes = {ref.name: len(ref.domain) for ref in scm.variables}
-    return evaluate_columns(scm.order, parents, sizes, scm.lookup, exo, rows, fixed)
+    for name in scm.order:
+        if name not in columns:
+            mech = scm.mechanisms[name]
+            index = (*(columns[p] for p in mech.parents), *(exo[e] for e in mech.exo_parents))
+            lookup = scm.lookup[name]
+            columns[name] = lookup[index] if index else np.full(rows, lookup[()])
+    return columns
 
 
 def evaluate(scm: Scm, u: Assignment) -> dict[str, Value]:
-    """Unique potential response V(u): one kernel row."""
+    """Unique potential response V(u): one row of `_evaluate_units`."""
     for ref in scm.exo.variables:
         if ref.name not in u:
             raise InputError(f"exogenous variable {ref.name!r} unassigned")

@@ -532,6 +532,15 @@ class BehaviouralDataset:
         return (base, *self.domains)
 
 
+def _check_pair(data: BehaviouralDataset, d: Value, d_star: Value) -> None:
+    """A decision and a distinct baseline, both decisions of `data`."""
+    if d == d_star:
+        raise InputError("decision and baseline must differ")
+    for value in (d, d_star):
+        if value not in data.decisions:
+            raise InputError(f"decision {value!r} not in {data.decisions}")
+
+
 def policy_to_atomic(p_pi: DistTable, pi: Policy, d: Value) -> DistTable:
     """Recover the atomic-decision table P_d(v) from a policy-generated joint.
 

@@ -658,9 +658,9 @@ def reference_pieces(table, utility, c, z):
 
 
 def reference_thm4(data, p_sigma_c, c, z, d, d_star):
-    from beliefbound.bounds import _RANGE_TOL, GapInterval, _check_pair
+    from beliefbound.bounds import _RANGE_TOL, GapInterval
     from beliefbound.errors import DataError, InputError, ZeroMassError
-    from beliefbound.tables import merge_assignments
+    from beliefbound.tables import _check_pair, merge_assignments
 
     _check_pair(data, d, d_star)
     extra = set(z) - set(c)

@@ -116,6 +116,12 @@ def test_dataset_from_log_rejects_deterministic_policy():
     assert "Z" in str(err.value)  # diagnostic names the offending context
 
 
+def test_dataset_from_log_names_an_unknown_context_variable():
+    rows = [{"D": 0, "Y": 1, "Z": 0}, {"D": 1, "Y": 0, "Z": 1}]
+    with pytest.raises(InputError, match="joint table lacks context variable 'Q'"):
+        dataset_from_log(rows, None, "D", ["Q"])
+
+
 def test_report_rejects_non_finite_numbers():
     from beliefbound.report import Report
 

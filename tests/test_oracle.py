@@ -26,6 +26,7 @@ from beliefbound.oracle import (
     _vertex,
     CanonicalAtomSpace,
     SkeletonVariable,
+    atom_limit,
     build_polytope,
     canonical_zy_table,
     feasible_scm,
@@ -100,6 +101,15 @@ def test_atom_limit_guard(medai, monkeypatch):
         CanonicalAtomSpace(medai.decision, SKELETON)
     monkeypatch.setenv("BELIEFBOUND_ATOM_LIMIT", "1e6")
     assert CanonicalAtomSpace(medai.decision, SKELETON).dimension == 32
+
+
+def test_atom_limit_compares_int_caps_as_ints():
+    """Caps of 2**1024 and more overflow `float()`; they are compared as ints."""
+    assert atom_limit(10**400) == 10**400
+    assert atom_limit(str(10**400)) == 10**400
+    assert atom_limit("1e6") == 1_000_000
+    data, skeleton = wide_skeleton_dataset(3)
+    assert build_polytope(data, skeleton, limit=10**400).space.dimension == 2 * 4**3 * 2**32
 
 
 def test_cyclic_skeleton_rejected(medai):
@@ -206,6 +216,43 @@ def test_vectorised_build_matches_per_atom_reference(sizes):
             assert space.evaluate(a, 1, Z1) == reference_evaluate(
                 skeleton, data.decision, a, 1, Z1
             )
+
+
+@pytest.mark.parametrize("intervention", [Z1, {"W": 1}])
+@pytest.mark.parametrize("sizes", [{"Z": 3, "W": 2}, {"Z": 2, "W": 3}])
+def test_digit_rule_matches_the_reference_on_every_atom(sizes, intervention):
+    """`atom_cells` and `evaluate` agree with the response-type definition on
+    every atom, under do(Z=1) and under do(W=1) on the chain's middle variable."""
+    data, skeleton = chained_dataset(0, sizes)
+    space = build_polytope(data, skeleton).space
+    shape = [len(v.domain) for v in space.variables]
+    for d in data.decisions:
+        columns = reference_columns(space, d, intervention)
+        cells = np.ravel_multi_index([columns[v.name] for v in space.variables], shape)
+        assert np.array_equal(space.atom_cells(space._fixed(d, intervention)), cells)
+        for a in reference_atoms(space):
+            assert space.evaluate(a, d, intervention) == reference_evaluate(
+                skeleton, data.decision, a, d, intervention
+            )
+
+
+def test_evaluate_reads_classes_past_any_fixed_width_index():
+    """On the k = 5 wide skeleton (7e41 atoms; Y's response index has 128
+    bits) `evaluate` of each class's first atom gives the walk's values in
+    every block."""
+    data, skeleton = wide_skeleton_dataset(5)
+    poly = build_polytope(data, skeleton, limit=2**200)
+    space = poly.space
+    first, values = space.walk(poly.blocks)
+    settings = [(d, dom.intervened) for dom in data.all_domains() for d in data.decisions]
+    assert len(first) == 256 and len(settings) == len(poly.blocks)
+    for j, atom in enumerate(first):
+        for b, (d, intervention) in enumerate(settings):
+            want = {
+                name: space.refs[name].domain[values[j, space._slot[name], b]]
+                for name in space.order
+            }
+            assert space.evaluate(space.responses(atom), d, intervention) == want
 
 
 # -- polytope -----------------------------------------------------------------
@@ -755,7 +802,7 @@ def test_merged_programs_stay_small(monkeypatch):
 
 def test_build_solve_and_witness_enumerate_classes_not_atoms(monkeypatch):
     """On the 114,688-atom shape the build, both gap solves and the witness
-    run with every per-atom and per-response view disabled.  The build and
+    run with the per-atom view and the digit rule it reads disabled.  The build and
     the witness each allocate less than one float per atom in all, and a
     solve under 64 KiB."""
     import tracemalloc
@@ -765,9 +812,8 @@ def test_build_solve_and_witness_enumerate_classes_not_atoms(monkeypatch):
     def per_atom(*args, **kwargs):
         raise AssertionError("per-atom view used")
 
-    monkeypatch.setattr(CanonicalAtomSpace, "_atom_responses", per_atom)
+    monkeypatch.setattr(CanonicalAtomSpace, "_values", per_atom)
     monkeypatch.setattr(CanonicalAtomSpace, "atom_cells", per_atom)
-    monkeypatch.setattr(CanonicalAtomSpace, "_lookup", property(per_atom))
     tracemalloc.start()
     try:
         poly = build_polytope(data, skeleton)
