@@ -166,6 +166,26 @@ def _pieces(
     return lower / den, (e * p_cz + hi - hi * p_z) / den
 
 
+def _clamped(
+    raw_lower: float, raw_upper: float, notes: list[str], lo: float = -1.0
+) -> dict:
+    """`GapInterval`'s `lower`, `upper`, `raw_lower`, `raw_upper` and `notes`
+    for raw ends clamped to [lo, 1]: a `raw_*` is kept, and a "clamped from"
+    note follows the form's own `notes`, only for an end the clamp moved."""
+    notes = list(notes)
+    if raw_lower < lo:
+        notes.append(f"lower clamped from {raw_lower}")
+    if raw_upper > 1.0:
+        notes.append(f"upper clamped from {raw_upper}")
+    return {
+        "lower": max(raw_lower, lo),
+        "upper": min(raw_upper, 1.0),
+        "raw_lower": raw_lower if raw_lower < lo else None,
+        "raw_upper": raw_upper if raw_upper > 1.0 else None,
+        "notes": tuple(notes),
+    }
+
+
 def _utility_range(table: DistTable, utility: str) -> tuple[Value, Value]:
     """(lo, hi): the least and greatest value of a numeric utility domain."""
     domain = table.ref(utility).domain
@@ -320,29 +340,21 @@ def thm4_covariate_shift_lower(
 
     lo_raw = raw_lower(d, d_star)
     up_raw = -raw_lower(d_star, d)
-    lower = max(lo_raw, -1.0)
-    upper = min(up_raw, 1.0)
-    notes = ["upper bound is the mirrored lower bound of the swapped pair, not a stated result"]
-    if lo_raw < -1.0:
-        notes.append(f"lower clamped from {lo_raw}")
-    if up_raw > 1.0:
-        notes.append(f"upper clamped from {up_raw}")
-    if lower > upper + _RANGE_TOL:
+    ends = _clamped(lo_raw, up_raw, [
+        "upper bound is the mirrored lower bound of the swapped pair, not a stated result"
+    ])
+    if ends["lower"] > ends["upper"] + _RANGE_TOL:
         raise DataError(
             "shifted covariate probabilities are inconsistent with the observed "
             f"tables (raw interval [{lo_raw}, {up_raw}])"
         )
     return GapInterval(
-        lower=lower,
-        upper=upper,
         kind="preference",
         theorem="covariate-shift",
         tight=False,
         inputs_digest={"op": "thm4", "c": dict(c), "z": dict(z), "d": d, "d_star": d_star,
                        "sigma": p_sigma_c},
-        raw_lower=lo_raw if lo_raw < -1.0 else None,
-        raw_upper=up_raw if up_raw > 1.0 else None,
-        notes=tuple(notes),
+        **ends,
     )
 
 
@@ -497,17 +509,12 @@ def causal_harm_interval(
             f"baseline event (utility={y0!r}, decision={d0!r}) has zero mass given {c}"
         )
     up_raw = float(q_y1_d1 * (1 - pol_d1) / den)
-    upper = min(1.0, max(0.0, up_raw))
-    notes = ["lower-bound numerator cancels to zero under grounding (kept as stated)"]
-    if up_raw > 1.0:
-        notes.append(f"upper clamped from {up_raw}")
     return GapInterval(
-        lower=0.0,
-        upper=upper,
         kind="causal-harm",
         theorem="causal-harm",
         tight=False,
         inputs_digest={"op": "causal-harm", "d1": d1, "d0": d0, "c": dict(c), "table": p},
-        raw_upper=up_raw if up_raw > 1.0 else None,
-        notes=tuple(notes),
+        **_clamped(0.0, max(0.0, up_raw), [
+            "lower-bound numerator cancels to zero under grounding (kept as stated)"
+        ], lo=0),
     )

@@ -35,10 +35,17 @@ from .tables import BehaviouralDataset, DistTable, Value, estimate_from_samples
 if TYPE_CHECKING:
     from .oracle import SkeletonVariable
 
+# The preference-gap closed forms over (data, c, z, d, d*): `bounds` runs them
+# for these theorems, and `predict` takes its --theorem choices from the keys
+# and its provider's lower ends from the forms.
+_PREFERENCE = {
+    "intervention": bnd.thm1_gap_interval,
+    "multidomain": bnd.thm2_multidomain_lower,
+    "unknown-shift": lambda data, c, z, d, d_star: bnd.thm3_unknown_shift_interval(),
+}
+
 THEOREMS = (
-    "intervention",
-    "multidomain",
-    "unknown-shift",
+    *_PREFERENCE,
     "covariate-shift",
     "fairness",
     "harm",
@@ -85,7 +92,12 @@ def parse_sigma_context(raw: str, data: BehaviouralDataset) -> DistTable:
         assignment = parse_assignment(assignment_part)
         names.update(assignment)
         key = tuple(assignment[n] for n in sorted(assignment))
-        cells[key] = float(prob_part)
+        if key in cells:
+            raise InputError(f"repeated cell in shifted-covariate chunk {chunk!r}")
+        try:
+            cells[key] = float(prob_part)
+        except ValueError:
+            raise InputError(f"bad probability in shifted-covariate chunk {chunk!r}") from None
     sorted_names = sorted(names)
     refs = [data.table(data.decisions[0]).ref(n) for n in sorted_names]
     total = sum(cells.values())
@@ -96,27 +108,27 @@ def parse_sigma_context(raw: str, data: BehaviouralDataset) -> DistTable:
     return DistTable(tuple(refs), cells)
 
 
-def _load_data(path: str):
-    """(kind, payload) where kind is scm | dataset | table | log."""
-    p = Path(path)
+def _load_data(args):
+    """(kind, payload) of --data, where kind is scm | dataset | table | log."""
+    if not args.data:
+        raise InputError("this request needs --data")
+    p = Path(args.data)
     if p.suffix.lower() == ".csv":
         return "log", fileio.load_csv_log(p)
     doc = fileio._load_json(p)
     if not isinstance(doc, dict):
-        raise InputError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+        raise InputError(f"{args.data}: expected a JSON object, got {type(doc).__name__}")
     if "mechanisms" in doc:
         return "scm", fileio.load_scm(doc)
     if "per_decision" in doc:
         return "dataset", fileio.load_dataset(doc)
     if "entries" in doc:
         return "table", fileio.load_table(doc)
-    raise InputError(f"{path}: unrecognised input format")
+    raise InputError(f"{args.data}: unrecognised input format")
 
 
 def _dataset_from_args(args) -> BehaviouralDataset:
-    if not args.data:
-        raise InputError("this request needs --data")
-    kind, payload = _load_data(args.data)
+    kind, payload = _load_data(args)
     if kind == "dataset":
         return payload
     if kind == "scm":
@@ -135,9 +147,7 @@ def _dataset_from_args(args) -> BehaviouralDataset:
 
 
 def _joint_from_args(args) -> DistTable:
-    if not args.data:
-        raise InputError("this request needs --data")
-    kind, payload = _load_data(args.data)
+    kind, payload = _load_data(args)
     if kind == "table":
         return payload
     if kind == "log":
@@ -156,6 +166,21 @@ def _require(args, names: list[str], label: str | None = None) -> None:
         raise InputError(f"{label} needs " + ", ".join(f"--{n}" for n in missing))
 
 
+def _gap_question(args, label: str) -> tuple[BehaviouralDataset, dict, dict, Value, Value]:
+    """(data, c, z, d, d*) of a command that asks about one ordered gap."""
+    _require(args, ["decision", "baseline", "shift"], label=label)
+    data = _dataset_from_args(args)
+    c = parse_assignment(args.context)
+    z = parse_assignment(args.shift)
+    return data, c, z, _parse_value(args.decision), _parse_value(args.baseline)
+
+
+def _request(args, c: dict, z: dict, **extra) -> dict:
+    """The echoed request of a command about one (decision, baseline) pair."""
+    return {"data": args.data, "context": c, "shift": z, "decision": args.decision,
+            "baseline": args.baseline, **extra}
+
+
 def _interval_warnings(intervals: list[dict]) -> list[str]:
     skip = ("lower from domain pair", "upper from domain pair")
     return [
@@ -166,24 +191,13 @@ def _interval_warnings(intervals: list[dict]) -> list[str]:
     ]
 
 
-def _emit(args, report: Report) -> None:
-    sys.stdout.write(report.render(args.format))
-
-
 def cmd_bounds(args) -> int:
     c = parse_assignment(args.context)
     z = parse_assignment(args.shift)
-    request = {
-        "theorem": args.theorem,
-        "data": args.data,
-        "context": c,
-        "shift": z,
-        "decision": args.decision,
-        "baseline": args.baseline,
-    }
+    request = _request(args, c, z, theorem=args.theorem)
     theorem = args.theorem
-    if theorem == "unknown-shift":
-        interval = bnd.thm3_unknown_shift_interval()
+    if theorem == "unknown-shift":  # [-1, 1] whatever the data: it reads none
+        interval = _PREFERENCE[theorem](None, c, z, None, None)
     elif theorem == "causal-harm":
         _require(args, ["decision", "baseline"])
         joint = _joint_from_args(args)
@@ -200,12 +214,9 @@ def cmd_bounds(args) -> int:
         data = _dataset_from_args(args)
         d = _parse_value(args.decision) if args.decision is not None else None
         d0 = _parse_value(args.baseline) if args.baseline is not None else None
-        if theorem == "intervention":
+        if theorem in _PREFERENCE:
             _require(args, ["decision", "baseline", "shift"])
-            interval = bnd.thm1_gap_interval(data, c, z, d, d0)
-        elif theorem == "multidomain":
-            _require(args, ["decision", "baseline", "shift"])
-            interval = bnd.thm2_multidomain_lower(data, c, z, d, d0)
+            interval = _PREFERENCE[theorem](data, c, z, d, d0)
         elif theorem == "covariate-shift":
             _require(args, ["decision", "baseline", "shift", "sigma-context"])
             sigma = parse_sigma_context(args.sigma_context, data)
@@ -236,31 +247,17 @@ def cmd_bounds(args) -> int:
         warnings=_interval_warnings(intervals),
         seed=args.seed,
     )
-    _emit(args, report)
+    sys.stdout.write(report.render(args.format))
     return 0
-
-
-def _bound_provider(args, data: BehaviouralDataset, c, z):
-    theorem = args.theorem
-    if theorem == "intervention":
-        return lambda d, d_star: bnd.thm1_gap_interval(data, c, z, d, d_star).lower
-    if theorem == "multidomain":
-        return lambda d, d_star: bnd.thm2_multidomain_lower(data, c, z, d, d_star).lower
-    if theorem == "unknown-shift":
-        return lambda d, d_star: bnd.thm3_unknown_shift_interval().lower
-    raise InputError(
-        f"--theorem {theorem} is not a preference-gap provider; "
-        "use intervention, multidomain, or unknown-shift"
-    )
 
 
 def cmd_predict(args) -> int:
     data = _dataset_from_args(args)
     c = parse_assignment(args.context)
     z = parse_assignment(args.shift)
-    provider = _bound_provider(args, data, c, z)
+    form = _PREFERENCE[args.theorem]
     run = weak_verdict if args.mode == "weak" else strong_verdict
-    verdict = run(provider, data.decisions, c, args.lam)
+    verdict = run(lambda d, d0: form(data, c, z, d, d0).lower, data.decisions, c, args.lam)
     report = Report(
         command="predict",
         request={
@@ -274,7 +271,7 @@ def cmd_predict(args) -> int:
         verdict=verdict.as_dict(),
         seed=args.seed,
     )
-    _emit(args, report)
+    sys.stdout.write(report.render(args.format))
     if args.require_verdict and not verdict.ruled_out:
         sys.stderr.write("error: no decision could be ruled out\n")
         return 3
@@ -321,12 +318,7 @@ def cmd_oracle(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise InputError(f"--tol must be a finite number >= 0, got {args.tol}")
     limit = atom_limit(args.atom_limit)
-    _require(args, ["decision", "baseline", "shift"], label="oracle")
-    data = _dataset_from_args(args)
-    c = parse_assignment(args.context)
-    z = parse_assignment(args.shift)
-    d = _parse_value(args.decision)
-    d0 = _parse_value(args.baseline)
+    data, c, z, d, d0 = _gap_question(args, "oracle")
     skeleton = _skeleton_from_args(args, data, z, c)
     polytope = build_polytope(data, skeleton, limit)
     lp_value = optimize_gap(polytope, z, c, d, d0, args.direction)
@@ -342,15 +334,7 @@ def cmd_oracle(args) -> int:
     certified = delta <= args.tol
     report = Report(
         command="oracle",
-        request={
-            "data": args.data,
-            "context": c,
-            "shift": z,
-            "decision": args.decision,
-            "baseline": args.baseline,
-            "direction": args.direction,
-            "tolerance": args.tol,
-        },
+        request=_request(args, c, z, direction=args.direction, tolerance=args.tol),
         oracle={
             "atoms": polytope.space.dimension,
             "constraints": int(polytope.b_eq.shape[0]),
@@ -363,7 +347,7 @@ def cmd_oracle(args) -> int:
         },
         seed=args.seed,
     )
-    _emit(args, report)
+    sys.stdout.write(report.render(args.format))
     if not certified:
         sys.stderr.write(
             f"error: oracle delta {delta:.3e} exceeds tolerance {args.tol:.3e}\n"
@@ -375,12 +359,7 @@ def cmd_oracle(args) -> int:
 def cmd_relax(args) -> int:
     from . import relaxations
 
-    _require(args, ["decision", "baseline", "shift"], label="relax")
-    data = _dataset_from_args(args)
-    c = parse_assignment(args.context)
-    z = parse_assignment(args.shift)
-    d = _parse_value(args.decision)
-    d0 = _parse_value(args.baseline)
+    data, c, z, d, d0 = _gap_question(args, "relax")
     if args.kind == "approx-grounding":
         if args.delta is None:
             raise InputError("approx-grounding needs --delta")
@@ -416,17 +395,11 @@ def cmd_relax(args) -> int:
                    "value": value}
     report = Report(
         command="relax",
-        request={
-            "data": args.data,
-            "context": c,
-            "shift": z,
-            "decision": args.decision,
-            "baseline": args.baseline,
-        },
+        request=_request(args, c, z),
         relaxation=payload,
         seed=args.seed,
     )
-    _emit(args, report)
+    sys.stdout.write(report.render(args.format))
     return 0
 
 
@@ -461,11 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("predict", help="weak/strong predictability verdicts")
     _add_common(p)
-    p.add_argument(
-        "--theorem",
-        choices=("intervention", "multidomain", "unknown-shift"),
-        default="intervention",
-    )
+    p.add_argument("--theorem", choices=tuple(_PREFERENCE), default="intervention")
     p.add_argument("--mode", choices=("weak", "strong"), required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0,
                    help="rationality margin")

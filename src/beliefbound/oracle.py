@@ -58,6 +58,7 @@ import math
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from decimal import Decimal
 from itertools import product
 from operator import itemgetter, mul
 from typing import Mapping, Sequence
@@ -100,8 +101,9 @@ def atom_limit(override: int | str | None = None) -> int:
             return DEFAULT_ATOM_LIMIT
     number = raw
     if isinstance(raw, str):
-        with suppress(ValueError):
-            number = int(raw)  # exact at any size; "1e6" stays a string
+        with suppress(ValueError):  # exact at any size; "1e6" stays a string
+            # `Decimal` has no int-string digit limit; `int` also reads "+5" and "1_0"
+            number = int(Decimal(raw)) if raw.strip().isdecimal() else int(raw)
     if not isinstance(number, int):
         try:
             number = float(number)

@@ -15,7 +15,7 @@ from math import isfinite
 from operator import itemgetter
 from typing import Sequence
 
-from .bounds import GapInterval, _RANGE_TOL
+from .bounds import GapInterval, _RANGE_TOL, _clamped
 from .errors import InputError, SamplingError, UnsupportedError
 from .tables import (
     Assignment,
@@ -23,6 +23,7 @@ from .tables import (
     DistTable,
     Number,
     Value,
+    _check_pair,
     _moments,
     merge_assignments,
 )
@@ -37,25 +38,16 @@ _BLOCK_FLOATS = 2**14
 
 @dataclass(frozen=True)
 class GroundingBall:
-    """Total-variation neighbourhood of the observed per-decision tables.
-
-    `centres` may pin explicit centre tables; by default the ball sits on the
-    dataset the bound is called with.
+    """Total-variation neighbourhood of radius `delta` around each
+    per-decision table of the dataset a bound is called with.  A ball around
+    other tables is the same call on a dataset that holds those tables.
     """
 
     delta: float
-    centres: dict[Value, DistTable] | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.delta <= 1.0:
             raise InputError(f"delta must lie in [0, 1], got {self.delta}")
-
-    def centre(self, data: BehaviouralDataset, d: Value) -> DistTable:
-        if self.centres is not None:
-            if d not in self.centres:
-                raise InputError(f"ball has no centre table for decision {d!r}")
-            return self.centres[d]
-        return data.table(d)
 
 
 def _reduced_objective_cells(
@@ -128,7 +120,8 @@ def approx_grounding_lower(
 
     The objective is the reduced context-equals-shift form
         E[Y 1_z] under d  +  E[(1-Y) 1_z] under d*  -  1,
-    minimised over independent TV balls around the two centre tables.
+    minimised over independent TV balls around the two decisions' tables in
+    `data`.
     `exact-lp` takes each ball's minimum in closed form (`_ball_minimum`) and
     rounds their sum once, in plain Python; `sample` reproduces the
     propose/accept procedure (simplex proposals concentrated on the centres,
@@ -148,20 +141,13 @@ def approx_grounding_lower(
             "the ball relaxation is implemented for the reduced objective with "
             f"context inside the shift; got context {dict(c)} vs shift {dict(z)}"
         )
-    if d == d_star or d not in data.decisions or d_star not in data.decisions:
-        raise InputError(f"bad decision pair ({d!r}, {d_star!r})")
+    _check_pair(data, d, d_star)
     cells, positions = _reduced_objective_cells(data, z)
     coeff = {
         t: [_cell_coeff(cell, positions, z, data.utility, side) for cell in cells]
         for t, side in ((d, True), (d_star, False))
     }
-    centres = {t: ball.centre(data, t) for t in (d, d_star)}
-    for t in (d, d_star):
-        if centres[t].names != tuple(r.name for r in data.scope):
-            raise InputError(
-                f"ball centre for decision {t!r} has scope {centres[t].names}, "
-                f"expected {tuple(r.name for r in data.scope)}"
-            )
+    centres = {t: data.table(t) for t in (d, d_star)}
 
     if method == "exact-lp":
         return float(
@@ -254,8 +240,7 @@ def proxy_alignment_lower(
     """
     if not 0.0 <= alpha <= 1.0:
         raise InputError(f"alpha must lie in [0, 1], got {alpha}")
-    if d == d_star or d not in data.decisions or d_star not in data.decisions:
-        raise InputError(f"bad decision pair ({d!r}, {d_star!r})")
+    _check_pair(data, d, d_star)
     table = data.table(d)
     ref = table.ref(data.utility)
     if tuple(sorted(ref.domain)) != (0, 1):
@@ -280,8 +265,7 @@ def partial_unconfoundedness_interval(
     with (w, w~) ordered so that E[Y | z, w] >= E[Y | z, w~]; labels swap per
     decision when the data orders the slices the other way round.
     """
-    if d == d_star or d not in data.decisions or d_star not in data.decisions:
-        raise InputError(f"bad decision pair ({d!r}, {d_star!r})")
+    _check_pair(data, d, d_star)
     if len(w0) != 1 or len(w1) != 1 or set(w0) != set(w1):
         raise InputError("w0 and w1 must assign the same single covariate")
     (wname,) = w0
@@ -311,28 +295,15 @@ def partial_unconfoundedness_interval(
 
     lo_d, up_d = envelope(d)
     lo_s, up_s = envelope(d_star)
-    raw_lower = lo_d - up_s
-    raw_upper = up_d - lo_s
-    lower = max(-1.0, raw_lower)
-    upper = min(1.0, raw_upper)
-    notes = []
-    if swapped:
-        notes.append(f"slice labels swapped for decisions {sorted(map(str, swapped))}")
-    if raw_lower < -1.0:
-        notes.append(f"lower clamped from {raw_lower}")
-    if raw_upper > 1.0:
-        notes.append(f"upper clamped from {raw_upper}")
-    if lower > upper + _RANGE_TOL:
+    notes = [f"slice labels swapped for decisions {sorted(map(str, swapped))}"] if swapped else []
+    ends = _clamped(lo_d - up_s, up_d - lo_s, notes)
+    if ends["lower"] > ends["upper"] + _RANGE_TOL:
         raise InputError("deconfounding envelopes crossed; inputs are inconsistent")
     return GapInterval(
-        lower=lower,
-        upper=upper,
         kind="preference",
         theorem="partial-unconfoundedness",
         tight=False,
         inputs_digest={"op": "unconf", "z": dict(z), "w0": dict(w0), "w1": dict(w1),
                        "d": d, "d_star": d_star},
-        raw_lower=raw_lower if raw_lower < -1.0 else None,
-        raw_upper=raw_upper if raw_upper > 1.0 else None,
-        notes=tuple(notes),
+        **ends,
     )

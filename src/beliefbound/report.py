@@ -12,10 +12,10 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from . import __version__
 from .errors import InputError
 
 TOOL_NAME = "beliefbound"
-TOOL_VERSION = "0.1.0"
 
 
 def _check_finite(node, path="report") -> None:
@@ -43,7 +43,7 @@ class Report:
     def as_dict(self) -> dict:
         out = {
             "tool": TOOL_NAME,
-            "version": TOOL_VERSION,
+            "version": __version__,
             "command": self.command,
             "request": self.request,
             "warnings": list(self.warnings),
@@ -64,7 +64,7 @@ class Report:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_table(self) -> str:
-        lines = [f"{TOOL_NAME} {TOOL_VERSION} :: {self.command}"]
+        lines = [f"{TOOL_NAME} {__version__} :: {self.command}"]
         for key, value in sorted(self.request.items()):
             lines.append(f"  {key}: {value}")
         for interval in self.intervals:

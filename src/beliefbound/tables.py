@@ -507,7 +507,7 @@ class BehaviouralDataset:
         for dom in self.all_domains():
             for d, t in dom.per_decision.items():
                 ref = t.ref(self.utility)
-                if not ref.numeric or any(v < 0 or v > 1 for v in ref.domain):
+                if not ref.numeric or not all(0 <= v <= 1 for v in ref.domain):  # NaN is not
                     raise InputError(
                         f"utility domain {ref.domain} of decision {d!r} in domain "
                         f"{dom.label or '(base)'} must be numeric within [0, 1]"

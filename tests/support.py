@@ -742,10 +742,9 @@ def reference_direct(data, d, z0, z1, c):
 def reference_unconfoundedness(data, z, w0, w1, d, d_star):
     from beliefbound.bounds import _RANGE_TOL, GapInterval
     from beliefbound.errors import InputError
-    from beliefbound.tables import merge_assignments
+    from beliefbound.tables import _check_pair, merge_assignments
 
-    if d == d_star or d not in data.decisions or d_star not in data.decisions:
-        raise InputError(f"bad decision pair ({d!r}, {d_star!r})")
+    _check_pair(data, d, d_star)
     if len(w0) != 1 or len(w1) != 1 or set(w0) != set(w1):
         raise InputError("w0 and w1 must assign the same single covariate")
     (wname,) = w0

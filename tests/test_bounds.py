@@ -428,6 +428,31 @@ def test_causal_harm_zero_denominator():
 # -- interval plumbing ---------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "raw_lower, raw_upper, lo, ends",
+    [
+        (-0.5, 0.5, -1.0, (-0.5, 0.5, None, None, ("own",))),
+        (-1.0, 1.0, -1.0, (-1.0, 1.0, None, None, ("own",))),
+        (-1.5, 0.5, -1.0, (-1.0, 0.5, -1.5, None, ("own", "lower clamped from -1.5"))),
+        (-0.5, 1.25, -1.0, (-0.5, 1.0, None, 1.25, ("own", "upper clamped from 1.25"))),
+        (-1.5, 1.25, -1.0, (-1.0, 1.0, -1.5, 1.25,
+                            ("own", "lower clamped from -1.5", "upper clamped from 1.25"))),
+        (0.0, 0.5, 0, (0.0, 0.5, None, None, ("own",))),
+        (-0.25, 2.5, 0, (0, 1.0, -0.25, 2.5,
+                         ("own", "lower clamped from -0.25", "upper clamped from 2.5"))),
+    ],
+)
+def test_clamped_reports_each_end_the_clamp_moved(raw_lower, raw_upper, lo, ends):
+    notes = ["own"]
+    got = bounds._clamped(raw_lower, raw_upper, notes, lo=lo)
+    keys = ("lower", "upper", "raw_lower", "raw_upper", "notes")
+    assert tuple(got[k] for k in keys) == ends
+    assert [repr(got[k]) for k in keys] == [repr(v) for v in ends]  # 0.0 stays a float
+    assert notes == ["own"]  # the form's list is not extended in place
+    GapInterval(kind="causal-harm" if lo == 0 else "preference", theorem="t", tight=False,
+                inputs_digest="x", **got)
+
+
 def test_gap_interval_validation():
     with pytest.raises(DataError):
         GapInterval(0.5, -0.5, "preference", "t", True, "x")

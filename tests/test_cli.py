@@ -206,6 +206,56 @@ def test_sigma_parser_completes_binary_remainder(medai):
     assert full.prob({"Z": 0}) == pytest.approx(0.75)
 
 
+@pytest.mark.parametrize(
+    "sigma, message",
+    [
+        ("Z=1:0.5;Z=1:0.4", "repeated cell in shifted-covariate chunk 'Z=1:0.4'"),
+        ("Z=1:abc", "bad probability in shifted-covariate chunk 'Z=1:abc'"),
+    ],
+)
+def test_sigma_context_rejects_a_repeated_cell_and_an_unreadable_probability(
+    sigma, message, capsys, monkeypatch
+):
+    argv = [a if a != "Z=1:0.9" else sigma for a in GOLDEN_CASES["bounds_covariate_shift"]]
+    code, out, err = run_inprocess(argv, capsys, monkeypatch)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+_PREFERENCE_FIXTURES = ("medai.tables.json", "medai_experiment.tables.json")
+
+
+def test_predict_certificates_carry_the_bounds_lower_end(capsys, monkeypatch):
+    from beliefbound.cli import _PREFERENCE
+
+    compared = 0
+    for theorem in _PREFERENCE:
+        for fixture in _PREFERENCE_FIXTURES:
+            question = ["--data", f"{FIXTURES}/{fixture}", "--theorem", theorem,
+                        "--shift", "Z=1", "--context", "Z=1"]
+            for mode in ("weak", "strong"):
+                code, out, _ = run_inprocess(
+                    ["predict", *question, "--mode", mode], capsys, monkeypatch
+                )
+                assert code == 0
+                for cert in json.loads(out)["verdict"]["certificates"]:
+                    pair = ["--decision", str(cert["preferred"]),
+                            "--baseline", str(cert["ruled_out"])]
+                    code, out, _ = run_inprocess(
+                        ["bounds", *question, *pair], capsys, monkeypatch
+                    )
+                    assert code == 0
+                    assert json.loads(out)["intervals"][0]["lower"] == cert["lower"]
+                    compared += 1
+    assert compared == 2  # multidomain rules 0 out on the experiment, in both modes
+
+
+def test_report_version_is_the_package_version():
+    import beliefbound
+    from beliefbound.report import Report
+
+    assert Report("bounds", {}).as_dict()["version"] == beliefbound.__version__
+
+
 # -- exit-code contract (subprocess harness) ----------------------------------
 
 

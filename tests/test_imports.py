@@ -1,9 +1,12 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+private module-level helper is read somewhere in the package.
 
-Deleting code tends to leave its imports behind; this check reads each module
-of `src/beliefbound` with `ast` (no third-party linter) and lists the imported
-names it never reads.  A name read only in an annotation, quoted or not,
-counts as used.
+Deleting code tends to leave its imports and its helpers behind; these checks
+read each module of `src/beliefbound` with `ast` (no third-party linter).  The
+first lists the imported names a module never reads; a name read only in an
+annotation, quoted or not, counts as used.  The second lists the module-level
+`_name`s (functions, classes, assignments; not dunders) that no module reads
+outside their own definition.
 """
 
 from __future__ import annotations
@@ -63,3 +66,56 @@ def test_check_sees_unused_and_annotation_only_imports():
         "    return np.zeros(x)\n"
     )
     assert unused_imports(source) == ["cached_property", "os"]
+
+
+def _defined(node: ast.stmt) -> set[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def orphaned_helpers(sources: dict[str, str]) -> list[str]:
+    """`module._name` for each private module-level definition in `sources`
+    (module name -> source) whose name no statement other than its own reads,
+    in any module, as a plain name or as an attribute."""
+    defined, read = set(), set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = _defined(stmt)
+            defined |= {
+                (module, n) for n in own if n.startswith("_") and not n.startswith("__")
+            }
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name not in own:
+                    read.add(name)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def test_every_private_helper_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert orphaned_helpers(sources) == []
+
+
+def test_check_sees_orphaned_helpers():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n"
+            "_UNUSED: int = 4\n"
+            "def _emit(x):\n"
+            "    return _emit(x - 1) if x else _LIMIT\n"  # reads only itself
+            "def _helper():\n"
+            "    return 1\n"
+            "class _Box:\n"
+            "    pass\n"
+            "__version__ = '0'\n"
+        ),
+        "b": "import a\nfrom a import _helper\nVALUE = a._Box, _helper()\n",
+    }
+    assert orphaned_helpers(sources) == ["a._UNUSED", "a._emit"]

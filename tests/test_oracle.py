@@ -112,6 +112,16 @@ def test_atom_limit_compares_int_caps_as_ints():
     assert build_polytope(data, skeleton, limit=10**400).space.dimension == 2 * 4**3 * 2**32
 
 
+@pytest.mark.parametrize("padding", ["", " "])
+def test_atom_limit_reads_a_cap_of_any_number_of_digits(padding):
+    """`int()` refuses a string past Python's int-string digit limit (4,300
+    digits by default); such a cap is still a positive integer."""
+    raw = padding + "1" * 5000 + padding
+    assert atom_limit(raw) == (10**5000 - 1) // 9
+    with pytest.raises(InputError, match="must be a positive integer"):
+        atom_limit("1" * 5000 + "e1")
+
+
 def test_cyclic_skeleton_rejected(medai):
     skeleton = [
         SkeletonVariable("W", (0, 1), ("Z",)),

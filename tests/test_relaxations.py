@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -165,7 +166,7 @@ def per_draw_sample(data, ball, z, d, d_star, *, n_samples, seed, concentration)
     cells, positions = _reduced_objective_cells(data, z)
     setup = []
     for t, side in ((d, True), (d_star, False)):
-        centre = ball.centre(data, t)
+        centre = data.table(t)
         coeff = np.array([_cell_coeff(k, positions, z, data.utility, side) for k in cells])
         support = [k for k in cells if float(centre.entries.get(k, 0)) > 0.0]
         alpha = np.array([float(centre.entries[k]) for k in support]) * concentration
@@ -291,10 +292,10 @@ def test_block_sampler_matches_per_draw_loop_two_proposals_at_a_time(w_size):
 def test_block_sampler_matches_per_draw_loop_on_explicit_centres():
     data = random_dataset(11, 3, 3, 2, False, (0, 0.3, 1))
     other = random_dataset(12, 3, 3, 2, True, (0, 0.3, 1))
-    ball = GroundingBall(0.09, centres={1: other.table(1), 2: other.table(0)})
+    centred = replace(data, per_decision={0: data.table(0), 1: other.table(1), 2: other.table(0)})
     for d, d_star in ((1, 2), (2, 1)):
         value = assert_sampler_parity(
-            data, ball, d, d_star, n_samples=2 * block_rows(18) + 3, seed=3,
+            centred, GroundingBall(0.09), d, d_star, n_samples=2 * block_rows(18) + 3, seed=3,
             concentration=250.0,
         )
         assert isinstance(value, float)
@@ -312,11 +313,11 @@ def test_block_sampler_matches_per_draw_loop_below_gamma_weights():
     peaked = DistTable(data.scope, {
         k: 0.9 if i == 0 else 0.1 / 35 for i, k in enumerate(peaked_cells)
     })
-    mixed = GroundingBall(0.95, centres={0: spread, 1: peaked})
-    for ball, concentration in ((GroundingBall(0.95), 0.05), (mixed, 1.0)):
+    mixed = replace(data, per_decision={0: spread, 1: peaked})
+    for centred, concentration in ((data, 0.05), (mixed, 1.0)):
         for d, d_star in ((1, 0), (0, 1)):
             value = assert_sampler_parity(
-                data, ball, d, d_star, n_samples=block_rows(36) + 1, seed=5,
+                centred, GroundingBall(0.95), d, d_star, n_samples=block_rows(36) + 1, seed=5,
                 concentration=concentration,
             )
             assert isinstance(value, float)
@@ -474,3 +475,31 @@ def test_unconfoundedness_validation(medai):
         partial_unconfoundedness_interval(data, Z1, {"W": 0}, {"V": 1}, 1, 0)
     with pytest.raises(InputError):
         partial_unconfoundedness_interval(data, {"W": 1}, {"W": 0}, {"W": 1}, 1, 0)
+
+
+# -- the decision pair: one check, shared with the closed forms -----------------
+
+_PAIR_CALLS = {
+    "approx-grounding": lambda data, d, d_star: approx_grounding_lower(
+        data, GroundingBall(0.1), Z1, Z1, d, d_star
+    ),
+    "proxy": lambda data, d, d_star: proxy_alignment_lower(data, 0.9, Z1, d, d_star),
+    "unconfoundedness": lambda data, d, d_star: partial_unconfoundedness_interval(
+        data, Z1, {"W": 0}, {"W": 1}, d, d_star
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAIR_CALLS))
+@pytest.mark.parametrize(
+    "d, d_star, message",
+    [
+        (1, 1, "decision and baseline must differ"),
+        (1, 7, "decision 7 not in (0, 1)"),
+        (7, 0, "decision 7 not in (0, 1)"),
+    ],
+)
+def test_relaxations_check_the_pair_as_the_closed_forms_do(medai, name, d, d_star, message):
+    with pytest.raises(InputError) as exc:
+        _PAIR_CALLS[name](medai, d, d_star)
+    assert str(exc.value) == message

@@ -230,9 +230,11 @@ def test_every_tables_utility_domain_is_checked():
             dref, {0: good, 1: good},
             domains=(ExperimentalDomain("e1", {}, {0: bad, 1: good}),),
         )
-    above = DistTable((VariableRef("Y", (0, 2)),), {(0,): 0.5, (2,): 0.5})
-    with pytest.raises(InputError, match="of decision 1 in domain"):
-        BehaviouralDataset(dref, {0: good, 1: above})
+    nan = float("nan")
+    for high in (2, nan):
+        above = DistTable((VariableRef("Y", (0, high)),), {(0,): 0.5, (high,): 0.5})
+        with pytest.raises(InputError, match="of decision 1 in domain"):
+            BehaviouralDataset(dref, {0: good, 1: above})
     # The checked dataset still answers both bounds that sort the domain.
     data = BehaviouralDataset(dref, {0: good, 1: good})
     assert harm_gap_interval(data, 1, 0, {}).upper == 0.5
