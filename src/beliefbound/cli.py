@@ -196,7 +196,9 @@ def cmd_bounds(args) -> int:
     z = parse_assignment(args.shift)
     request = _request(args, c, z, theorem=args.theorem)
     theorem = args.theorem
-    if theorem == "unknown-shift":  # [-1, 1] whatever the data: it reads none
+    if theorem == "unknown-shift":  # [-1, 1] whatever the data, but a given --data must load
+        if args.data:
+            _load_data(args)
         interval = _PREFERENCE[theorem](None, c, z, None, None)
     elif theorem == "causal-harm":
         _require(args, ["decision", "baseline"])
@@ -390,6 +392,7 @@ def cmd_relax(args) -> int:
     else:
         if args.alpha is None:
             raise InputError("proxy needs --alpha")
+        relaxations._check_reduced(c, z, "the proxy bound")
         value = relaxations.proxy_alignment_lower(data, args.alpha, z, d, d0)
         payload = {"kind": "proxy", "method": "closed-form", "alpha": args.alpha,
                    "value": value}

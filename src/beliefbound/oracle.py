@@ -393,15 +393,14 @@ def build_polytope(
     equality system has no distribution solving it): phase one runs here,
     once per polytope.
     """
-    scope_names = tuple(sorted(v.name for v in skeleton))
-    data_names = tuple(r.name for r in data.scope)
-    if set(scope_names) != set(data_names):
+    refs = {r.name: r for r in data.scope}
+    if set(refs) != {v.name for v in skeleton}:
         raise InputError(
-            f"skeleton covers {sorted(scope_names)}, data scope is {sorted(data_names)}"
+            f"skeleton covers {sorted(v.name for v in skeleton)}, data scope is {sorted(refs)}"
         )
     for v in skeleton:
-        ref = data.table(data.decisions[0]).ref(v.name)
-        if tuple(ref.domain) != tuple(v.domain):
+        ref = refs[v.name]
+        if ref.domain != tuple(v.domain):
             raise InputError(
                 f"domain mismatch for {v.name!r}: skeleton {v.domain} vs data {ref.domain}"
             )
@@ -414,9 +413,6 @@ def build_polytope(
         for d in data.decisions:
             blocks.append(space._fixed(d, dom.intervened))
             table = dom.per_decision[d]
-            for ref in table.scope:  # a cell outside a table's domain is an error, not a zero
-                for value in space.refs[ref.name].domain:
-                    ref.index(value)
             # Tables and `cells` are both name-sorted, so a cell is a table key.
             rhs += [float(table.entries.get(values, 0)) for values in cells]
     first, values = space.walk(blocks)

@@ -50,30 +50,30 @@ class GroundingBall:
             raise InputError(f"delta must lie in [0, 1], got {self.delta}")
 
 
-def _reduced_objective_cells(
+def _check_reduced(c: Assignment, z: Assignment, what: str) -> None:
+    """The reduced objective's precondition: the context lies inside the shift."""
+    if merge_assignments(c, z) != dict(z):
+        raise UnsupportedError(
+            f"{what} is implemented for the reduced objective with context inside "
+            f"the shift; got context {dict(c)} vs shift {dict(z)}"
+        )
+
+
+def _tv_objective(
     data: BehaviouralDataset, z: Assignment
-) -> tuple[list[tuple[Value, ...]], dict[str, int]]:
-    scope = data.scope
-    cells = list(product(*[r.domain for r in scope]))
-    positions = {r.name: i for i, r in enumerate(scope)}
+) -> tuple[list[tuple[Value, ...]], list[Number], list[Number]]:
+    """The cells of `data.scope` and each one's coefficient in the utility's
+    values: Y 1_z on the decision's side, (1 - Y) 1_z on the baseline's."""
+    at = {r.name: i for i, r in enumerate(data.scope)}
     for name in z:
-        if name not in positions:
+        if name not in at:
             raise InputError(f"shift variable {name!r} not in data scope")
-    return cells, positions
-
-
-def _cell_coeff(
-    cell: tuple[Value, ...],
-    positions: dict[str, int],
-    z: Assignment,
-    utility: str,
-    success_side: bool,
-) -> Number:
-    """The objective's coefficient of a cell, in the utility's domain values."""
-    if any(cell[positions[n]] != v for n, v in z.items()):
-        return 0
-    y = cell[positions[utility]]
-    return y if success_side else 1 - y
+    cells = list(product(*[r.domain for r in data.scope]))
+    hits = [not any(cell[at[n]] != v for n, v in z.items()) for cell in cells]
+    y = at[data.utility]
+    success = [cell[y] if hit else 0 for cell, hit in zip(cells, hits)]
+    failure = [1 - cell[y] if hit else 0 for cell, hit in zip(cells, hits)]
+    return cells, success, failure
 
 
 def _ball_minimum(
@@ -118,10 +118,10 @@ def approx_grounding_lower(
 ) -> float:
     """Worst-case gap lower bound when tables are known only up to a TV ball.
 
-    The objective is the reduced context-equals-shift form
+    The objective is the reduced form, the context inside the shift,
         E[Y 1_z] under d  +  E[(1-Y) 1_z] under d*  -  1,
     minimised over independent TV balls around the two decisions' tables in
-    `data`.
+    `data`, over the cells of `data.scope` (`_tv_objective`).
     `exact-lp` takes each ball's minimum in closed form (`_ball_minimum`) and
     rounds their sum once, in plain Python; `sample` reproduces the
     propose/accept procedure (simplex proposals concentrated on the centres,
@@ -136,23 +136,15 @@ def approx_grounding_lower(
     Dirichlet breaks sticks instead, and the block is filled from those
     per-proposal calls.
     """
-    if merge_assignments(c, z) != dict(z):
-        raise UnsupportedError(
-            "the ball relaxation is implemented for the reduced objective with "
-            f"context inside the shift; got context {dict(c)} vs shift {dict(z)}"
-        )
+    _check_reduced(c, z, "the ball relaxation")
     _check_pair(data, d, d_star)
-    cells, positions = _reduced_objective_cells(data, z)
-    coeff = {
-        t: [_cell_coeff(cell, positions, z, data.utility, side) for cell in cells]
-        for t, side in ((d, True), (d_star, False))
-    }
+    cells, success, failure = _tv_objective(data, z)
     centres = {t: data.table(t) for t in (d, d_star)}
 
     if method == "exact-lp":
         return float(
-            _ball_minimum(centres[d], coeff[d], ball.delta, cells)
-            + _ball_minimum(centres[d_star], coeff[d_star], ball.delta, cells)
+            _ball_minimum(centres[d], success, ball.delta, cells)
+            + _ball_minimum(centres[d_star], failure, ball.delta, cells)
             - 1
         )
     if method != "sample":
@@ -167,22 +159,14 @@ def approx_grounding_lower(
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    coeff = {t: np.array(coeff[t], dtype=float) for t in (d, d_star)}
-    support = {
-        t: [k for k in cells if float(centres[t].entries.get(k, 0)) > 0.0]
-        for t in (d, d_star)
-    }
-    alphas = {
-        t: np.array([float(centres[t].entries[k]) for k in support[t]]) * concentration
-        for t in (d, d_star)
-    }
-    index = {t: [cells.index(k) for k in support[t]] for t in (d, d_star)}
-    centre_vecs = {
-        t: np.array([float(centres[t].entries.get(k, 0)) for k in cells]) for t in (d, d_star)
-    }
+    coeff = {d: np.array(success, dtype=float), d_star: np.array(failure, dtype=float)}
+    centre_vecs = {t: np.array([float(centres[t].entries.get(k, 0)) for k in cells])
+                   for t in (d, d_star)}
+    index = {t: np.flatnonzero(centre_vecs[t] > 0.0) for t in (d, d_star)}
+    alphas = {t: centre_vecs[t][index[t]] * concentration for t in (d, d_star)}
     # Column slices of one proposal row: d's draw, then d*'s, as the stream
     # yields them.
-    k_d = len(support[d])
+    k_d = len(index[d])
     slices = {d: slice(0, k_d), d_star: slice(k_d, None)}
     weights = np.concatenate([alphas[d], alphas[d_star]])
     # numpy's Dirichlet normalises gammas only when the largest weight is at

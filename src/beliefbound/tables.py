@@ -461,6 +461,7 @@ class BehaviouralDataset:
 
     `utility` names the bounded numeric outcome column used by every bound.
     The base (un-intervened) tables count as the empty-intervention domain.
+    Every table in every domain has scope `scope`: same variables, domains, order.
     """
 
     decision: VariableRef
@@ -474,44 +475,39 @@ class BehaviouralDataset:
                 f"per-decision tables cover {sorted(map(str, self.per_decision))}, "
                 f"expected decisions {self.decision.domain}"
             )
-        scopes = {t.names for t in self.per_decision.values()}
-        if len(scopes) != 1:
-            raise InputError(f"per-decision tables disagree on scope: {scopes}")
-        (names,) = scopes
-        if self.decision.name in names:
+        first = self.table(self.decision.domain[0])
+        if self.decision.name in first.names:
             raise InputError("per-decision tables must not include the decision variable")
-        for dom in self.domains:
+        for dom in self.all_domains():
             if set(dom.per_decision) != set(self.decision.domain):
                 raise InputError(
                     f"domain {dom.label!r} has tables for decisions "
                     f"{sorted(map(str, dom.per_decision))}, expected {self.decision.domain}"
                 )
-            for t in dom.per_decision.values():
-                if t.names != names:
-                    raise InputError(f"domain {dom.label!r} scope differs from base scope")
+            for d, t in dom.per_decision.items():
+                where = f"table of decision {d!r} in domain {dom.label or '(base)'}"
+                if t.names != first.names:
+                    raise InputError(f"{where} has variables {t.names}, expected {first.names}")
+                for got, want in zip(t.scope, first.scope):
+                    if got != want:
+                        raise InputError(
+                            f"{where} lists {got.name!r} as {got.domain}, expected {want.domain}"
+                        )
             for name, value in dom.intervened.items():
-                if name not in names:
+                if name not in first.names:
                     raise InputError(
                         f"domain {dom.label!r} intervenes on {name!r}, not a variable of "
-                        f"its tables {names}"
+                        f"its tables {first.names}"
                     )
-                if any(value not in t.ref(name).domain for t in dom.per_decision.values()):
+                if value not in first.ref(name).domain:
                     raise InputError(
                         f"domain {dom.label!r} fixes {name}={value!r}, outside its domain"
                     )
-        self._check_utility(names)
-
-    def _check_utility(self, names: tuple[str, ...]) -> None:
-        if self.utility not in names:
-            raise InputError(f"utility {self.utility!r} not in scope {names}")
-        for dom in self.all_domains():
-            for d, t in dom.per_decision.items():
-                ref = t.ref(self.utility)
-                if not ref.numeric or not all(0 <= v <= 1 for v in ref.domain):  # NaN is not
-                    raise InputError(
-                        f"utility domain {ref.domain} of decision {d!r} in domain "
-                        f"{dom.label or '(base)'} must be numeric within [0, 1]"
-                    )
+        if self.utility not in first.names:
+            raise InputError(f"utility {self.utility!r} not in scope {first.names}")
+        ref = first.ref(self.utility)
+        if not ref.numeric or not all(0 <= v <= 1 for v in ref.domain):  # NaN is not
+            raise InputError(f"utility domain {ref.domain} must be numeric within [0, 1]")
 
     @property
     def scope(self) -> tuple[VariableRef, ...]:

@@ -275,6 +275,62 @@ def test_exit_two_on_parse_error():
     assert result.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("content", [None, "[1]", "{"])
+def test_unknown_shift_reads_a_given_data_file(content, tmp_path, capsys, monkeypatch):
+    """The interval is [-1, 1] whatever the data, but a missing or malformed
+    --data file is an error, as for every other theorem."""
+    path = tmp_path / "data.json"
+    if content is not None:
+        path.write_text(content)
+    argv = ["bounds", "--theorem", "unknown-shift", "--data", str(path)]
+    code, out, err = run_inprocess(argv, capsys, monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    argv[-1] = f"{FIXTURES}/medai.tables.json"
+    code, out, _ = run_inprocess(argv, capsys, monkeypatch)
+    assert code == 0
+    ((interval,),) = [json.loads(out)["intervals"]]
+    assert (interval["lower"], interval["upper"]) == (-1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "context, message",
+    [
+        ("Z=0", "conflicting values for 'Z': 0 vs 1"),
+        ("Y=1", "{what} is implemented for the reduced objective with context inside the "
+                "shift; got context {{'Y': 1}} vs shift {{'Z': 1}}"),
+    ],
+    ids=["conflicting", "outside"],
+)
+@pytest.mark.parametrize(
+    "kind, what",
+    [(["approx-grounding", "--delta", "0.1"], "the ball relaxation"),
+     (["proxy", "--alpha", "0.9"], "the proxy bound")],
+    ids=["ball", "proxy"],
+)
+def test_relaxations_need_the_context_inside_the_shift(
+    kind, what, context, message, capsys, monkeypatch
+):
+    argv = ["relax", "--data", f"{FIXTURES}/medai.tables.json", "--kind", *kind,
+            "--shift", "Z=1", "--context", context, "--decision", "1", "--baseline", "0"]
+    code, out, err = run_inprocess(argv, capsys, monkeypatch)
+    assert (code, out, err) == (2, "", f"error: {message.format(what=what)}\n")
+
+
+def test_a_dataset_whose_tables_list_other_domains_exits_two(tmp_path, capsys, monkeypatch):
+    doc = json.loads((REPO / FIXTURES / "medai.tables.json").read_text())
+    scope = doc["per_decision"]["1"]["scope"]
+    z = next(ref for ref in scope if ref["name"] == "Z")
+    z["domain"] = z["domain"][::-1]
+    path = tmp_path / "reordered.json"
+    path.write_text(json.dumps(doc))
+    argv = ["bounds", "--theorem", "intervention", "--data", str(path), *_GAP]
+    assert run_inprocess(argv, capsys, monkeypatch) == (
+        2, "", "error: table of decision 1 in domain (base) lists 'Z' as (1, 0), "
+               "expected (0, 1)\n",
+    )
+
+
 def test_default_skeleton_lets_context_respond_to_shift(tmp_path, capsys, monkeypatch):
     # Hidden model: W <- (Z, U), Y <- (D, W, U).  The default skeleton must let
     # the context W respond to do(Z=1), or the LP optimises over a model class

@@ -1,12 +1,15 @@
 """Every name a package module imports is used in that module, and every
-private module-level helper is read somewhere in the package.
+private module-level helper and private method is read somewhere in the
+package.
 
 Deleting code tends to leave its imports and its helpers behind; these checks
 read each module of `src/beliefbound` with `ast` (no third-party linter).  The
 first lists the imported names a module never reads; a name read only in an
 annotation, quoted or not, counts as used.  The second lists the module-level
 `_name`s (functions, classes, assignments; not dunders) that no module reads
-outside their own definition.
+outside their own definition.  The third lists the private methods of the
+package's classes (cached properties included; not dunders) that no module
+reads as an attribute.
 """
 
 from __future__ import annotations
@@ -119,3 +122,49 @@ def test_check_sees_orphaned_helpers():
         "b": "import a\nfrom a import _helper\nVALUE = a._Box, _helper()\n",
     }
     assert orphaned_helpers(sources) == ["a._UNUSED", "a._emit"]
+
+
+def orphaned_methods(sources: dict[str, str]) -> list[str]:
+    """`module.Class._name` for each private method (a `def` in a class body,
+    cached properties included; not dunders) in `sources` that no module reads
+    as an attribute ``.name``."""
+    defined, read = set(), set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                defined |= {
+                    (module, node.name, f.name)
+                    for f in node.body
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and f.name.startswith("_") and not f.name.startswith("__")
+                }
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(f"{m}.{c}.{name}" for m, c, name in defined if name not in read)
+
+
+def test_every_private_method_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert orphaned_methods(sources) == []
+
+
+def test_check_sees_orphaned_methods():
+    sources = {
+        "a": (
+            "from functools import cached_property\n"
+            "class Data:\n"
+            "    def __post_init__(self):\n"
+            "        self._check_scope()\n"
+            "    def _check_scope(self):\n"
+            "        pass\n"
+            "    def _check_utility(self, names):\n"  # left behind by a fold
+            "        pass\n"
+            "    @cached_property\n"
+            "    def _index(self):\n"
+            "        return {}\n"
+        ),
+        "b": "import a\nVALUE = a.Data()\n",
+    }
+    assert orphaned_methods(sources) == ["a.Data._check_utility", "a.Data._index"]
+    sources["b"] += "INDEX = VALUE._index\n"
+    assert orphaned_methods(sources) == ["a.Data._check_utility"]

@@ -325,7 +325,7 @@ def test_table_lacking_a_skeleton_value_rejected():
         0: DistTable((y, z), {(1, 1): 0.5, (0, 0): 0.5}),
         1: DistTable((y, VariableRef("Z", (0,))), {(1, 0): 1.0}),
     }
-    with pytest.raises(InputError, match="value 1 not in domain of 'Z'"):
+    with pytest.raises(InputError, match=r"decision 1 in domain \(base\) lists 'Z' as \(0,\)"):
         build_polytope(BehaviouralDataset(VariableRef("D", (0, 1)), tables), SKELETON)
 
 

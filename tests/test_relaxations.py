@@ -15,8 +15,7 @@ from beliefbound.errors import InputError, SamplingError, UnsupportedError
 from beliefbound.relaxations import (
     GroundingBall,
     _ball_minimum,
-    _cell_coeff,
-    _reduced_objective_cells,
+    _tv_objective,
     approx_grounding_lower,
     partial_unconfoundedness_interval,
     proxy_alignment_lower,
@@ -163,11 +162,11 @@ def test_sampling_needs_seed_and_accepts_something(medai):
 def per_draw_sample(data, ball, z, d, d_star, *, n_samples, seed, concentration):
     """The sampler as one `rng.dirichlet` call per decision per proposal, the
     reference the block sampler must match bit for bit."""
-    cells, positions = _reduced_objective_cells(data, z)
+    cells, success, failure = _tv_objective(data, z)
     setup = []
-    for t, side in ((d, True), (d_star, False)):
+    for t, side in ((d, success), (d_star, failure)):
         centre = data.table(t)
-        coeff = np.array([_cell_coeff(k, positions, z, data.utility, side) for k in cells])
+        coeff = np.array(side)
         support = [k for k in cells if float(centre.entries.get(k, 0)) > 0.0]
         alpha = np.array([float(centre.entries[k]) for k in support]) * concentration
         index = [cells.index(k) for k in support]

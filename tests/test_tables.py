@@ -223,9 +223,9 @@ def test_every_tables_utility_domain_is_checked():
     dref = VariableRef("D", (0, 1))
     good = DistTable((Y,), {(0,): 0.5, (1,): 0.5})
     bad = DistTable((VariableRef("Y", (0, "a")),), {(0,): 0.5, ("a",): 0.5})
-    with pytest.raises(InputError, match=r"\(0, 'a'\) of decision 1 in domain \(base\)"):
+    with pytest.raises(InputError, match=r"decision 1 in domain \(base\) lists 'Y' as \(0, 'a'\)"):
         BehaviouralDataset(dref, {0: good, 1: bad})
-    with pytest.raises(InputError, match="of decision 0 in domain e1 must be numeric"):
+    with pytest.raises(InputError, match="decision 0 in domain e1 lists 'Y' as"):
         BehaviouralDataset(
             dref, {0: good, 1: good},
             domains=(ExperimentalDomain("e1", {}, {0: bad, 1: good}),),
@@ -233,9 +233,88 @@ def test_every_tables_utility_domain_is_checked():
     nan = float("nan")
     for high in (2, nan):
         above = DistTable((VariableRef("Y", (0, high)),), {(0,): 0.5, (high,): 0.5})
-        with pytest.raises(InputError, match="of decision 1 in domain"):
+        with pytest.raises(InputError, match=r"decision 1 in domain \(base\) lists 'Y' as"):
             BehaviouralDataset(dref, {0: good, 1: above})
     # The checked dataset still answers both bounds that sort the domain.
     data = BehaviouralDataset(dref, {0: good, 1: good})
     assert harm_gap_interval(data, 1, 0, {}).upper == 0.5
     assert proxy_alignment_lower(data, 1.0, {}, 0, 1) == -0.5
+
+
+# -- one scope per dataset ----------------------------------------------------
+
+_OTHER_SCOPES = {
+    "extra value": (Y, VariableRef("Z", (0, 1, 2))),
+    "missing value": (Y, VariableRef("Z", (0,))),
+    "reordered values": (Y, VariableRef("Z", (1, 0))),
+    "utility domain": (VariableRef("Y", (0, 0.5, 1)), Z),
+}
+
+
+@pytest.mark.parametrize("where", ["base", "e1"])
+@pytest.mark.parametrize("kind", sorted(_OTHER_SCOPES))
+def test_a_table_listing_other_domains_is_rejected(kind, where):
+    """Every table, base or experimental, lists `data.scope` exactly; the
+    first other table is named with its variable's two domains."""
+    from beliefbound.tables import BehaviouralDataset, ExperimentalDomain
+
+    scope = _OTHER_SCOPES[kind]
+    odd = DistTable(scope, {(0, 0): 0.5, (1, 0): 0.5})
+    good = table({(0, 0): 0.5, (1, 0): 0.5})
+    base = {0: good, 1: odd if where == "base" else good}
+    domain = ExperimentalDomain("e1", {}, {0: good, 1: odd if where == "e1" else good})
+    got, want = next((r, w) for r, w in zip(odd.scope, good.scope) if r != w)
+    label = "(base)" if where == "base" else "e1"
+    message = (
+        f"table of decision 1 in domain {label} lists {got.name!r} as {got.domain}, "
+        f"expected {want.domain}"
+    )
+    with pytest.raises(InputError) as caught:
+        BehaviouralDataset(VariableRef("D", (0, 1)), base, domains=(domain,))
+    assert str(caught.value) == message
+
+
+def test_a_table_over_other_variables_is_rejected():
+    from beliefbound.tables import BehaviouralDataset, ExperimentalDomain
+
+    good = table({(0, 0): 0.5, (1, 0): 0.5})
+    narrow = DistTable((Y,), {(0,): 0.5, (1,): 0.5})
+    domain = ExperimentalDomain("e1", {}, {0: narrow, 1: good})
+    with pytest.raises(InputError) as caught:
+        BehaviouralDataset(VariableRef("D", (0, 1)), {0: good, 1: good}, domains=(domain,))
+    assert str(caught.value) == (
+        "table of decision 0 in domain e1 has variables ('Y',), expected ('Y', 'Z')"
+    )
+
+
+def test_a_utility_outside_the_unit_interval_is_rejected_once():
+    from beliefbound.tables import BehaviouralDataset
+
+    wide = DistTable((VariableRef("Y", (0, 2)),), {(0,): 0.5, (2,): 0.5})
+    with pytest.raises(InputError) as caught:
+        BehaviouralDataset(VariableRef("D", (0, 1)), {0: wide, 1: wide})
+    assert str(caught.value) == "utility domain (0, 2) must be numeric within [0, 1]"
+
+
+def test_datasets_that_answered_wrongly_are_rejected_at_construction():
+    """Tables that disagree on a domain gave wrong answers when each reader
+    took domains from one table: with Y in (0, 1) for decision 0 and
+    (0, 0.5, 1) for decision 1, the TV ball at radius 0 read 0.0 where the
+    point value is 0.25 (the Y=0.5 mass dropped), the sampler rejected every
+    proposal, and the harm interval [0, 0.25] was reported tight; with Z in
+    (0, 1, 2) for decision 1, fairness raised for one decision only and the
+    oracle reported an infeasible polytope.  Both datasets now fail to load."""
+    from beliefbound.tables import BehaviouralDataset
+
+    dref = VariableRef("D", (0, 1))
+    y3, z3 = VariableRef("Y", (0, 0.5, 1)), VariableRef("Z", (0, 1, 2))
+    with pytest.raises(InputError, match=r"lists 'Y' as \(0, 0\.5, 1\), expected \(0, 1\)"):
+        BehaviouralDataset(dref, {
+            0: table({(0, 1): 0.5, (1, 1): 0.5}),
+            1: DistTable((y3, Z), {(0, 1): 0.5, (0.5, 1): 0.5}),
+        })
+    with pytest.raises(InputError, match=r"lists 'Z' as \(0, 1, 2\), expected \(0, 1\)"):
+        BehaviouralDataset(dref, {
+            0: table({(0, 0): 0.5, (1, 1): 0.5}),
+            1: DistTable((Y, z3), {(0, 0): 0.5, (1, 2): 0.5}),
+        })
