@@ -54,15 +54,8 @@ THEOREMS = (
 )
 
 
-def _parse_value(raw: str) -> Value:
-    try:
-        return int(raw)
-    except ValueError:
-        return raw
-
-
 def parse_assignment(raw: str | None) -> dict[str, Value]:
-    """Comma-separated name=value pairs; values parse as int when possible."""
+    """Comma-separated name=value pairs; a value reads as a CSV cell does."""
     if not raw:
         return {}
     out: dict[str, Value] = {}
@@ -73,7 +66,7 @@ def parse_assignment(raw: str | None) -> dict[str, Value]:
         name = name.strip()
         if name in out:
             raise InputError(f"variable {name!r} assigned twice")
-        out[name] = _parse_value(value.strip())
+        out[name] = fileio._parse_cell(value)
     return out
 
 
@@ -172,7 +165,7 @@ def _gap_question(args, label: str) -> tuple[BehaviouralDataset, dict, dict, Val
     data = _dataset_from_args(args)
     c = parse_assignment(args.context)
     z = parse_assignment(args.shift)
-    return data, c, z, _parse_value(args.decision), _parse_value(args.baseline)
+    return data, c, z, fileio._parse_cell(args.decision), fileio._parse_cell(args.baseline)
 
 
 def _request(args, c: dict, z: dict, **extra) -> dict:
@@ -205,17 +198,17 @@ def cmd_bounds(args) -> int:
         joint = _joint_from_args(args)
         interval = bnd.causal_harm_interval(
             joint,
-            _parse_value(args.decision),
-            _parse_value(args.baseline),
+            fileio._parse_cell(args.decision),
+            fileio._parse_cell(args.baseline),
             c,
             decision=args.decision_var,
             utility=args.utility_var,
-            harm_value=_parse_value(args.harm_value),
+            harm_value=fileio._parse_cell(args.harm_value),
         )
     else:
         data = _dataset_from_args(args)
-        d = _parse_value(args.decision) if args.decision is not None else None
-        d0 = _parse_value(args.baseline) if args.baseline is not None else None
+        d = fileio._parse_cell(args.decision) if args.decision is not None else None
+        d0 = fileio._parse_cell(args.baseline) if args.baseline is not None else None
         if theorem in _PREFERENCE:
             _require(args, ["decision", "baseline", "shift"])
             interval = _PREFERENCE[theorem](data, c, z, d, d0)

@@ -1,60 +1,37 @@
 """Built-in example models and datasets.
 
 `medai` is a three-variable clinical decision-support model (treatment D,
-blood-pressure marker Z, recovery Y, one five-valued latent cause) whose two
-variants entail identical per-decision behaviour but opposite optimal
-treatments once Z is clamped.  It exercises every bound in the package and
-ships both as code and as JSON files under ``beliefbound/fixtures/``.
+blood-pressure marker Z, recovery Y, one five-valued latent cause U uniform on
+1..5) whose two variants entail identical per-decision behaviour but opposite
+optimal treatments once Z is clamped.  It exercises every bound in the
+package.  Its one definition is the JSON shipped under
+``beliefbound/fixtures/``, which the CLI examples and the golden reports read
+too; this module loads it through `importlib.resources`, so a zipped package
+loads it as well.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import json
 from importlib import resources
 
-from .scm import ExoDistribution, Mechanism, Scm, scm_dataset
-from .tables import BehaviouralDataset, VariableRef
-
-U = VariableRef("U", (1, 2, 3, 4, 5))
-D = VariableRef("D", (0, 1))
-Z = VariableRef("Z", (0, 1))
-Y = VariableRef("Y", (0, 1))
-
-FIFTH = Fraction(1, 5)
-
-
-def _model(y_rule) -> Scm:
-    exo = ExoDistribution.independent(U, {u: FIFTH for u in U.domain})
-    mechanisms = {
-        "D": Mechanism.constant(D, 0),
-        "Z": Mechanism.from_function(Z, (), (U,), lambda a: int(a["U"] in (1, 4))),
-        "Y": Mechanism.from_function(Y, (D, Z), (U,), y_rule),
-    }
-    return Scm((D, Z, Y), mechanisms, exo)
+from .fileio import load_scm
+from .scm import Scm, scm_dataset
+from .tables import BehaviouralDataset
 
 
 def medai_scm() -> Scm:
-    """Primary variant: treated recovery tracks everything but one latent state."""
-
-    def rule(a) -> int:
-        u, z = a["U"], a["Z"]
-        if a["D"] == 0:
-            return int(u == 4) if z == 1 else int(u in (1, 3, 4))
-        return int(u != 2) if z == 1 else int(u in (2, 4))
-
-    return _model(rule)
+    """Primary variant (`medai.scm.json`): D is 0, Z is 1 exactly when U is 1
+    or 4, and treated recovery under Z=1 tracks every latent state but U=2.
+    The do(Z=1) gap of treating is +3/5."""
+    return load_scm(json.loads(fixture_path("medai.scm.json").read_text(encoding="utf-8")))
 
 
 def medai_alt_scm() -> Scm:
-    """Alternative variant: same behaviour, opposite optimum under do(Z=1)."""
-
-    def rule(a) -> int:
-        u, z = a["U"], a["Z"]
-        if a["D"] == 0:
-            return int(u != 1) if z == 1 else int(u in (3, 4))
-        return int(u in (1, 4)) if z == 1 else int(u in (1, 2))
-
-    return _model(rule)
+    """Alternative variant (`medai_alt.scm.json`): the same D and Z, a recovery
+    rule with the same per-decision tables, and the opposite optimum under
+    do(Z=1): the gap of treating is -2/5."""
+    return load_scm(json.loads(fixture_path("medai_alt.scm.json").read_text(encoding="utf-8")))
 
 
 def medai_dataset() -> BehaviouralDataset:

@@ -474,8 +474,7 @@ def _gap_classes(
                 f"context variable {name!r} responds to the decision under do(z); the "
                 "conditional objective is not a single-denominator program"
             )
-        domain = space.refs[name].domain
-        sat &= ev_d[:, slot] == (domain.index(value) if value in domain else -1)
+        sat &= ev_d[:, slot] == space.refs[name].index(value)
     den = sat.astype(float)
     y = np.array([float(v) for v in space.refs[utility].domain])
     u = space._slot[utility]

@@ -8,6 +8,7 @@ out: the certifying inequality is strict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import InputError, ProviderError
@@ -71,8 +72,8 @@ def _check_inputs(decisions: Iterable[Value], lam: float) -> tuple[Value, ...]:
         raise InputError("need at least two decisions")
     if len(set(decisions)) != len(decisions):
         raise InputError("duplicate decisions")
-    if lam < 0:
-        raise InputError(f"margin must be non-negative, got {lam}")
+    if not (isfinite(lam) and lam >= 0):
+        raise InputError(f"margin must be a finite number >= 0, got {lam}")
     return decisions
 
 

@@ -65,9 +65,10 @@ def _tv_objective(
     """The cells of `data.scope` and each one's coefficient in the utility's
     values: Y 1_z on the decision's side, (1 - Y) 1_z on the baseline's."""
     at = {r.name: i for i, r in enumerate(data.scope)}
-    for name in z:
+    for name, value in z.items():
         if name not in at:
             raise InputError(f"shift variable {name!r} not in data scope")
+        data.scope[at[name]].index(value)  # a value outside the domain is an error
     cells = list(product(*[r.domain for r in data.scope]))
     hits = [not any(cell[at[n]] != v for n, v in z.items()) for cell in cells]
     y = at[data.utility]

@@ -64,17 +64,18 @@ class Report:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_table(self) -> str:
-        lines = [f"{TOOL_NAME} {__version__} :: {self.command}"]
-        for key, value in sorted(self.request.items()):
+        doc = self.as_dict()
+        lines = [f"{doc['tool']} {doc['version']} :: {doc['command']}"]
+        for key, value in sorted(doc["request"].items()):
             lines.append(f"  {key}: {value}")
-        for interval in self.intervals:
+        for interval in doc.get("intervals", []):
             tight = "tight" if interval.get("tight") else "not tight"
             lines.append(
                 f"  [{interval['lower']:+.6f}, {interval['upper']:+.6f}]  "
                 f"{interval['kind']} ({interval['theorem']}, {tight})"
             )
-        if self.verdict is not None:
-            v = self.verdict
+        if "verdict" in doc:
+            v = doc["verdict"]
             lines.append(
                 f"  mode={v['mode']} lambda={v['lambda']} "
                 f"ruled_out={v['ruled_out']} surviving={v['surviving']}"
@@ -86,16 +87,16 @@ class Report:
                     f"    {cert['preferred']} beats {cert['ruled_out']} "
                     f"(lower {cert['lower']:+.6f})"
                 )
-        if self.oracle is not None:
-            o = self.oracle
+        if "oracle" in doc:
+            o = doc["oracle"]
             lines.append(
                 f"  lp={o['lp_value']:+.9f} closed-form={o['closed_form']:+.9f} "
                 f"delta={o['delta']:.3e} ({'certified' if o['certified'] else 'MISMATCH'})"
             )
-        if self.relaxation is not None:
-            r = self.relaxation
+        if "relaxation" in doc:
+            r = doc["relaxation"]
             lines.append(f"  {r['kind']}: {r['value']:+.6f} ({r['method']})")
-        for warning in self.warnings:
+        for warning in doc["warnings"]:
             lines.append(f"  warning: {warning}")
         return "\n".join(lines) + "\n"
 

@@ -11,16 +11,18 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import replace
+from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefbound import fileio
+from beliefbound import __version__, fileio
 from beliefbound.cli import main
 from beliefbound.scm import ExoDistribution, Mechanism, Scm, scm_dataset
-from beliefbound.tables import DistTable, VariableRef
+from beliefbound.tables import BehaviouralDataset, DistTable, VariableRef
 
 from support import random_behaviour_model
 
@@ -184,11 +186,133 @@ def test_table_format_output(capsys, monkeypatch):
     assert "known-shift" in out and "tight" in out
 
 
+_MEDAI = f"{FIXTURES}/medai.tables.json"
+
+
+def _table(command: str, *lines: str) -> str:
+    return "\n".join([f"beliefbound {__version__} :: {command}", *lines]) + "\n"
+
+
+_GAP_ECHO = ("  baseline: 0", "  context: {'Z': 1}", f"  data: {_MEDAI}", "  decision: 1")
+_TABLES = {
+    "predict_weak": _table(
+        "predict", "  context: {'Z': 1}", f"  data: {_MEDAI}", "  lambda: 0.0",
+        "  mode: weak", "  shift: {'Z': 1}", "  theorem: intervention",
+        "  mode=weak lambda=0.0 ruled_out=[] surviving=[0, 1]",
+    ),
+    "predict_strong": _table(
+        "predict", "  context: {'Z': 1}", f"  data: {FIXTURES}/medai_experiment.tables.json",
+        "  lambda: 0.0", "  mode: strong", "  shift: {'Z': 1}", "  theorem: multidomain",
+        "  mode=strong lambda=0.0 ruled_out=[0] surviving=[1]",
+        "  strong winner: 1",
+        "    1 beats 0 (lower +0.600000)",
+    ),
+    "oracle_min": _table(
+        "oracle", *_GAP_ECHO, "  direction: min", "  shift: {'Z': 1}", "  tolerance: 1e-06",
+        "  lp=-0.400000000 closed-form=-0.400000000 delta=0.000e+00 (certified)",
+    ),
+    "relax_exact": _table(
+        "relax", *_GAP_ECHO, "  shift: {'Z': 1}", "  approx-grounding: -0.600000 (exact-lp)",
+    ),
+    "relax_proxy": _table(
+        "relax", "  baseline: 0", "  context: {}", f"  data: {_MEDAI}", "  decision: 1",
+        "  shift: {'Z': 1}", "  proxy: -0.640000 (closed-form)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLES))
+def test_table_reports(name, capsys, monkeypatch):
+    argv = GOLDEN_CASES[name] + ["--format", "table"]
+    assert run_inprocess(argv, capsys, monkeypatch) == (0, _TABLES[name], "")
+
+
+def test_table_report_prints_interval_warnings(capsys, monkeypatch):
+    argv = GOLDEN_CASES["bounds_covariate_shift"] + ["--format", "table"]
+    code, out, _ = run_inprocess(argv, capsys, monkeypatch)
+    assert code == 0
+    assert out.endswith(
+        "  [-0.555556, +1.000000]  preference (covariate-shift, not tight)\n"
+        "  warning: upper bound is the mirrored lower bound of the swapped pair, "
+        "not a stated result\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_both_report_formats_refuse_a_non_finite_value(fmt):
+    from beliefbound.errors import InputError
+    from beliefbound.report import Report
+
+    report = Report(
+        "relax", {}, relaxation={"kind": "proxy", "method": "closed-form",
+                                 "value": float("nan")},
+    )
+    with pytest.raises(InputError, match=r"non-finite value at report\.relaxation\.value"):
+        report.render(fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("raw", ["nan", "inf"])
+def test_predict_refuses_a_non_finite_margin(raw, fmt, capsys, monkeypatch):
+    argv = GOLDEN_CASES["predict_weak"] + ["--lambda", raw, "--format", fmt]
+    assert run_inprocess(argv, capsys, monkeypatch) == (
+        2, "", f"error: margin must be a finite number >= 0, got {raw}\n"
+    )
+
+
+def test_a_float_domain_value_names_its_cell(tmp_path, capsys, monkeypatch):
+    # The fixture with Z relabelled 0 -> 0.5, 1 -> 1.5 gives the fixture's
+    # interval at Z=1.5.
+    doc = json.loads((REPO / _MEDAI).read_text())
+    for table in doc["per_decision"].values():
+        next(r for r in table["scope"] if r["name"] == "Z")["domain"] = [0.5, 1.5]
+        for entry in table["entries"]:
+            entry["assignment"]["Z"] += 0.5
+    path = tmp_path / "float_z.json"
+    path.write_text(json.dumps(doc))
+    argv = ["bounds", "--data", str(path), "--theorem", "intervention", "--shift", "Z=1.5",
+            "--context", "Z=1.5", "--decision", "1", "--baseline", "0"]
+    code, out, err = run_inprocess(argv, capsys, monkeypatch)
+    assert (code, err) == (0, "")
+    _, expected, _ = run_inprocess(GOLDEN_CASES["bounds_intervention"], capsys, monkeypatch)
+    ends = [(i["lower"], i["upper"]) for i in json.loads(out)["intervals"]]
+    assert ends == [(i["lower"], i["upper"]) for i in json.loads(expected)["intervals"]]
+
+
+@pytest.mark.parametrize("method", [[], ["--method", "sample", "--seed", "3"]],
+                         ids=["exact-lp", "sample"])
+def test_ball_relaxation_refuses_a_shift_value_outside_its_domain(
+    method, capsys, monkeypatch
+):
+    argv = ["relax", "--data", _MEDAI, "--kind", "approx-grounding", "--delta", "0.1",
+            *method, "--shift", "Z=7", "--context", "Z=7", "--decision", "1",
+            "--baseline", "0"]
+    assert run_inprocess(argv, capsys, monkeypatch) == (
+        2, "", "error: value 7 not in domain of 'Z' (0, 1)\n"
+    )
+
+
+def test_oracle_refuses_a_context_value_outside_its_domain(tmp_path, capsys, monkeypatch):
+    w, y, z = (VariableRef(name, (0, 1)) for name in "WYZ")
+    uniform = DistTable((w, y, z), {cell: Fraction(1, 8) for cell in product((0, 1), repeat=3)})
+    path = tmp_path / "wyz.json"
+    path.write_text(json.dumps(fileio.dump_dataset(
+        BehaviouralDataset(VariableRef("D", (0, 1)), {0: uniform, 1: uniform})
+    )))
+    argv = ["oracle", "--data", str(path), "--direction", "min", "--shift", "Z=1",
+            "--context", "W=7", "--decision", "1", "--baseline", "0"]
+    assert run_inprocess(argv, capsys, monkeypatch) == (
+        2, "", "error: value 7 not in domain of 'W' (0, 1)\n"
+    )
+
+
 def test_assignment_parser():
     from beliefbound.cli import parse_assignment
     from beliefbound.errors import InputError
 
     assert parse_assignment("Z=1,W=a") == {"Z": 1, "W": "a"}
+    # Values read as CSV cells do: an int, else a float, else the text.
+    assert parse_assignment("Z=1.5,W=1e3,V= a ") == {"Z": 1.5, "W": 1000.0, "V": "a"}
     assert parse_assignment(None) == {}
     with pytest.raises(InputError):
         parse_assignment("Z=1,Z=0")

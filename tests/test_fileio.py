@@ -34,12 +34,27 @@ def test_scm_round_trip_produces_identical_behaviour(tmp_path):
         assert total_variation(left.table(d), right.table(d)) == 0
 
 
-def test_shipped_fixture_files_match_programmatic_models():
-    loaded = load_scm(fixture_path("medai.scm.json"))
-    assert scm_dataset(loaded, "D").table(1) == medai_dataset().table(1)
-    data = load_dataset(fixture_path("medai_experiment.tables.json"))
-    assert data.domains[0].intervened == {"Z": 1}
-    assert data.domains[0].per_decision[1].prob({"Y": 1}) == Fraction(4, 5)
+def test_shipped_tables_are_the_shipped_models_tables():
+    model = load_scm(fixture_path("medai.scm.json"))
+    assert load_dataset(fixture_path("medai.tables.json")) == scm_dataset(model, "D")
+    experiment = load_dataset(fixture_path("medai_experiment.tables.json"))
+    assert experiment == scm_dataset(model, "D", domains=[("do_z1", {"Z": 1})])
+    assert experiment.domains[0].intervened == {"Z": 1}
+
+
+def test_alt_model_behaves_as_medai_with_the_opposite_optimum_under_do_z1():
+    do_z1 = [("do_z1", {"Z": 1})]
+    medai, alt = (
+        scm_dataset(load_scm(fixture_path(f"{name}.scm.json")), "D", domains=do_z1)
+        for name in ("medai", "medai_alt")
+    )
+    assert alt.per_decision == medai.per_decision
+    gaps = [
+        data.domains[0].per_decision[1].prob({"Y": 1})
+        - data.domains[0].per_decision[0].prob({"Y": 1})
+        for data in (medai, alt)
+    ]
+    assert gaps == [Fraction(3, 5), Fraction(-2, 5)]
 
 
 def test_decimal_strings_parse_exactly(tmp_path):

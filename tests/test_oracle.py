@@ -432,6 +432,13 @@ def test_conditional_context_reduction_matches_closed_form():
     )
 
 
+def test_context_value_outside_its_domain_is_an_input_error():
+    data, skeleton = chained_dataset(0, {"Z": 2, "W": 2})
+    poly = build_polytope(data, skeleton)
+    with pytest.raises(InputError, match=r"^value 7 not in domain of 'W' \(0, 1\)$"):
+        optimize_gap(poly, Z1, {"W": 7}, 1, 0, "min")
+
+
 def test_experimental_domain_constraints_certify_pooling(medai_exp):
     # With the do(Z=1) domain in the polytope, the LP point-identifies the
     # gap at the pooled bound's value: multi-domain tightness for two domains.

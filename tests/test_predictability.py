@@ -134,6 +134,13 @@ def test_input_validation(medai):
         weak_verdict(provider, (0, 1), Z1, lam=-0.1)
 
 
+@pytest.mark.parametrize("verdict", [weak_verdict, strong_verdict])
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+def test_margin_must_be_finite(medai, verdict, lam):
+    with pytest.raises(InputError, match=f"^margin must be a finite number >= 0, got {lam}$"):
+        verdict(thm1_provider(medai), medai.decisions, Z1, lam)
+
+
 def test_inconsistent_mutual_winners_rejected():
     provider = lambda d, s: 1.0  # every pair "certified" both ways
     with pytest.raises(ProviderError):

@@ -144,6 +144,13 @@ def test_sampling_is_deterministic_per_seed(medai):
     assert a != c  # different stream, almost surely a different minimum
 
 
+@pytest.mark.parametrize("method", [{}, {"method": "sample", "seed": 3}],
+                         ids=["exact-lp", "sample"])
+def test_ball_refuses_a_shift_value_outside_its_domain(medai, method):
+    with pytest.raises(InputError, match=r"^value 7 not in domain of 'Z' \(0, 1\)$"):
+        approx_grounding_lower(medai, GroundingBall(0.1), {"Z": 7}, {"Z": 7}, 1, 0, **method)
+
+
 def test_sampling_needs_seed_and_accepts_something(medai):
     ball = GroundingBall(0.1)
     with pytest.raises(InputError):
