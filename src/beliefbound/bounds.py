@@ -4,7 +4,9 @@ Each operation maps observed per-decision tables to a provenance-carrying
 interval on a gap the agent's internal model cannot be asked about directly:
 preference gaps under shifts, counterfactual fairness and harm gaps, direct
 discrimination, and causal harm.  Formulas are pure functions of the tables;
-nothing here mutates state.
+the one state kept is each table's envelope memo (`_pieces`): keyed by
+(utility, c items, z items), no error stored, one entry per distinct (c, z)
+asked, valid because tables are immutable (contract in `tables`).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .tables import (
     _check_numeric,
     _check_pair,
     _mean,
+    _memoised,
     _moments,
     _scan,
     expectation,
@@ -149,7 +152,18 @@ def _pieces(
 
     lower = (E[Y|c,z] P(c,z) + lo (1 - P(z))) / (P(c,z) + 1 - P(z))
     upper = (E[Y|c,z] P(c,z) + hi (1 - P(z))) / (P(c,z) + 1 - P(z))
+
+    Memoised on the table (module docstring): a verdict over K decisions
+    computes one envelope per decision's table, not two per ordered pair.
     """
+    key = (utility, tuple(c.items()), tuple(z.items()))
+    return _memoised(table._envelopes, key, lambda: _envelope(table, utility, c, z))
+
+
+def _envelope(
+    table: DistTable, utility: str, c: Assignment, z: Assignment
+) -> tuple[Number, Number]:
+    """`_pieces` computed from two scans of the table."""
     cz = merge_assignments(c, z)
     p_cz, cells = _scan(table, cz, (utility,))
     p_z = table.prob(z)

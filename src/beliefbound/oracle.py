@@ -19,7 +19,8 @@ leaves are exactly the classes; a leaf's first atom (free responses 0) is
 computed arithmetically, as a Python int, since the atom count passes any
 fixed-width integer on a handful of binary covariates.  A gap walks the data
 blocks together with the objective's (d, z) and (d*, z) blocks and groups the
-leaves by polytope class, objective coefficient and context indicator.  The
+leaves by polytope class, objective coefficient and context indicator, once
+per (z, c, d, d*) on a polytope (`Polytope._gaps`), so both ends share it.  The
 simplex runs over these classes, numbered in order of first atom, with each
 class's mass put back on its first atom.  Under Bland's rule a later duplicate
 never enters the basis ahead of its first occurrence, so the pivots and the
@@ -59,6 +60,7 @@ import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import cached_property
 from itertools import product
 from operator import itemgetter, mul
 from typing import Mapping, Sequence
@@ -82,6 +84,7 @@ from .tables import (
     Value,
     VariableRef,
     _check_pair,
+    _memoised,
     merge_assignments,
     query,
 )
@@ -333,6 +336,11 @@ class Polytope:
     blocks: tuple[dict[str, int], ...]
     classes: dict[tuple[int, ...], int]
 
+    @cached_property
+    def _gaps(self) -> dict[tuple, _GapClasses]:
+        """`_gap_classes`'s memo, keyed by (z items, c items, d, d*)."""
+        return {}
+
     @property
     def a_eq(self) -> np.ndarray:
         """The per-atom constraint matrix, rows ordered as `merged`'s: one row
@@ -455,7 +463,21 @@ def _gap_classes(
     d_star: Value,
 ) -> _GapClasses:
     """The gap's classes, from one walk over the data blocks and the
-    objective's (d, z) and (d*, z) blocks."""
+    objective's (d, z) and (d*, z) blocks, memoised on the polytope: the min
+    and max of a gap walk once.  Errors are not stored, and the stored arrays
+    are read-only."""
+    key = (tuple(z.items()), tuple(c.items()), d, d_star)
+    return _memoised(polytope._gaps, key, lambda: _walk_gap(polytope, z, c, d, d_star))
+
+
+def _walk_gap(
+    polytope: Polytope,
+    z: Assignment,
+    c: Assignment,
+    d: Value,
+    d_star: Value,
+) -> _GapClasses:
+    """`_gap_classes` computed from one walk."""
     space = polytope.space
     utility = polytope.data.utility
     for key in (*z, *c):
@@ -487,7 +509,10 @@ def _gap_classes(
     for j, key in enumerate(zip(*keys)):
         at.setdefault(key, j)  # leaves come in order of first atom
     pick = np.fromiter(at.values(), dtype=np.intp, count=len(at))
-    return _GapClasses(coarse[pick], num[pick], None if degenerate else den[pick])
+    coarse, num, den = coarse[pick], num[pick], den[pick]
+    for array in (coarse, num, den):
+        array.setflags(write=False)
+    return _GapClasses(coarse, num, None if degenerate else den)
 
 
 def _solve_gap(

@@ -2,13 +2,15 @@
 
 A decision is ruled out once some rival's preference gap over it has a lower
 bound strictly above the rationality margin.  Ties at the margin never rule
-out: the certifying inequality is strict.
+out: the certifying inequality is strict.  An answer no valid bound gives, a
+NaN lower bound or a pair certified both ways, raises `ProviderError` in both
+verdicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import isfinite, isnan
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import InputError, ProviderError
@@ -59,11 +61,23 @@ class PredictabilityVerdict:
 
 def _pair_lower(bound_fn: BoundFn, d: Value, d_star: Value) -> float:
     try:
-        return float(bound_fn(d, d_star))
+        lower = float(bound_fn(d, d_star))
     except Exception as exc:
         raise ProviderError(
             f"gap-lower provider failed for pair (d={d!r}, d_star={d_star!r}): {exc}"
         ) from exc
+    if isnan(lower):
+        raise ProviderError(
+            f"gap-lower provider returned NaN for pair (d={d!r}, d_star={d_star!r})"
+        )
+    return lower
+
+
+def _mutually_dominant(decisions: Iterable[Value]) -> ProviderError:
+    return ProviderError(
+        f"bound provider certifies mutually dominant decisions {list(decisions)}; "
+        "valid gap bounds cannot do that"
+    )
 
 
 def _check_inputs(decisions: Iterable[Value], lam: float) -> tuple[Value, ...]:
@@ -86,10 +100,12 @@ def weak_verdict(
     """Rule out every decision some rival provably beats by more than lam.
 
     A certificate is kept for each ruled-out decision: the rival with the
-    largest certified lower bound.
+    largest certified lower bound.  A pair certified both ways raises
+    `ProviderError`, as in `strong_verdict`: valid bounds cannot do that.
     """
     decisions = _check_inputs(decisions, lam)
     ruled: set[Value] = set()
+    certified: set[tuple[Value, Value]] = set()
     certificates: list[Certificate] = []
     for d_star in decisions:
         best: Certificate | None = None
@@ -97,8 +113,12 @@ def weak_verdict(
             if d == d_star:
                 continue
             lb = _pair_lower(bound_fn, d, d_star)
-            if lb > lam and (best is None or lb > best.lower):
-                best = Certificate(d, d_star, lb)
+            if lb > lam:
+                if (d_star, d) in certified:
+                    raise _mutually_dominant(x for x in decisions if x in (d, d_star))
+                certified.add((d, d_star))
+                if best is None or lb > best.lower:
+                    best = Certificate(d, d_star, lb)
         if best is not None:
             ruled.add(d_star)
             certificates.append(best)
@@ -142,10 +162,7 @@ def strong_verdict(
         else:
             witness[w] = tuple(certs)
     if len(witness) > 1:
-        raise ProviderError(
-            f"bound provider certifies mutually dominant decisions {list(witness)}; "
-            "valid gap bounds cannot do that"
-        )
+        raise _mutually_dominant(witness)
     surviving = frozenset(witness or decisions)
     return PredictabilityVerdict(
         mode="strong",

@@ -15,7 +15,7 @@ from math import isfinite
 from operator import itemgetter
 from typing import Sequence
 
-from .bounds import GapInterval, _RANGE_TOL, _clamped
+from .bounds import GapInterval, _RANGE_TOL, _clamped, _utility_range
 from .errors import InputError, SamplingError, UnsupportedError
 from .tables import (
     Assignment,
@@ -61,9 +61,11 @@ def _check_reduced(c: Assignment, z: Assignment, what: str) -> None:
 
 def _tv_objective(
     data: BehaviouralDataset, z: Assignment
-) -> tuple[list[tuple[Value, ...]], list[Number], list[Number]]:
-    """The cells of `data.scope` and each one's coefficient in the utility's
-    values: Y 1_z on the decision's side, (1 - Y) 1_z on the baseline's."""
+) -> tuple[list[tuple[Value, ...]], list[Number], list[Number], Number]:
+    """The cells of `data.scope`, each one's coefficient on the decision's side,
+    (Y - lo) 1_z, and on the baseline's, (hi - Y) 1_z, and the objective's
+    constant lo - hi, for the utility domain's least and greatest values lo
+    and hi (a 0/1 utility keeps Y, 1 - Y and -1)."""
     at = {r.name: i for i, r in enumerate(data.scope)}
     for name, value in z.items():
         if name not in at:
@@ -72,9 +74,10 @@ def _tv_objective(
     cells = list(product(*[r.domain for r in data.scope]))
     hits = [not any(cell[at[n]] != v for n, v in z.items()) for cell in cells]
     y = at[data.utility]
-    success = [cell[y] if hit else 0 for cell, hit in zip(cells, hits)]
-    failure = [1 - cell[y] if hit else 0 for cell, hit in zip(cells, hits)]
-    return cells, success, failure
+    lo, hi = _utility_range(data.table(data.decisions[0]), data.utility)
+    success = [cell[y] - lo if hit else 0 for cell, hit in zip(cells, hits)]
+    failure = [hi - cell[y] if hit else 0 for cell, hit in zip(cells, hits)]
+    return cells, success, failure, lo - hi
 
 
 def _ball_minimum(
@@ -120,7 +123,8 @@ def approx_grounding_lower(
     """Worst-case gap lower bound when tables are known only up to a TV ball.
 
     The objective is the reduced form, the context inside the shift,
-        E[Y 1_z] under d  +  E[(1-Y) 1_z] under d*  -  1,
+        E[(Y-lo) 1_z] under d  +  E[(hi-Y) 1_z] under d*  +  lo - hi,
+    for the utility domain's range [lo, hi] (thm1's lower end at radius 0),
     minimised over independent TV balls around the two decisions' tables in
     `data`, over the cells of `data.scope` (`_tv_objective`).
     `exact-lp` takes each ball's minimum in closed form (`_ball_minimum`) and
@@ -139,14 +143,14 @@ def approx_grounding_lower(
     """
     _check_reduced(c, z, "the ball relaxation")
     _check_pair(data, d, d_star)
-    cells, success, failure = _tv_objective(data, z)
+    cells, success, failure, offset = _tv_objective(data, z)
     centres = {t: data.table(t) for t in (d, d_star)}
 
     if method == "exact-lp":
         return float(
             _ball_minimum(centres[d], success, ball.delta, cells)
             + _ball_minimum(centres[d_star], failure, ball.delta, cells)
-            - 1
+            + offset
         )
     if method != "sample":
         raise InputError(f"method must be 'exact-lp' or 'sample', got {method!r}")
@@ -202,7 +206,7 @@ def approx_grounding_lower(
             ok &= ~(0.5 * np.abs(full, out=full).sum(axis=1) > ball.delta)
         accepted += int(ok.sum())
         if ok.any():
-            best = min(best, float((value[ok] - 1.0).min()))
+            best = min(best, float((value[ok] + offset).min()))
     if not accepted:
         raise SamplingError(
             f"no proposal landed inside the TV ball after {n_samples} draws; "

@@ -39,6 +39,14 @@ gcd per result instead of one per entry.  Float tables, tables holding any
 entry that is not exactly a `Fraction` (an int, a float, a subclass) and
 tables whose L is 2**63 or more keep `sum`; the limit keeps each stored
 numerator to about one machine word.
+
+A table memoises its gap envelopes (`DistTable._envelopes`): `bounds._pieces`
+stores each (lower, upper) pair under (utility, c items, z items), one entry
+per distinct question asked of the table.  No error is stored, and a key that
+cannot be hashed (a list as a context value) is computed without the memo, so
+it raises as before.  Equal keys that hash alike (``True`` and ``1``) share an
+entry; the kernel compares values the same way.  Like `_exact`, the memo
+relies on the table not being mutated after construction.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
 from .errors import InputError, ZeroMassError
 
@@ -59,6 +67,7 @@ Assignment = Mapping[str, Value]
 
 SUM_TOL = 1e-12
 _EXACT_LIMIT = 2**63
+_T = TypeVar("_T")
 
 
 def _integer_view(probs: Sequence[Number]) -> tuple[int, tuple[int, ...]] | None:
@@ -80,6 +89,18 @@ def _total(view: tuple[int, tuple[int, ...]] | None, probs: Iterable[Number]) ->
         return sum(probs, start=0)
     common, nums = view
     return Fraction(sum(nums), common)
+
+
+def _memoised(memo: dict, key: tuple, compute: Callable[[], _T]) -> _T:
+    """``memo[key]``, stored from ``compute()`` on a miss.  A raised error is
+    not stored, and a key that cannot be hashed is computed and not stored."""
+    try:
+        hit = memo.get(key)
+    except TypeError:
+        return compute()
+    if hit is None:
+        hit = memo[key] = compute()
+    return hit
 
 
 def _close_to_one(total: Number) -> bool:
@@ -181,6 +202,11 @@ class DistTable:
     def _exact(self) -> tuple[int, tuple[int, ...]] | None:
         """The entries' integer view (module docstring), or None."""
         return _integer_view(tuple(self.entries.values()))
+
+    @cached_property
+    def _envelopes(self) -> dict[tuple, tuple[Number, Number]]:
+        """`bounds._pieces`'s memo (module docstring)."""
+        return {}
 
     def ref(self, name: str) -> VariableRef:
         for r in self.scope:

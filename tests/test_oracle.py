@@ -877,6 +877,43 @@ def test_wide_skeletons_certify_with_a_witness(k):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("c", [Z1, {"W1": 1}], ids=["degenerate", "Charnes-Cooper"])
+def test_both_ends_of_a_gap_walk_once(c, monkeypatch):
+    """The min and max of one gap share its classes: the build and one gap
+    walk, where each end walked again.  The stored arrays are read-only, and
+    both ends are `repr`-equal to each end asked of a fresh polytope."""
+    data, skeleton = wide_skeleton_dataset(3)
+    fresh = [
+        repr(optimize_gap(build_polytope(data, skeleton, limit=2**200), Z1, c, 1, 0, direction))
+        for direction in ("min", "max")
+    ]
+    walks = []
+    walk = CanonicalAtomSpace.walk
+    monkeypatch.setattr(CanonicalAtomSpace, "walk", lambda *a: walks.append(1) or walk(*a))
+    poly = build_polytope(data, skeleton, limit=2**200)
+    ends = [repr(optimize_gap(poly, Z1, c, 1, 0, direction)) for direction in ("min", "max")]
+    assert ends == fresh
+    assert len(walks) == 2
+    gap = _gap_classes(poly, {"Z": True}, c, 1, 0)  # an equal key: no walk
+    assert len(walks) == 2 and list(poly._gaps.values()) == [gap]
+    arrays = [gap.coarse, gap.num] + [gap.den] * (c != Z1)
+    assert not any(array.flags.writeable for array in arrays)
+
+
+def test_gap_errors_are_not_memoised(medai):
+    skeleton = [
+        SkeletonVariable("Z", (0, 1), ("D",)),
+        SkeletonVariable("Y", (0, 1), ("D", "Z")),
+    ]
+    poly = build_polytope(medai, skeleton)
+    for _ in range(2):
+        with pytest.raises(UnsupportedError, match="responds to the decision"):
+            optimize_gap(poly, {}, Z1, 1, 0, "min")
+        with pytest.raises(InputError, match="^'Q' is not a modelled variable$"):
+            optimize_gap(poly, {"Q": 1}, Z1, 1, 0, "min")
+    assert poly._gaps == {}
+
+
 def test_gap_values_do_not_depend_on_the_blas_thread_count():
     """A gap's value is an exact sum over classes, never a BLAS reduction
     over atoms, so one and two OpenBLAS threads agree to the bit on the

@@ -70,20 +70,25 @@ def test_unknown_shift_never_yields_a_winner(medai, medai_exp):
 
 
 def test_lambda_monotonicity_random_providers():
+    # Random valid providers: each pair has a gap g, and each order's lower
+    # bound sits below its own gap (g and -g), so no pair is certified both
+    # ways (the verdicts reject a provider that does that).
     rng = np.random.default_rng(11)
     decisions = (0, 1, 2)
+    narrowed = 0
     for _ in range(40):
-        values = {
-            (d, s): float(rng.uniform(-1, 1))
-            for d in decisions
-            for s in decisions
-            if d != s
-        }
+        values = {}
+        for d, s in [(0, 1), (0, 2), (1, 2)]:
+            gap = float(rng.uniform(-1, 1))
+            values[d, s] = gap - float(rng.uniform(0, 1))
+            values[s, d] = -gap - float(rng.uniform(0, 1))
         provider = lambda d, s, v=values: v[(d, s)]
         lam1, lam2 = sorted(rng.uniform(0.0, 1.0, size=2))
         big = weak_verdict(provider, decisions, lam=float(lam2)).ruled_out
         small = weak_verdict(provider, decisions, lam=float(lam1)).ruled_out
         assert big <= small
+        narrowed += big < small
+    assert narrowed >= 10  # the larger margin does rule out less
 
 
 def test_strong_implies_weak_shape():
@@ -145,3 +150,29 @@ def test_inconsistent_mutual_winners_rejected():
     provider = lambda d, s: 1.0  # every pair "certified" both ways
     with pytest.raises(ProviderError):
         strong_verdict(provider, (0, 1))
+
+
+@pytest.mark.parametrize("verdict", [weak_verdict, strong_verdict])
+def test_a_nan_lower_bound_is_a_provider_error(verdict):
+    # NaN > lam is false, so a NaN used to certify nothing without a word.
+    provider = lambda d, s: float("nan") if (d, s) == (1, 0) else -0.5
+    with pytest.raises(
+        ProviderError, match=r"^gap-lower provider returned NaN for pair \(d=1, d_star=0\)$"
+    ):
+        verdict(provider, (0, 1, 2))
+
+
+@pytest.mark.parametrize("verdict", [weak_verdict, strong_verdict])
+@pytest.mark.parametrize("value", [1.0, float("inf")])
+def test_a_pair_certified_both_ways_is_a_provider_error(verdict, value):
+    # The weak verdict used to rule out both decisions of such a pair.
+    provider = lambda d, s: value
+    with pytest.raises(ProviderError, match=r"^bound provider certifies mutually dominant "
+                       r"decisions \[0, 1\]; valid gap bounds cannot do that$"):
+        verdict(provider, (0, 1))
+
+
+def test_weak_verdict_names_the_pair_certified_both_ways():
+    provider = lambda d, s: 0.2 if {d, s} == {"b", "c"} else -0.1
+    with pytest.raises(ProviderError, match=r"decisions \['b', 'c'\]"):
+        weak_verdict(provider, ("a", "b", "c"))

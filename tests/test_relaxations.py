@@ -11,7 +11,7 @@ import pytest
 
 from beliefbound import relaxations
 from beliefbound.bounds import thm1_gap_interval
-from beliefbound.errors import InputError, SamplingError, UnsupportedError
+from beliefbound.errors import InputError, SamplingError, UnsupportedError, ZeroMassError
 from beliefbound.relaxations import (
     GroundingBall,
     _ball_minimum,
@@ -38,6 +38,39 @@ def test_exact_lp_fixture_minima(medai):
 def test_zero_radius_recovers_grounded_bound(medai):
     value = approx_grounding_lower(medai, GroundingBall(0.0), Z1, Z1, 1, 0)
     assert value == pytest.approx(thm1_gap_interval(medai, Z1, Z1, 1, 0).lower, abs=1e-12)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["fraction", "float"])
+def test_zero_radius_is_thm1_lower_on_any_utility_range(exact):
+    """At radius 0 the ball bound is thm1's lower end, with unobserved mass at
+    the utility domain's least and greatest values: `==` where both sides are
+    exact (`Fraction` tables with a 0/1 utility; a utility value strictly
+    inside (0, 1) is a float), within 1e-12 otherwise.  The sampler never
+    lands below the exact minimum of its ball."""
+    ranges = ((0, 1), (0, 0.5), (0.25, 0.75), (0.2, 0.5, 0.9))
+    compared = 0
+    for seed in range(40):
+        y_domain = ranges[seed % len(ranges)]
+        data = random_dataset(seed, 2 + seed % 3, 2, 2, exact, y_domain)
+        d, d_star = data.decisions[-1], data.decisions[0]
+        for z in ({"Z": 1}, {"W": 1, "Z": 0}):
+            try:
+                want = thm1_gap_interval(data, z, z, d, d_star).lower
+            except ZeroMassError:
+                continue
+            got = approx_grounding_lower(data, GroundingBall(0.0), z, z, d, d_star)
+            if exact and y_domain == (0, 1):
+                assert got == want, (seed, z)
+            else:
+                assert got == pytest.approx(want, abs=1e-12), (seed, z)
+            compared += 1
+            ball = GroundingBall(0.2)
+            floor = approx_grounding_lower(data, ball, z, z, d, d_star)
+            sampled = approx_grounding_lower(
+                data, ball, z, z, d, d_star, method="sample", seed=seed, n_samples=300
+            )
+            assert sampled >= floor - 1e-12, (seed, z, sampled, floor)
+    assert compared >= 60
 
 
 def test_ball_monotone_in_radius(medai):
@@ -169,7 +202,7 @@ def test_sampling_needs_seed_and_accepts_something(medai):
 def per_draw_sample(data, ball, z, d, d_star, *, n_samples, seed, concentration):
     """The sampler as one `rng.dirichlet` call per decision per proposal, the
     reference the block sampler must match bit for bit."""
-    cells, success, failure = _tv_objective(data, z)
+    cells, success, failure, offset = _tv_objective(data, z)
     setup = []
     for t, side in ((d, success), (d_star, failure)):
         centre = data.table(t)
@@ -195,7 +228,7 @@ def per_draw_sample(data, ball, z, d, d_star, *, n_samples, seed, concentration)
             value += float(coeff @ full)
         if ok:
             accepted += 1
-            best = min(best, value - 1.0)
+            best = min(best, value + offset)
     if not accepted:
         raise SamplingError(
             f"no proposal landed inside the TV ball after {n_samples} draws; "
