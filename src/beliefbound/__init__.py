@@ -68,7 +68,6 @@ _EXPORTS = {
         "ExoDistribution",
         "Mechanism",
         "Scm",
-        "Shift",
         "apply_shift",
         "counterfactual_probability",
         "evaluate",
@@ -89,7 +88,6 @@ _EXPORTS = {
         "policy_to_atomic",
         "query",
         "total_variation",
-        "uniform_policy",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -24,6 +24,7 @@ from .tables import (
     Value,
     _check_numeric,
     _check_pair,
+    _check_unfixed_utility,
     _mean,
     _memoised,
     _moments,
@@ -103,10 +104,6 @@ class GapInterval:
             )
         object.__setattr__(self, "notes", tuple(self.notes))
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
     def as_dict(self) -> dict:
         out = {
             "lower": self.lower,
@@ -135,8 +132,6 @@ def digest(payload: object) -> str:
                     (list(map(str, k)), float(p)) for k, p in obj.entries.items()
                 ),
             }
-        if isinstance(obj, frozenset):
-            return sorted(map(str, obj))
         return str(obj)
 
     blob = json.dumps(payload, sort_keys=True, default=default).encode()
@@ -175,6 +170,7 @@ def _envelope(
     _check_numeric(table, utility)
     lo, hi = _utility_range(table, utility)
     e = _mean(cells, p_cz if cz else None)
+    _check_unfixed_utility(utility, c, z)
     # With lo = 0 and hi = 1 both ends keep the 0/1 formula's arithmetic.
     lower = e * p_cz if lo == 0 else e * p_cz + lo - lo * p_z
     return lower / den, (e * p_cz + hi - hi * p_z) / den
@@ -353,7 +349,7 @@ def thm4_covariate_shift_lower(
         return float(1 - num / ps)
 
     lo_raw = raw_lower(d, d_star)
-    up_raw = -raw_lower(d_star, d)
+    up_raw = 0.0 - raw_lower(d_star, d)  # not -x, which is -0.0 when x is 0.0
     ends = _clamped(lo_raw, up_raw, [
         "upper bound is the mirrored lower bound of the swapped pair, not a stated result"
     ])
@@ -362,6 +358,7 @@ def thm4_covariate_shift_lower(
             "shifted covariate probabilities are inconsistent with the observed "
             f"tables (raw interval [{lo_raw}, {up_raw}])"
         )
+    _check_unfixed_utility(data.utility, c, z)
     return GapInterval(
         kind="preference",
         theorem="covariate-shift",
@@ -398,7 +395,8 @@ def fairness_gap_interval(
         raise InputError(f"protected attribute {attr!r} must not appear in the context")
     e = expectation(data.table(d), data.utility, merge_assignments(z0, c))
     lo, hi = _utility_range(data.table(d), data.utility)
-    lower = -float(e - lo)
+    _check_unfixed_utility(data.utility, z0, c)
+    lower = float(lo - e)  # not -(e - lo), which is -0.0 when e == lo
     return GapInterval(
         lower=lower,
         upper=lower + (hi - lo),
@@ -426,6 +424,7 @@ def harm_gap_interval(
         raise InputError(f"harm bounds need a binary 0/1 utility, got {ref.domain}")
     a = float(expectation(data.table(d), data.utility, c))
     b = float(expectation(data.table(d0), data.utility, c))
+    _check_unfixed_utility(data.utility, c)
     return GapInterval(
         lower=max(0.0, a + b - 1.0),
         upper=min(a, b),
@@ -463,6 +462,7 @@ def direct_discrimination_interval(
     p1, e1 = _moments(table, data.utility, merge_assignments(z1, c))
     p0, e0 = _moments(table, data.utility, merge_assignments(z0, c))
     lo, hi = _utility_range(table, data.utility)
+    _check_unfixed_utility(data.utility, z0, c)
     diff = e1 * p1 - e0 * p0
     lower, upper = diff + hi * p0 - hi, diff + hi - hi * p1
     if lo != 0:  # as in `_pieces`, a 0/1 utility keeps its arithmetic

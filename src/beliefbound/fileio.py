@@ -1,4 +1,4 @@
-"""Reading and writing models, tables, datasets and sample logs.
+"""Reading models, tables, datasets and sample logs; writing the first three.
 
 Formats:
   * model description (JSON): ``variables`` (name, domain, parents,

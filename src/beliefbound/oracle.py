@@ -732,18 +732,15 @@ class ResponseTypeTable:
             for ry in range(4)
         )
 
-    def y_value(self, z_index: int, ry: int) -> int:
-        lo, hi = sorted(self.y.domain)
-        return (lo, (lo, hi)[z_index], (hi, lo)[z_index], hi)[ry]
-
     def to_scm(self) -> Scm:
         """Canonical two-variable model carrying exactly these response types."""
         rz = VariableRef(f"R_{self.z.name}", (0, 1))
         ry = VariableRef(f"R_{self.y.name}", (0, 1, 2, 3))
         exo = ExoDistribution((rz, ry), tuple((key, p) for key, p in self.cells.items()))
         z_mech = Mechanism(self.z, (), (rz.name,), {(a,): self.z.domain[a] for a in (0, 1)})
+        lo, hi = sorted(self.y.domain)
         y_table = {
-            (self.z.domain[a], b): self.y_value(a, b)
+            (self.z.domain[a], b): (lo, (lo, hi)[a], (hi, lo)[a], hi)[b]
             for a in (0, 1)
             for b in range(4)
         }
@@ -751,19 +748,14 @@ class ResponseTypeTable:
         return Scm((self.z, self.y), {self.z.name: z_mech, self.y.name: y_mech}, exo)
 
 
-def canonical_zy_table(
-    table: DistTable,
-    z_name: str = "Z",
-    y_name: str = "Y",
-    given: Assignment | None = None,
-) -> ResponseTypeTable:
+def canonical_zy_table(table: DistTable, z_name: str = "Z", y_name: str = "Y") -> ResponseTypeTable:
     """Canonical parameterization of one (Z, Y) law with empty corner rows.
 
     Any observed binary law is expressible with all mass on the Z-tracking and
     Z-opposing y-responses, which satisfies the zero-cell conventions both
     extreme reshuffles need.
     """
-    zy = query(table, [z_name, y_name], given)
+    zy = query(table, [z_name, y_name])
     zref, yref = zy.ref(z_name), zy.ref(y_name)
     lo, hi = sorted(yref.domain)
     cells: dict[tuple[int, int], Number] = {}

@@ -24,6 +24,7 @@ from .tables import (
     Number,
     Value,
     _check_pair,
+    _check_unfixed_utility,
     _moments,
     merge_assignments,
 )
@@ -144,6 +145,7 @@ def approx_grounding_lower(
     _check_reduced(c, z, "the ball relaxation")
     _check_pair(data, d, d_star)
     cells, success, failure, offset = _tv_objective(data, z)
+    _check_unfixed_utility(data.utility, c, z)
     centres = {t: data.table(t) for t in (d, d_star)}
 
     if method == "exact-lp":
@@ -235,6 +237,7 @@ def proxy_alignment_lower(
     if tuple(sorted(ref.domain)) != (0, 1):
         raise InputError(f"proxy bounds need a binary 0/1 utility, got {ref.domain}")
     mass = table.prob(merge_assignments(z, {data.utility: 1}))
+    _check_unfixed_utility(data.utility, z)
     return float(alpha * mass - 1)
 
 
@@ -288,6 +291,7 @@ def partial_unconfoundedness_interval(
     ends = _clamped(lo_d - up_s, up_d - lo_s, notes)
     if ends["lower"] > ends["upper"] + _RANGE_TOL:
         raise InputError("deconfounding envelopes crossed; inputs are inconsistent")
+    _check_unfixed_utility(data.utility, z, w0)
     return GapInterval(
         kind="preference",
         theorem="partial-unconfoundedness",

@@ -22,10 +22,15 @@ indices, as the oracle's canonical space does, and never reads the intervened
 mechanisms.  Every `Scm`, `submodel`'s included, compiles and checks all of
 its mechanisms.
 
+A known mechanism shift is `apply_shift(scm, mechanisms, exo=None)`: the
+named variables get the given mechanisms, and `exo`, when given, joins the
+exogenous atoms as an independent block.  A shift whose mechanisms are
+unknown has no model here; `bounds.thm3_unknown_shift_interval` bounds it.
+
 Each exogenous block is indexed once: `ExoDistribution._columns` holds one
 read-only domain-index column per exogenous variable over the atoms, and a
-derived model that keeps its parent's block (`submodel`, a shift without an
-exogenous replacement) keeps the same object, so every model sum over one
+derived model that keeps its parent's block (`submodel`, `apply_shift`
+without `exo`) keeps the same object, so every model sum over one
 block reads the same columns.  `scm_dataset` pushes the atoms straight onto
 the variables other than the decision and builds one table per decision; its
 entries are those of `query(joint_distribution(...), rest)`, because under
@@ -43,7 +48,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InputError, ModelError, UnsupportedError
+from .errors import InputError, ModelError
 from .tables import (
     Assignment,
     BehaviouralDataset,
@@ -156,11 +161,6 @@ class ExoDistribution:
             yield dict(zip(self.names, key)), p
 
     @classmethod
-    def independent(cls, ref: VariableRef, probs: Mapping[Value, Number]) -> "ExoDistribution":
-        atoms = tuple(((v,), probs[v]) for v in ref.domain if probs.get(v, 0) != 0)
-        return cls((ref,), atoms)
-
-    @classmethod
     def product(cls, left: "ExoDistribution", right: "ExoDistribution") -> "ExoDistribution":
         """Independent product of two blocks; zero-probability atoms dropped."""
         clash = set(left.names) & set(right.names)
@@ -175,22 +175,6 @@ class ExoDistribution:
                     continue
                 atoms.append((lk + rk, lp * rp))
         return cls(left.variables + right.variables, tuple(atoms))
-
-
-@dataclass(frozen=True)
-class Shift:
-    """Mechanism/exogenous replacement for a set of endogenous variables.
-
-    A shift with no replacement mechanisms is only a *symbolic* object (the
-    unknown-shift bounds handle it); applying it to a model is unsupported.
-    """
-
-    targets: tuple[str, ...]
-    mechanisms: dict[str, Mechanism] | None = None
-    exo: ExoDistribution | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "targets", tuple(self.targets))
 
 
 def toposort(parents: Mapping[str, Sequence[str]]) -> tuple[str, ...]:
@@ -320,28 +304,19 @@ def submodel(scm: Scm, iv: Assignment) -> Scm:
     return Scm(scm.variables, {**scm.mechanisms, **new}, scm.exo)
 
 
-def apply_shift(scm: Scm, shift: Shift) -> Scm:
-    """Replace mechanisms (and exogenous block) of the shift targets.
-
-    Raises UnsupportedError when the shift carries no replacement mechanisms:
-    an unspecified shift is a symbolic object for the bound formulas, not an
-    executable model transformation.
-    """
-    if not shift.targets:
+def apply_shift(
+    scm: Scm, mechanisms: Mapping[str, Mechanism], exo: ExoDistribution | None = None
+) -> Scm:
+    """The model with the named variables' mechanisms replaced, and `exo`,
+    when given, added to the exogenous atoms as an independent block.  Empty
+    `mechanisms` return `scm` itself; a name that is not an endogenous
+    variable raises."""
+    if not mechanisms:
         return scm
-    for name in shift.targets:
+    for name in mechanisms:
         scm.ref(name)
-    if shift.mechanisms is None:
-        raise UnsupportedError(
-            "shift carries no replacement mechanisms; only bound formulas "
-            "can reason about an unspecified shift"
-        )
-    missing = set(shift.targets) - set(shift.mechanisms)
-    if missing:
-        raise UnsupportedError(f"shift lacks replacement mechanisms for {sorted(missing)}")
-    exo = scm.exo if shift.exo is None else ExoDistribution.product(scm.exo, shift.exo)
-    new = {name: shift.mechanisms[name] for name in shift.targets}
-    return Scm(scm.variables, {**scm.mechanisms, **new}, exo)
+    exo = scm.exo if exo is None else ExoDistribution.product(scm.exo, exo)
+    return Scm(scm.variables, {**scm.mechanisms, **mechanisms}, exo)
 
 
 def _pushforward(scm: Scm, refs: tuple[VariableRef, ...], iv: Assignment) -> DistTable:

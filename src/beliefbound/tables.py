@@ -451,26 +451,6 @@ class Policy:
                 if d not in self.decision.domain:
                     raise InputError(f"decision {d!r} outside {self.decision.domain}")
 
-    def prob(self, context: Assignment, d: Value) -> Number:
-        key = tuple(context[name] for name in self.context)
-        if key not in self.rows:
-            raise InputError(f"policy has no row for context {dict(zip(self.context, key))}")
-        return self.rows[key].get(d, 0)
-
-
-def uniform_policy(decision: VariableRef, context: Sequence[VariableRef]) -> Policy:
-    """Uniform-over-decisions policy on the full context product."""
-    from itertools import product
-
-    refs = sorted(context, key=lambda r: r.name)
-    n = len(decision.domain)
-    share = Fraction(1, n)
-    rows = {
-        ctx: {d: share for d in decision.domain}
-        for ctx in product(*[r.domain for r in refs])
-    }
-    return Policy(decision, tuple(r.name for r in refs), rows)
-
 
 @dataclass(frozen=True)
 class ExperimentalDomain:
@@ -561,6 +541,17 @@ def _check_pair(data: BehaviouralDataset, d: Value, d_star: Value) -> None:
     for value in (d, d_star):
         if value not in data.decisions:
             raise InputError(f"decision {value!r} not in {data.decisions}")
+
+
+def _check_unfixed_utility(utility: str, *parts: Assignment) -> None:
+    """No part of a gap question (shift, context, protected attribute or
+    covariate) names the utility: fixing it fixes the gap by definition."""
+    for part in parts:
+        if utility in part:
+            raise InputError(
+                f"the question fixes the utility {utility}={part[utility]!r}, "
+                "which fixes its gap by definition"
+            )
 
 
 def policy_to_atomic(p_pi: DistTable, pi: Policy, d: Value) -> DistTable:

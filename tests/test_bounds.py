@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -216,6 +217,15 @@ def test_thm4_upper_is_flagged_as_mirror(medai):
     assert any("mirror" in note for note in gap.notes)
 
 
+def test_thm4_zero_upper_end_is_positive_zero():
+    # Both decisions always succeed at Z = 1: the swapped pair's lower end is
+    # 0.0, and its mirror must print as 0.0, not -0.0.
+    data = exact_dataset({0: {(1, 1): 1}, 1: {(1, 1): 1}})
+    gap = thm4_covariate_shift_lower(data, sigma_table(1), Z1, Z1, 1, 0)
+    assert (gap.lower, gap.upper) == (0.0, 0.0)
+    assert math.copysign(1.0, gap.upper) == 1.0
+
+
 # -- fairness ----------------------------------------------------------------
 
 
@@ -258,6 +268,18 @@ def test_fairness_width_exactly_one(pz, py0, py1):
 def test_fairness_rejects_attribute_in_context(medai):
     with pytest.raises(InputError):
         fairness_gap_interval(medai, 1, {"Z": 0}, {"Z": 1})
+
+
+def test_fairness_lower_end_at_the_least_utility_is_positive_zero():
+    # E_1[Y | Z=0] = 0 is the utility's least value: the lower end is
+    # lo - E = 0.0, where -(E - lo) would be -0.0 and print as "-0.0".
+    data = exact_dataset({
+        0: {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)},
+        1: {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 4), (1, 1): Fraction(1, 4)},
+    })
+    gap = fairness_gap_interval(data, 1, {"Z": 0}, {})
+    assert (gap.lower, gap.upper) == (0.0, 1.0)
+    assert math.copysign(1.0, gap.lower) == 1.0
 
 
 # -- counterfactual harm -------------------------------------------------------
@@ -372,7 +394,7 @@ def test_fairness_and_direct_discrimination_contain_the_hidden_truth(domain, exa
                 truth = float((flipped - stayed) / mass)
                 gap = fairness_gap_interval(data, d, {"Z": z0}, {})
                 assert gap.lower - 1e-12 <= truth <= gap.upper + 1e-12, (seed, d, z0)
-                assert gap.width == pytest.approx(max(domain) - min(domain), abs=1e-12)
+                assert gap.upper - gap.lower == pytest.approx(max(domain) - min(domain), abs=1e-12)
             means = {
                 z: expectation(joint_distribution(submodel(scm, {"D": d, "Z": z})), "Y")
                 for z in (0, 1)
@@ -380,6 +402,37 @@ def test_fairness_and_direct_discrimination_contain_the_hidden_truth(domain, exa
             truth = float(means[1] - means[0])
             gap = direct_discrimination_interval(data, d, {"Z": 0}, {"Z": 1}, {})
             assert gap.lower - 1e-12 <= truth <= gap.upper + 1e-12, (seed, d)
+
+
+# -- a question that fixes the utility ------------------------------------------
+
+YZ1 = {"Y": 1, "Z": 1}
+
+_FIXES_THE_UTILITY = {
+    "thm1-shift": lambda data: thm1_gap_interval(data, {}, {"Y": 1}, 1, 0),
+    "thm1-context": lambda data: thm1_gap_interval(data, {"Y": 1}, Z1, 1, 0),
+    "thm2": lambda data: thm2_multidomain_lower(data, {"Y": 1}, Z1, 1, 0),
+    "thm4": lambda data: thm4_covariate_shift_lower(
+        data, DistTable((Y, Z), {(1, 1): Fraction(1, 2), (0, 1): Fraction(1, 2)}), YZ1, Z1, 1, 0
+    ),
+    "fairness-attribute": lambda data: fairness_gap_interval(data, 1, {"Y": 0}, {}),
+    "fairness-context": lambda data: fairness_gap_interval(data, 1, {"Z": 1}, {"Y": 1}),
+    "harm": lambda data: harm_gap_interval(data, 1, 0, {"Y": 1}),
+    "direct-attribute": lambda data: direct_discrimination_interval(
+        data, 1, {"Y": 0}, {"Y": 1}, {}
+    ),
+    "direct-context": lambda data: direct_discrimination_interval(
+        data, 1, {"Z": 0}, {"Z": 1}, {"Y": 1}
+    ),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_FIXES_THE_UTILITY))
+def test_a_question_that_fixes_the_utility_is_refused(medai, form):
+    """A shift, context, protected attribute or covariate naming the utility
+    fixes the gap by definition; no form may report an interval for it."""
+    with pytest.raises(InputError, match="fixes the utility Y="):
+        _FIXES_THE_UTILITY[form](medai)
 
 
 # -- causal harm ------------------------------------------------------------

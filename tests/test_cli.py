@@ -441,6 +441,30 @@ def test_relaxations_need_the_context_inside_the_shift(
     assert (code, out, err) == (2, "", f"error: {message.format(what=what)}\n")
 
 
+_PAIR = ["--decision", "1", "--baseline", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["bounds", "--theorem", "intervention", "--shift", "Y=1", *_PAIR], 1),
+        (["oracle", "--direction", "min", "--shift", "Y=1", *_PAIR], 1),
+        (["bounds", "--theorem", "intervention", "--shift", "Z=1", "--context", "Y=1", *_PAIR], 1),
+        (["bounds", "--theorem", "fairness", "--decision", "1", "--attribute-baseline", "Y=0"], 0),
+        (["bounds", "--theorem", "direct-discrimination", "--decision", "1",
+          "--attribute-baseline", "Y=0", "--attribute-value", "Y=1"], 0),
+        (["bounds", "--theorem", "harm", "--context", "Y=1", *_PAIR], 1),
+    ],
+    ids=["shift", "oracle", "context", "fairness", "direct-discrimination", "harm"],
+)
+def test_a_question_that_fixes_the_utility_exits_two(argv, value, capsys, monkeypatch):
+    argv = [*argv, "--data", f"{FIXTURES}/medai.tables.json"]
+    assert run_inprocess(argv, capsys, monkeypatch) == (
+        2, "", f"error: the question fixes the utility Y={value}, which fixes its gap by "
+               "definition\n",
+    )
+
+
 def test_a_dataset_whose_tables_list_other_domains_exits_two(tmp_path, capsys, monkeypatch):
     doc = json.loads((REPO / FIXTURES / "medai.tables.json").read_text())
     scope = doc["per_decision"]["1"]["scope"]

@@ -1,21 +1,29 @@
-"""Every name a package module imports is used in that module, and every
+"""Every name a package module imports is used in that module, every
 private module-level helper and private method is read somewhere in the
-package.
+package, and every code reference in a docstring or comment names code that
+exists.
 
-Deleting code tends to leave its imports and its helpers behind; these checks
-read each module of `src/beliefbound` with `ast` (no third-party linter).  The
-first lists the imported names a module never reads; a name read only in an
-annotation, quoted or not, counts as used.  The second lists the module-level
-`_name`s (functions, classes, assignments; not dunders) that no module reads
-outside their own definition.  The third lists the private methods of the
-package's classes (cached properties included; not dunders) that no module
-reads as an attribute.
+Deleting code tends to leave its imports, its helpers and the prose that cites
+it behind; these checks read each module of `src/beliefbound` with `ast` and,
+for comments, `tokenize` (no third-party linter).  The first lists the
+imported names a module never reads; a name read only in an annotation,
+quoted or not, counts as used.  The second lists the module-level `_name`s
+(functions, classes, assignments; not dunders) that no module reads outside
+their own definition.  The third lists the private methods of the package's
+classes (cached properties included; not dunders) that no module reads as an
+attribute.  The fourth lists the backticked references in docstrings and
+comments that name no definition.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
+import io
+import re
+import tokenize
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -168,3 +176,107 @@ def test_check_sees_orphaned_methods():
     assert orphaned_methods(sources) == ["a.Data._check_utility", "a.Data._index"]
     sources["b"] += "INDEX = VALUE._index\n"
     assert orphaned_methods(sources) == ["a.Data._check_utility"]
+
+
+# A single-backticked name or dotted pair; ``double`` backticks quote code.
+_SPAN = re.compile(r"(?<!`)`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)?)`(?!`)")
+_CAMEL = re.compile(r"[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)*\Z")
+
+
+def _texts(source: str) -> Iterator[tuple[int, str]]:
+    """(first line, text) of every docstring and comment in `source`."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            doc = ast.get_docstring(node, clean=False)
+            if doc is not None:
+                yield node.body[0].lineno, doc
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT:
+            yield token.start[0], token.string
+
+
+def _parameters_at(tree: ast.Module, line: int) -> set[str]:
+    """The parameters of every function whose source spans `line`."""
+    return {
+        arg.arg
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        and node.lineno <= line <= node.end_lineno
+        for arg in ast.walk(node.args)
+        if isinstance(arg, ast.arg)
+    }
+
+
+def _bound_names(tree: ast.Module) -> set[str]:
+    """Every name `tree` binds anywhere: functions, classes, assignment
+    targets (attributes included), parameters and imports."""
+    names = set(imported_names(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+            names.add(node.id if isinstance(node, ast.Name) else node.attr)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+    return names
+
+
+def stale_references(sources: dict[str, str]) -> list[str]:
+    """`module:line `ref`` for each backticked reference in a docstring or
+    comment of `sources` (module name -> source) that names no definition.
+
+    `module.name` must be defined at the top level of that module, and
+    `Class.name` in that class's body.  A bare `_private` or `CamelCase` name
+    must be bound somewhere in `sources` or be a builtin.  A dotted name whose
+    head is a parameter of an enclosing function reads as that parameter
+    (`scm.exo` where `scm` is a model), and other dotted names, such as
+    `np.add`, are not checked."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    modules = {module: set().union(*map(_defined, tree.body)) for module, tree in trees.items()}
+    classes: dict[str, set[str]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                classes.setdefault(node.name, set()).update(*map(_defined, node.body))
+    known = set(dir(builtins)).union(*map(_bound_names, trees.values()))
+    stale = []
+    for module, source in sources.items():
+        for line, text in _texts(source):
+            for ref in _SPAN.findall(text):
+                head, _, name = ref.partition(".")
+                if not name:
+                    ok = ref in known or not (ref.startswith("_") or _CAMEL.match(ref))
+                elif head in _parameters_at(trees[module], line):
+                    ok = True
+                else:
+                    members = modules.get(head, classes.get(head))
+                    ok = members is None or name in members
+                if not ok:
+                    stale.append(f"{module}:{line} `{ref}`")
+    return sorted(stale)
+
+
+def test_every_code_reference_names_a_definition():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert stale_references(sources) == []
+
+
+def test_check_sees_stale_references():
+    sources = {
+        "a": (
+            '"""See `b.run`, `b._gone`, `Box.size`, `Box.weight`, `_helper`,\n'
+            '`Shift`, `Fraction`, `ValueError`, `np.add` and ``Missing``."""\n'
+            "from fractions import Fraction\n"
+            "class Box:\n"
+            "    size: int = 0\n"
+            "def _helper(b):\n"
+            '    """Reads `b.weight`, a field of its parameter."""\n'
+            "    return b  # `_removed` was folded in here\n"
+        ),
+        "b": "def run():\n    pass\n",
+    }
+    assert stale_references(sources) == [
+        "a:1 `Box.weight`", "a:1 `Shift`", "a:1 `b._gone`", "a:8 `_removed`",
+    ]
+    sources["b"] += "_gone = 0\n"
+    assert stale_references(sources) == ["a:1 `Box.weight`", "a:1 `Shift`", "a:8 `_removed`"]

@@ -542,3 +542,28 @@ def test_relaxations_check_the_pair_as_the_closed_forms_do(medai, name, d, d_sta
     with pytest.raises(InputError) as exc:
         _PAIR_CALLS[name](medai, d, d_star)
     assert str(exc.value) == message
+
+
+# -- a question that fixes the utility ------------------------------------------
+
+_FIXES_THE_UTILITY = {
+    "approx-grounding": lambda data: approx_grounding_lower(
+        data, GroundingBall(0.1), {"Y": 1, "Z": 1}, {"Y": 1, "Z": 1}, 1, 0
+    ),
+    "proxy": lambda data: proxy_alignment_lower(data, 0.9, {"Y": 1, "Z": 1}, 1, 0),
+    "unconfoundedness-shift": lambda data: partial_unconfoundedness_interval(
+        data, {"Y": 1, "Z": 1}, {"W": 0}, {"W": 1}, 1, 0
+    ),
+    "unconfoundedness-covariate": lambda data: partial_unconfoundedness_interval(
+        data, Z1, {"Y": 0}, {"Y": 1}, 1, 0
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIXES_THE_UTILITY))
+def test_relaxations_refuse_a_question_that_fixes_the_utility(name):
+    # Seed 1's tables give every conditioning event mass, so only the check
+    # can refuse the question.
+    data = random_dataset(1, 2, 2, 2, exact=True)
+    with pytest.raises(InputError, match="fixes the utility Y="):
+        _FIXES_THE_UTILITY[name](data)

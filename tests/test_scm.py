@@ -7,12 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from beliefbound.errors import InputError, ModelError, UnsupportedError
+from beliefbound.errors import InputError, ModelError
 from beliefbound.scm import (
     ExoDistribution,
     Mechanism,
     Scm,
-    Shift,
     apply_shift,
     counterfactual_probability,
     evaluate,
@@ -143,8 +142,7 @@ def test_composition_axiom_random_models():
 
 def test_apply_shift_constant_equals_intervention(m1):
     z = m1.ref("Z")
-    shift = Shift(("Z",), {"Z": Mechanism.constant(z, 1)})
-    shifted = apply_shift(m1, shift)
+    shifted = apply_shift(m1, {"Z": Mechanism.constant(z, 1)})
     sub = submodel(m1, {"Z": 1})
     assert shifted.mechanisms["Z"].table == sub.mechanisms["Z"].table
     assert joint_distribution(shifted) == joint_distribution(sub)
@@ -154,22 +152,19 @@ def test_apply_shift_bernoulli_block(m1):
     z = m1.ref("Z")
     coin = VariableRef("U_shift", (0, 1))
     block = ExoDistribution((coin,), (((1,), Fraction(9, 10)), ((0,), Fraction(1, 10))))
-    shift = Shift(
-        ("Z",),
-        {"Z": Mechanism.from_function(z, (), (coin,), lambda a: a["U_shift"])},
-        exo=block,
-    )
-    shifted = apply_shift(m1, shift)
+    tossed = Mechanism.from_function(z, (), (coin,), lambda a: a["U_shift"])
+    shifted = apply_shift(m1, {"Z": tossed}, exo=block)
     assert joint_distribution(shifted).prob({"Z": 1}) == Fraction(9, 10)
 
 
 def test_apply_shift_empty_is_identity(m1):
-    assert apply_shift(m1, Shift(())) is m1
+    assert apply_shift(m1, {}) is m1
 
 
-def test_apply_shift_without_mechanism_unsupported(m1):
-    with pytest.raises(UnsupportedError):
-        apply_shift(m1, Shift(("Z",)))
+def test_apply_shift_unknown_variable_rejected(m1):
+    z = m1.ref("Z")
+    with pytest.raises(InputError, match="no endogenous variable 'Q'"):
+        apply_shift(m1, {"Q": Mechanism.constant(z, 1)})
 
 
 def test_apply_shift_cyclic_result_rejected(m1):
@@ -177,7 +172,7 @@ def test_apply_shift_cyclic_result_rejected(m1):
     y = m1.ref("Y")
     looped = Mechanism.from_function(z, (y,), (), lambda a: a["Y"])
     with pytest.raises(ModelError):
-        apply_shift(m1, Shift(("Z",), {"Z": looped}))
+        apply_shift(m1, {"Z": looped})
 
 
 def test_cyclic_model_rejected():
@@ -249,8 +244,8 @@ def test_derived_models_reuse_lookups_that_match_a_fresh_compile(m1, m2):
             submodel(base, {"Z": 1}),
             submodel(base, {"D": 1, "Z": 0}),
             submodel(submodel(base, {"Z": 0}), {"D": 0}),
-            apply_shift(base, Shift(("Z",), {"Z": Mechanism.constant(z, 1)})),
-            apply_shift(base, Shift(("Z",), {"Z": tossed}, block)),
+            apply_shift(base, {"Z": Mechanism.constant(z, 1)}),
+            apply_shift(base, {"Z": tossed}, block),
             policy_model(base, Policy(base.ref("D"), ("Z",), rows)),
         ]
         for model in derived:
@@ -264,7 +259,7 @@ def test_exact_atoms_below_the_float_range_are_kept(m1):
     tiny = Fraction(1, 10**400)
     a = ExoDistribution((VariableRef("A", (0, 1)),), (((0,), 1 - tiny), ((1,), tiny)))
     half = Fraction(1, 2)
-    coin = ExoDistribution.independent(VariableRef("B", (0, 1)), {0: half, 1: half})
+    coin = ExoDistribution((VariableRef("B", (0, 1)),), (((0,), half), ((1,), half)))
     both = ExoDistribution.product(a, coin)
     assert len(both.atoms) == 4
     assert sum(p for _, p in both.atoms) == 1

@@ -20,7 +20,6 @@ from beliefbound.scm import (
     ExoDistribution,
     Mechanism,
     Scm,
-    Shift,
     apply_shift,
     counterfactual_probability,
     policy_model,
@@ -79,7 +78,7 @@ def shifted(scm: Scm, seed: int, exact: bool) -> Scm:
     tossed = Mechanism.from_function(
         W, (Z,), (coin,), lambda a: W.domain[a["Z"] ^ a["V"]]
     )
-    return apply_shift(scm, Shift(("W",), {"W": tossed}, block))
+    return apply_shift(scm, {"W": tossed}, block)
 
 
 def with_policy(scm: Scm, seed: int, exact: bool) -> Scm:
@@ -131,11 +130,10 @@ def test_counterfactual_probability_matches_one_evaluate_per_atom(exact):
 def test_derived_models_share_read_only_index_columns():
     scm = random_model(3, exact=True)
     columns = scm.exo._columns
-    keep = Shift(("Z",), {"Z": Mechanism.constant(Z, 1)})
     for derived in (
         submodel(scm, {"D": 1}),
         submodel(submodel(scm, {"Z": 0}), {"D": 0}),
-        apply_shift(scm, keep),
+        apply_shift(scm, {"Z": Mechanism.constant(Z, 1)}),
     ):
         assert derived.exo is scm.exo
         assert derived.exo._columns is columns

@@ -21,7 +21,6 @@ from beliefbound.tables import (
     policy_to_atomic,
     query,
     total_variation,
-    uniform_policy,
 )
 
 from support import random_behaviour_model
@@ -135,7 +134,8 @@ def test_estimate_from_samples_errors():
 
 
 def test_policy_to_atomic_uniform_policy(m1):
-    policy = uniform_policy(m1.ref("D"), [m1.ref("Z")])
+    half = Fraction(1, 2)
+    policy = Policy(m1.ref("D"), ("Z",), {(z,): {0: half, 1: half} for z in (0, 1)})
     p_pi = joint_distribution(policy_model(m1, policy))
     for d in (0, 1):
         truth = query(joint_distribution(submodel(m1, {"D": d})), ["Y", "Z"])
