@@ -9,11 +9,11 @@ columns, not one column per atom), so a plain dense tableau beats anything
 fancier.  Each pivot is one rank-1 update of the rows with a nonzero entry in
 the pivot column, which performs the row-by-row elimination's arithmetic.
 
-`solve_lp` is `phase_two(phase_one(A, b), c)`.  The two phases are public
-because the oracle runs phase one once per polytope: a gap solve's phase two
-starts from the polytope's stored phase one, with its columns gathered onto
-the gap program's.  Each phase stops after MAX_PIVOTS pivots with
-LpIterationLimit, so a solve always terminates.
+`solve_lp` is `phase_two(phase_one(A, b), c)`; no package code calls it.
+The two phases are public because the oracle runs phase one once per
+polytope: every gap solve's phase twos start from the polytope's stored phase
+one, with its columns gathered onto the gap program's.  Each phase stops after
+MAX_PIVOTS pivots with LpIterationLimit, so a solve always terminates.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ import numpy as np
 PIVOT_EPS = 1e-10
 COST_EPS = 1e-10
 FEAS_EPS = 1e-8
-# Pivots allowed per phase (a phase two started from a stored phase one gets
-# the same allowance).  Bland's rule needs at most about one pivot per row on
-# the oracle's programs (136 in a phase on the 257-row program of a binary Y
-# with seven binary parents), so this cap only stops a runaway solve.
+# Pivots allowed per phase, and Dinkelbach steps per conditional gap in the
+# oracle.  Bland's rule needs at most about one pivot per row on the oracle's
+# programs (136 in a phase on the 257-row program of a binary Y with seven
+# binary parents), so this cap only stops a runaway solve.
 MAX_PIVOTS = 10_000
 
 

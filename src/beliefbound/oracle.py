@@ -28,7 +28,7 @@ vertex are those of the per-atom program, and so is the value: the exactly
 rounded sum (`math.fsum`) of each class's cost times its mass, to which the
 massless atoms add nothing.
 
-The same argument lets every plain gap solve skip phase one.  `build_polytope`
+The same argument lets every gap solve skip phase one.  `build_polytope`
 runs phase one once, over one column per feasibility class; a gap program's
 classes refine those, so its columns are the stored ones repeated.  Duplicate
 columns go through identical row operations, a basic column is an exact unit
@@ -36,8 +36,10 @@ vector with reduced cost exactly 0 (so no duplicate of it enters), and the
 first-atom numbering is monotone, so the basis-index tie-breaks agree.  A cold
 phase one over the gap program therefore ends on the stored tableau with its
 columns gathered and each basic class moved to its first refined class, and
-phase two starts there.  The Charnes-Cooper program adds a column and a row,
-so it is solved in full.
+phase two starts there.  A conditional gap minimises (cost . x) / (den . x) by
+Dinkelbach steps: each is that phase two on cost - lambda den, lambda the ratio
+at the current point, and one that does not stop lowers lambda by more than
+COST_EPS; num = (y_d - y_d*) den per class bounds the ratio where den . x > 0.
 
 Nothing on the build, solve and witness paths has atom length or
 response-count length: the witness decodes the responses of its support's
@@ -319,8 +321,8 @@ class Polytope:
     identical columns, numbered in order of first atom: `first[j]` is class
     j's lowest atom index (a Python int), and `classes` maps a class's cells
     (one per block, `blocks` holding each block's `_fixed` indices) to its
-    number.  `start` is the phase one of `merged x = b_eq`, which every plain
-    gap solve starts its phase two from.
+    number.  `start` is the phase one of `merged x = b_eq`, which every gap
+    solve starts its phase twos from.
 
     `a_eq` is the per-atom view, built on access by evaluating every atom:
     the benchmark's tracer reads its row count.  No build, solve or witness
@@ -356,14 +358,14 @@ class Polytope:
 
 
 @contextmanager
-def _solver_errors(infeasible="infeasible polytope", unbounded="unbounded solve"):
+def _solver_errors():
     """Solver failures mapped to the package's errors."""
     try:
         yield
     except lp.LpInfeasible as exc:
-        raise DataError(f"{infeasible}: {exc}") from exc
+        raise DataError(f"infeasible polytope: {exc}") from exc
     except lp.LpUnbounded as exc:
-        raise OracleError(f"{unbounded}: {exc}") from exc
+        raise OracleError(f"unbounded solve: {exc}") from exc
     except lp.LpIterationLimit as exc:
         raise OracleError(f"simplex stopped: {exc}") from exc
 
@@ -515,19 +517,26 @@ def _walk_gap(
     return _GapClasses(coarse, num, None if degenerate else den)
 
 
-def _solve_gap(
-    polytope: Polytope, gap: _GapClasses, cost: np.ndarray, *messages: str
-) -> np.ndarray:
-    """Minimiser of cost . x over the gap's classes; for a conditional gap the
-    Charnes-Cooper program [A, -b] (q, t) = 0, den . q = 1, with t appended."""
-    with _solver_errors(*messages):
+def _solve_gap(polytope: Polytope, gap: _GapClasses, cost: np.ndarray) -> np.ndarray | None:
+    """Minimiser of cost . x over the gap's classes, from the stored phase one.
+    For a conditional gap, of (cost . x) / (den . x) from the start's own vertex
+    (no pivot), else the one with the most context mass; None if that has none."""
+    start = _refined_start(polytope, gap.coarse)
+    with _solver_errors():
         if gap.den is None:
-            return lp.phase_two(_refined_start(polytope, gap.coarse), cost).x
-        a_eq = np.hstack([polytope.merged[:, gap.coarse], -polytope.b_eq[:, None]])
-        a_eq = np.vstack([a_eq, np.append(gap.den, 0.0)])
-        b_eq = np.zeros(a_eq.shape[0])
-        b_eq[-1] = 1.0
-        return lp.solve_lp(np.append(cost, 0.0), a_eq, b_eq).x
+            return lp.phase_two(start, cost).x
+        vertices = (lp.phase_two(start, first).x for first in (np.zeros(cost.size), -gap.den))
+        x = next((x for x in vertices if math.fsum((gap.den * x).tolist()) > lp.FEAS_EPS), None)
+        if x is None:
+            return None
+        for _ in range(lp.MAX_PIVOTS):
+            ratio = math.fsum((cost * x).tolist()) / math.fsum((gap.den * x).tolist())
+            step_cost = cost - ratio * gap.den
+            step = lp.phase_two(start, step_cost).x
+            if math.fsum((step_cost * step).tolist()) >= -lp.COST_EPS:
+                return x
+            x = step
+    raise OracleError(f"Dinkelbach's method stopped: no optimum after {lp.MAX_PIVOTS} steps")
 
 
 def optimize_gap(
@@ -540,30 +549,21 @@ def optimize_gap(
 ) -> float:
     """Exact optimum of the preference gap over all compatible canonical models.
 
-    Conditional contexts are handled by the standard rescaling that turns the
-    linear-fractional objective into a linear program; that needs the context
-    probability under do(z) to be decision-independent, which the ancestry
-    check enforces before solving.
+    A context outside the shift makes the gap a ratio, minimised by Dinkelbach
+    steps; its denominator, the context's probability under do(z), must not
+    depend on the decision, which the ancestry check enforces before solving.
     """
     if direction not in ("min", "max"):
         raise InputError(f"direction must be 'min' or 'max', got {direction!r}")
     _check_pair(polytope.data, d, d_star)
     gap = _gap_classes(polytope, z, c, d, d_star)
-    sign = 1.0 if direction == "min" else -1.0
-    cost = sign * gap.num
-    # Charnes-Cooper (conditional gaps): q = p / (den . p), t = 1 / (den . p).
-    x = _solve_gap(
-        polytope,
-        gap,
-        cost,
-        f"context {dict(c)} has zero probability under do({dict(z)}) for every "
-        "compatible model",
-        "fractional reduction unbounded; context probability is not bounded away from zero",
-    )
-    if gap.den is not None and x[-1] <= lp.FEAS_EPS:
-        raise OracleError("degenerate rescaling (t = 0); context mass collapses")
-    # The Charnes-Cooper t costs 0.
-    return sign * math.fsum((cost * x[: cost.size]).tolist())
+    x = _solve_gap(polytope, gap, gap.num if direction == "min" else -gap.num)
+    if x is None:
+        raise DataError(
+            f"context {dict(c)} has zero probability under do({dict(z)}) for every compatible model"
+        )
+    value = math.fsum((gap.num * x).tolist())
+    return value if gap.den is None else value / math.fsum((gap.den * x).tolist())
 
 
 def feasible_scm(polytope: Polytope) -> Scm:

@@ -189,6 +189,14 @@ def assert_lookups_compiled_once(model: Scm, domains=()) -> None:
             Scm(model.variables, {**model.mechanisms, name: cut}, model.exo)
 
 
+def wyz_dataset(cells) -> BehaviouralDataset:
+    """Binary W, Y and Z, and both decisions with one table: the (W, Y, Z)
+    `cells`, equally likely."""
+    w, y, z = (VariableRef(name, (0, 1)) for name in "WYZ")
+    table = DistTable((w, y, z), {cell: Fraction(1, len(cells)) for cell in cells})
+    return BehaviouralDataset(D, {0: table, 1: table})
+
+
 # -- reference oracle: the per-atom program the class walk replaced ----------
 
 
@@ -280,27 +288,56 @@ def reference_objective_terms(poly, z, c, d, d_star):
 
 
 def reference_gap(poly, z, c, d, d_star, direction):
-    """The gap optimum solved over every atom's own column: (value, x), with
-    the Charnes-Cooper t appended to x for a context outside the shift.  The
-    value is the exactly rounded sum (`math.fsum`) of every atom's cost times
-    its mass."""
+    """The gap optimum solved over every atom's own column, from the per-atom
+    program's phase one: (value, x).  A context outside the shift is the ratio
+    (cost . x) / (den . x), minimised by Dinkelbach steps: from the phase one's
+    own vertex, or else the vertex of most context mass, each step's phase two
+    minimises (cost - lambda den) . x, lambda the ratio at the current point,
+    until that minimum is at least -COST_EPS.  The value is the exactly rounded
+    sum (`math.fsum`) of every atom's numerator coefficient times its mass,
+    divided by the context mass so summed."""
     from beliefbound import lp
-    from beliefbound.errors import OracleError
+    from beliefbound.errors import DataError, OracleError
 
     a_eq, b_eq = reference_program(poly)[:2]
     num, den, degenerate = reference_objective_terms(poly, z, c, d, d_star)
-    sign = 1.0 if direction == "min" else -1.0
-    cost = sign * num
+    cost = num if direction == "min" else -num
+    start = lp.phase_one(a_eq, b_eq)
     if degenerate:
-        sol = lp.solve_lp(cost, a_eq, b_eq)
-        return sign * math.fsum((cost * sol.x).tolist()), sol.x
+        x = lp.phase_two(start, cost).x
+        return math.fsum((num * x).tolist()), x
+
+    def mass(x):
+        return math.fsum((den * x).tolist())
+
+    x = lp.phase_two(start, np.zeros(den.size)).x
+    if mass(x) <= lp.FEAS_EPS:
+        x = lp.phase_two(start, -den).x
+        if mass(x) <= lp.FEAS_EPS:
+            raise DataError("context has zero probability")
+    for _ in range(lp.MAX_PIVOTS):
+        step_cost = cost - math.fsum((cost * x).tolist()) / mass(x) * den
+        step = lp.phase_two(start, step_cost).x
+        if math.fsum((step_cost * step).tolist()) >= -lp.COST_EPS:
+            return math.fsum((num * x).tolist()) / mass(x), x
+        x = step
+    raise OracleError("no Dinkelbach optimum")
+
+
+def reference_charnes_cooper(poly, z, c, d, d_star, direction):
+    """The per-atom Charnes-Cooper program of a gap whose context lies outside
+    the shift, as (cost, a_eq, b_eq, sign): min cost . (q, t) subject to
+    [A, -b] (q, t) = 0, den . q = 1 and (q, t) >= 0, whose optimum times
+    `sign` is the gap's, with q = p / (den . p) and t = 1 / (den . p).  It is
+    infeasible when the context has no mass in any compatible model."""
+    a_eq, b_eq = reference_program(poly)[:2]
+    num, den, degenerate = reference_objective_terms(poly, z, c, d, d_star)
+    assert not degenerate
+    sign = 1.0 if direction == "min" else -1.0
     a_cc = np.vstack([np.hstack([a_eq, -b_eq[:, None]]), np.append(den, 0.0)])
     b_cc = np.zeros(len(a_cc))
     b_cc[-1] = 1.0
-    sol = lp.solve_lp(np.append(cost, 0.0), a_cc, b_cc)
-    if sol.x[-1] <= lp.FEAS_EPS:
-        raise OracleError("degenerate rescaling")
-    return sign * math.fsum((np.append(cost, 0.0) * sol.x).tolist()), sol.x
+    return np.append(sign * num, 0.0), a_cc, b_cc, sign
 
 
 def _parent_combos(space, v) -> list:

@@ -24,7 +24,7 @@ from beliefbound.cli import main
 from beliefbound.scm import ExoDistribution, Mechanism, Scm, scm_dataset
 from beliefbound.tables import BehaviouralDataset, DistTable, VariableRef
 
-from support import random_behaviour_model
+from support import random_behaviour_model, wyz_dataset
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = "src/beliefbound/fixtures"
@@ -304,6 +304,35 @@ def test_oracle_refuses_a_context_value_outside_its_domain(tmp_path, capsys, mon
     assert run_inprocess(argv, capsys, monkeypatch) == (
         2, "", "error: value 7 not in domain of 'W' (0, 1)\n"
     )
+
+
+def _wyz_file(tmp_path, cells):
+    """`wyz_dataset(cells)` written as a dataset file."""
+    path = tmp_path / "wyz.json"
+    path.write_text(json.dumps(fileio.dump_dataset(wyz_dataset(cells))))
+    return str(path)
+
+
+def test_oracle_prints_a_zero_max_gap_as_positive_zero(tmp_path, capsys, monkeypatch):
+    argv = ["oracle", "--data", _wyz_file(tmp_path, [(1, 1, 1)]), "--shift", "Z=1",
+            "--context", "Z=1", "--decision", "1", "--baseline", "0", "--direction", "max"]
+    code, out, err = run_inprocess(argv, capsys, monkeypatch)
+    assert (code, err) == (0, "")
+    assert '"lp_value": 0.0,' in out and "-0.0" not in out
+
+
+def test_oracle_exits_two_on_a_context_of_no_mass(tmp_path, capsys, monkeypatch):
+    skeleton = tmp_path / "skeleton.json"
+    skeleton.write_text(json.dumps({"variables": [
+        {"name": "W"}, {"name": "Z"}, {"name": "Y", "parents": ["D", "W", "Z"]},
+    ]}))
+    data = _wyz_file(tmp_path, [(0, 0, 0), (0, 1, 1), (0, 0, 1)])
+    argv = ["oracle", "--data", data, "--skeleton", str(skeleton), "--shift", "Z=1",
+            "--context", "W=1", "--decision", "1", "--baseline", "0", "--direction", "min"]
+    assert run_inprocess(argv, capsys, monkeypatch) == (2, "", (
+        "error: context {'W': 1} has zero probability under do({'Z': 1}) for every "
+        "compatible model\n"
+    ))
 
 
 def test_assignment_parser():

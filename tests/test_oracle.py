@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -59,6 +60,7 @@ from support import (
     random_behaviour_model,
     random_binary_dataset,
     reference_atoms,
+    reference_charnes_cooper,
     reference_classes,
     reference_columns,
     reference_exo,
@@ -67,6 +69,7 @@ from support import (
     reference_program,
     reference_tables,
     wide_skeleton_dataset,
+    wyz_dataset,
 )
 
 Z1 = {"Z": 1}
@@ -269,13 +272,16 @@ def test_evaluate_reads_classes_past_any_fixed_width_index():
 
 
 def scatter(poly, first, x):
-    """Class values `x` put on their first atoms of an atom-length zero
-    vector, with what follows the classes (the Charnes-Cooper t) appended."""
-    dimension = poly.space.dimension
-    out = np.zeros(dimension + len(x) - len(first))
-    out[first] = x[: len(first)]
-    out[dimension:] = x[len(first) :]
+    """Class values `x` put on their first atoms of an atom-length zero vector."""
+    out = np.zeros(poly.space.dimension)
+    out[first] = x
     return out
+
+
+def charnes_cooper_gap(poly, z, c, d, d_star, direction):
+    """The gap by the per-atom Charnes-Cooper program, solved by `lp.solve_lp`."""
+    cost, a_eq, b_eq, sign = reference_charnes_cooper(poly, z, c, d, d_star, direction)
+    return sign * math.fsum((cost * lp.solve_lp(cost, a_eq, b_eq).x).tolist())
 
 
 def gap_first_atoms(poly, num, den, degenerate):
@@ -607,7 +613,8 @@ def test_sandwich_soundness_random_feasible_points(medai):
 def test_merged_columns_match_per_atom_program(sizes, with_domain):
     """Bland's rule pivots a class of identical columns as it pivots the
     class's first atom, so values, points and witnesses equal those of the
-    per-atom program exactly."""
+    per-atom program exactly; a conditional value is also within 1e-12 of the
+    per-atom Charnes-Cooper program's."""
     for seed in range(2):
         data, skeleton = chained_dataset(seed, sizes)
         if not with_domain:
@@ -621,8 +628,11 @@ def test_merged_columns_match_per_atom_program(sizes, with_domain):
             for sign, direction in ((1.0, "min"), (-1.0, "max")):
                 value, want = reference_gap(poly, Z1, c, 1, 0, direction)
                 got = _solve_gap(poly, gap, sign * gap.num)
-                assert optimize_gap(poly, Z1, c, 1, 0, direction) == value
-                assert np.array_equal(scatter(poly, first, got), want)
+                assert repr(optimize_gap(poly, Z1, c, 1, 0, direction)) == repr(value)
+                assert scatter(poly, first, got).tobytes() == want.tobytes()
+                if not degenerate:
+                    cc = charnes_cooper_gap(poly, Z1, c, 1, 0, direction)
+                    assert abs(value - cc) <= 1e-12
         x = lp.solve_lp(np.zeros(poly.space.dimension), a_eq, b_eq).x
         assert np.array_equal(vertex(poly), x)
         assert feasible_scm(poly).exo == reference_exo(poly.space, x)
@@ -703,13 +713,30 @@ def _outcome(solve):
         return _REFERENCE_ERRORS[type(exc)].__name__
 
 
+def random_skeleton_questions(poly, seed):
+    """The gap questions (z, c, (d, d*)) asked of a `random_skeleton_case`
+    polytope: a shift on every other variable but Y (every one on odd seeds),
+    and the contexts z, empty, each other variable at 1 and z with it at 0."""
+    names = [v.name for v in poly.space.variables]
+    for z_name in names[:: 1 + seed % 2]:
+        if z_name == "Y":
+            continue
+        z = {z_name: poly.space.refs[z_name].domain[-1]}
+        others = [n for n in ("W", "Z") if n in names and n != z_name]
+        for c in [z, {}, *({n: 1} for n in others), *({**z, n: 0} for n in others)]:
+            for pair in ((1, 0), (0, 1)):
+                yield z, c, pair
+
+
 def test_class_walk_matches_the_per_atom_program_on_random_skeletons():
     """The walk's classes give the per-atom program's merged columns, phase
     one, first atoms, gap values (to the bit, sign of zero included) and
-    witness, on random skeletons, data, shifts and contexts."""
+    witness, on random skeletons, data, shifts and contexts.  A conditional
+    value is also within 1e-12 of the per-atom Charnes-Cooper program's, and
+    fails with the same error type."""
     seen = dict.fromkeys(
         ["three-valued", "chain", "decision parent", "domain", "degenerate",
-         "Charnes-Cooper", "UnsupportedError"], 0
+         "conditional", "UnsupportedError"], 0
     )
     for seed in range(30):
         data, skeleton, features = random_skeleton_case(seed)
@@ -725,30 +752,29 @@ def test_class_walk_matches_the_per_atom_program_on_random_skeletons():
 
         space = poly.space
         names = [v.name for v in space.variables]
-        for z_name in names[:: 1 + seed % 2]:
-            if z_name == "Y":
-                continue
-            z = {z_name: space.refs[z_name].domain[-1]}
-            others = [n for n in ("W", "Z") if n in names and n != z_name]
-            contexts = [z, {}, *({n: 1} for n in others), *({**z, n: 0} for n in others)]
-            for c in contexts:
-                for pair in ((1, 0), (0, 1)):
-                    try:
-                        num, den, degenerate = reference_objective_terms(poly, z, c, *pair)
-                    except (InputError, UnsupportedError):
-                        pass
+        for z, c, pair in random_skeleton_questions(poly, seed):
+            try:
+                num, den, degenerate = reference_objective_terms(poly, z, c, *pair)
+            except (InputError, UnsupportedError):
+                pass
+            else:
+                keys = [of_atom, num] if degenerate else [of_atom, num, den]
+                want_first = reference_classes(keys)[1]
+                gap = _gap_classes(poly, z, c, *pair)
+                assert np.array_equal(gap.coarse, of_atom[want_first])
+                assert gap.num.tobytes() == num[want_first].tobytes()
+            for direction in ("min", "max"):
+                got = _outcome(lambda: optimize_gap(poly, z, c, *pair, direction))
+                want = _outcome(lambda: reference_gap(poly, z, c, *pair, direction)[0])
+                assert got == want, (seed, z, c, pair, direction)
+                kind = "degenerate" if all(k in z for k in c) else "conditional"
+                seen[got if got == "UnsupportedError" else kind] += 1
+                if kind == "conditional":
+                    cc = _outcome(lambda: charnes_cooper_gap(poly, z, c, *pair, direction))
+                    if got.endswith("Error"):
+                        assert got == cc, (seed, z, c, pair, direction)
                     else:
-                        keys = [of_atom, num] if degenerate else [of_atom, num, den]
-                        want_first = reference_classes(keys)[1]
-                        gap = _gap_classes(poly, z, c, *pair)
-                        assert np.array_equal(gap.coarse, of_atom[want_first])
-                        assert gap.num.tobytes() == num[want_first].tobytes()
-                    for direction in ("min", "max"):
-                        got = _outcome(lambda: optimize_gap(poly, z, c, *pair, direction))
-                        want = _outcome(lambda: reference_gap(poly, z, c, *pair, direction)[0])
-                        assert got == want, (seed, z, c, pair, direction)
-                        kind = "degenerate" if all(k in z for k in c) else "Charnes-Cooper"
-                        seen[got if got == "UnsupportedError" else kind] += 1
+                        assert abs(float(got) - float(cc)) <= 1e-12, (seed, z, c, pair)
         x = lp.solve_lp(np.zeros(space.dimension), a_eq, b_eq).x
         model = feasible_scm(poly)
         assert model.exo == reference_exo(space, x)
@@ -758,6 +784,113 @@ def test_class_walk_matches_the_per_atom_program_on_random_skeletons():
         for name, flag in features.items():
             seen[name] += flag
     assert all(seen.values()), seen
+
+
+def test_conditional_gaps_match_highs_on_random_skeletons():
+    """Both ends of every conditional gap of the random skeletons agree within
+    1e-9 with HiGHS on the per-atom Charnes-Cooper program, an independent
+    solver on the other program shape.  A context of no mass in any
+    compatible model is infeasible there and a DataError here; questions the
+    objective refuses raise the reference's error type."""
+    optimize = pytest.importorskip("scipy.optimize")
+    seen = {"value": 0, "DataError": 0, "refused": 0}
+    for seed in range(30):
+        data, skeleton, _ = random_skeleton_case(seed)
+        poly = build_polytope(data, skeleton)
+        for z, c, pair in random_skeleton_questions(poly, seed):
+            if all(k in z for k in c):
+                continue
+            for direction in ("min", "max"):
+                question = (poly, z, c, *pair, direction)
+                try:
+                    cost, a_eq, b_eq, sign = reference_charnes_cooper(*question)
+                except (InputError, UnsupportedError) as exc:
+                    with pytest.raises(type(exc)):
+                        optimize_gap(*question)
+                    seen["refused"] += 1
+                    continue
+                ref = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+                if ref.status == 2:  # infeasible
+                    with pytest.raises(DataError, match="has zero probability under do"):
+                        optimize_gap(*question)
+                    seen["DataError"] += 1
+                else:
+                    assert ref.status == 0
+                    assert optimize_gap(*question) == pytest.approx(sign * ref.fun, abs=1e-9)
+                    seen["value"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+# W is never 1 in these cells, and Z takes both values.
+NO_W = [(0, 0, 0), (0, 1, 1), (0, 0, 1)]
+WYZ_SKELETON = [
+    SkeletonVariable("Z", (0, 1)),
+    SkeletonVariable("W", (0, 1)),
+    SkeletonVariable("Y", (0, 1), ("D", "W", "Z")),
+]
+
+
+def test_a_context_of_no_mass_in_any_model_is_a_data_error():
+    """W is a root never seen at 1, so no compatible model gives W=1 mass."""
+    poly = build_polytope(wyz_dataset(NO_W), WYZ_SKELETON)
+    for direction in ("min", "max"):
+        with pytest.raises(DataError) as info:
+            optimize_gap(poly, Z1, {"W": 1}, 1, 0, direction)
+        assert str(info.value) == (
+            "context {'W': 1} has zero probability under do({'Z': 1}) for every compatible model"
+        )
+
+
+def test_a_start_without_context_mass_moves_to_the_most_context_mass(monkeypatch):
+    """With W <- Z, W's response at Z=1 is free on the atoms seen at Z=0, and
+    the start's own vertex takes it at 0: the solve falls back to the vertex
+    of most context mass, and still matches both per-atom references."""
+    skeleton = [*WYZ_SKELETON[:1], SkeletonVariable("W", (0, 1), ("Z",)), WYZ_SKELETON[2]]
+    poly = build_polytope(wyz_dataset(NO_W), skeleton)
+    gap = _gap_classes(poly, Z1, {"W": 1}, 1, 0)
+    start = _refined_start(poly, gap.coarse)
+    assert lp.phase_two(start, np.zeros(gap.num.size)).x @ gap.den == 0.0
+    costs = []
+    phase_two = lp.phase_two
+    monkeypatch.setattr(lp, "phase_two", lambda start, c: costs.append(c) or phase_two(start, c))
+    for direction in ("min", "max"):
+        costs.clear()
+        value = optimize_gap(poly, Z1, {"W": 1}, 1, 0, direction)
+        assert costs[1].tobytes() == (-gap.den).tobytes()
+        assert repr(value) == repr(reference_gap(poly, Z1, {"W": 1}, 1, 0, direction)[0])
+        assert abs(value - charnes_cooper_gap(poly, Z1, {"W": 1}, 1, 0, direction)) <= 1e-12
+        assert value == (-1.0 if direction == "min" else 1.0)
+
+
+def test_dinkelbach_steps_stop_at_the_pivot_cap(monkeypatch):
+    """A phase two that always returns a point of lower ratio cannot hold the
+    solve: it stops after MAX_PIVOTS steps with an OracleError."""
+    skeleton = [*WYZ_SKELETON[:1], SkeletonVariable("W", (0, 1), ("Z",)), WYZ_SKELETON[2]]
+    poly = build_polytope(wyz_dataset(NO_W), skeleton)
+    gap = _gap_classes(poly, Z1, {"W": 1}, 1, 0)
+    in_context = np.flatnonzero(gap.den)
+    high = in_context[gap.num[in_context].argmax()]
+    low = in_context[gap.num[in_context].argmin()]
+    calls = []
+
+    def improving(start, cost):
+        calls.append(cost)
+        x = np.zeros(gap.num.size)
+        x[high], x[low] = 1 / len(calls), 1 - 1 / len(calls)  # the ratio falls each call
+        return lp.LpSolution(x, float(cost @ x))
+
+    monkeypatch.setattr(lp, "phase_two", improving)
+    monkeypatch.setattr(lp, "MAX_PIVOTS", 5)
+    with pytest.raises(OracleError, match="^Dinkelbach's method stopped: no optimum after 5 steps$"):
+        optimize_gap(poly, Z1, {"W": 1}, 1, 0, "min")
+    assert len(calls) == 6  # the start's vertex and five steps
+
+
+@pytest.mark.parametrize("c", [Z1, {"W": 1, "Z": 1}, {"W": 1}])
+def test_a_zero_gap_is_positive_zero_at_both_ends(c):
+    """A gap identified as 0 is 0.0 at the max too, not -0.0."""
+    poly = build_polytope(wyz_dataset([(1, 1, 1)]), WYZ_SKELETON)
+    assert [repr(optimize_gap(poly, Z1, c, 1, 0, d)) for d in ("min", "max")] == ["0.0", "0.0"]
 
 
 def test_refined_programs_start_from_the_stored_phase_one(medai, medai_exp):
@@ -877,7 +1010,7 @@ def test_wide_skeletons_certify_with_a_witness(k):
     assert elapsed < 1.0
 
 
-@pytest.mark.parametrize("c", [Z1, {"W1": 1}], ids=["degenerate", "Charnes-Cooper"])
+@pytest.mark.parametrize("c", [Z1, {"W1": 1}], ids=["degenerate", "conditional"])
 def test_both_ends_of_a_gap_walk_once(c, monkeypatch):
     """The min and max of one gap share its classes: the build and one gap
     walk, where each end walked again.  The stored arrays are read-only, and
@@ -1072,8 +1205,8 @@ def test_witness_models_reuse_lookups_that_match_a_fresh_compile(medai, medai_ex
 
 
 def test_feasible_scm_reuses_the_polytope_point(medai, monkeypatch):
-    """Phase one runs once per polytope: plain gaps and witnesses start phase
-    two from it; only Charnes-Cooper solves run their own."""
+    """Phase one runs once per polytope: gaps, conditional ones included, and
+    witnesses start phase two from it."""
     shapes, starts = _count_phases(monkeypatch)
     poly = build_polytope(medai, SKELETON)
     assert len(shapes) == 1 and starts == []
@@ -1083,10 +1216,11 @@ def test_feasible_scm_reuses_the_polytope_point(medai, monkeypatch):
     for _ in range(3):
         for direction in ("min", "max"):
             optimize_gap(poly, Z1, Z1, 1, 0, direction)
-    assert len(shapes) == 1
-    for n, direction in enumerate(("min", "max"), start=2):
+    plain = len(starts)
+    for direction in ("min", "max"):
         optimize_gap(poly, {}, Z1, 1, 0, direction)  # a context outside the shift
-        assert len(shapes) == n
+    assert len(shapes) == 1
+    assert len(starts) >= plain + 4  # each end: its start's vertex and a step
 
 
 def test_witness_needs_exogenous_shift_variable(m1):
