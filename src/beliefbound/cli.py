@@ -314,16 +314,17 @@ def cmd_oracle(args) -> int:
         raise InputError(f"--tol must be a finite number >= 0, got {args.tol}")
     limit = atom_limit(args.atom_limit)
     data, c, z, d, d0 = _gap_question(args, "oracle")
-    skeleton = _skeleton_from_args(args, data, z, c)
-    polytope = build_polytope(data, skeleton, limit)
-    lp_value = optimize_gap(polytope, z, c, d, d0, args.direction)
     # The LP is constrained by every domain; the closed form pools those whose
     # intervention agrees with do(z) (the base alone, i.e. thm1, when none does).
+    # It runs first, so a question it refuses builds no polytope.
     agree = tuple(
         dom for dom in data.domains
         if all(k in z and z[k] == v for k, v in dom.intervened.items())
     )
     closed = bnd.thm2_multidomain_lower(replace(data, domains=agree), c, z, d, d0)
+    skeleton = _skeleton_from_args(args, data, z, c)
+    polytope = build_polytope(data, skeleton, limit)
+    lp_value = optimize_gap(polytope, z, c, d, d0, args.direction)
     closed_value = closed.lower if args.direction == "min" else closed.upper
     delta = abs(lp_value - closed_value)
     certified = delta <= args.tol

@@ -625,9 +625,7 @@ def witness_thm1_scm(
         raise InputError(f"bad decision pair ({d1!r}, {d0!r}) for domain {dref.domain}")
     merged = merge_assignments(c, z)
     for name, value in merged.items():
-        ref = base.ref(name)
-        if value not in ref.domain:
-            raise InputError(f"value {value!r} outside domain of {name!r}")
+        base.ref(name).index(value)  # refuses a value outside the domain
     z_names = sorted(z)
     for name in z_names:
         if base.mechanisms[name].parents:

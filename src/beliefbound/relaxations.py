@@ -15,7 +15,7 @@ from math import isfinite
 from operator import itemgetter
 from typing import Sequence
 
-from .bounds import GapInterval, _RANGE_TOL, _clamped, _utility_range
+from .bounds import GapInterval, _check_binary_utility, _check_flip, _clamped, _utility_range
 from .errors import InputError, SamplingError, UnsupportedError
 from .tables import (
     Assignment,
@@ -67,15 +67,13 @@ def _tv_objective(
     (Y - lo) 1_z, and on the baseline's, (hi - Y) 1_z, and the objective's
     constant lo - hi, for the utility domain's least and greatest values lo
     and hi (a 0/1 utility keeps Y, 1 - Y and -1)."""
-    at = {r.name: i for i, r in enumerate(data.scope)}
-    for name, value in z.items():
-        if name not in at:
-            raise InputError(f"shift variable {name!r} not in data scope")
-        data.scope[at[name]].index(value)  # a value outside the domain is an error
-    cells = list(product(*[r.domain for r in data.scope]))
+    table = data.table(data.decisions[0])
+    table._positions(z)  # refuses a variable or value outside the scope
+    at = table._index
+    cells = list(product(*[r.domain for r in table.scope]))
     hits = [not any(cell[at[n]] != v for n, v in z.items()) for cell in cells]
     y = at[data.utility]
-    lo, hi = _utility_range(data.table(data.decisions[0]), data.utility)
+    lo, hi = _utility_range(table, data.utility)
     success = [cell[y] - lo if hit else 0 for cell, hit in zip(cells, hits)]
     failure = [hi - cell[y] if hit else 0 for cell, hit in zip(cells, hits)]
     return cells, success, failure, lo - hi
@@ -233,9 +231,7 @@ def proxy_alignment_lower(
         raise InputError(f"alpha must lie in [0, 1], got {alpha}")
     _check_pair(data, d, d_star)
     table = data.table(d)
-    ref = table.ref(data.utility)
-    if tuple(sorted(ref.domain)) != (0, 1):
-        raise InputError(f"proxy bounds need a binary 0/1 utility, got {ref.domain}")
+    _check_binary_utility(table, data.utility, "proxy bounds need")
     mass = table.prob(merge_assignments(z, {data.utility: 1}))
     _check_unfixed_utility(data.utility, z)
     return float(alpha * mass - 1)
@@ -255,19 +251,11 @@ def partial_unconfoundedness_interval(
         E[Y 1_{z,w}] + (1 - P(z,w)) E[Y | z, w~]      (lower)
         E[Y 1_z] + (1 - P(z)) E[Y | z, w]             (upper)
     with (w, w~) ordered so that E[Y | z, w] >= E[Y | z, w~]; labels swap per
-    decision when the data orders the slices the other way round.
+    decision when the data orders the slices the other way round.  The ends
+    cannot cross: upper - lower = (1 - P(z)) (E[Y | z, w] - E[Y | z, w~]) >= 0.
     """
     _check_pair(data, d, d_star)
-    if len(w0) != 1 or len(w1) != 1 or set(w0) != set(w1):
-        raise InputError("w0 and w1 must assign the same single covariate")
-    (wname,) = w0
-    if w0[wname] == w1[wname]:
-        raise InputError("w0 and w1 must differ")
-    ref = data.table(d).ref(wname)
-    if len(ref.domain) != 2:
-        raise InputError(f"covariate {wname!r} must be binary, got {ref.domain}")
-    if wname in z:
-        raise InputError(f"covariate {wname!r} cannot be part of the shift")
+    _check_flip(data.table(d), "covariate", z, "shift", w0=w0, w1=w1)
 
     swapped = []
 
@@ -289,8 +277,6 @@ def partial_unconfoundedness_interval(
     lo_s, up_s = envelope(d_star)
     notes = [f"slice labels swapped for decisions {sorted(map(str, swapped))}"] if swapped else []
     ends = _clamped(lo_d - up_s, up_d - lo_s, notes)
-    if ends["lower"] > ends["upper"] + _RANGE_TOL:
-        raise InputError("deconfounding envelopes crossed; inputs are inconsistent")
     _check_unfixed_utility(data.utility, z, w0)
     return GapInterval(
         kind="preference",

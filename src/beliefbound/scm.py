@@ -289,9 +289,7 @@ def evaluate(scm: Scm, u: Assignment) -> dict[str, Value]:
     for ref in scm.exo.variables:
         if ref.name not in u:
             raise InputError(f"exogenous variable {ref.name!r} unassigned")
-        if u[ref.name] not in ref.domain:
-            raise InputError(f"value {u[ref.name]!r} outside domain of {ref.name!r}")
-    units = [np.array([ref.domain.index(u[ref.name])], dtype=np.intp) for ref in scm.exo.variables]
+    units = [np.array([ref.index(u[ref.name])], dtype=np.intp) for ref in scm.exo.variables]
     columns = _evaluate_units(scm, units, 1)
     return {name: scm.ref(name).domain[columns[name][0]] for name in scm.order}
 

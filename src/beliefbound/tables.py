@@ -176,7 +176,7 @@ class DistTable:
             # Entry keys are dict keys, so their values are hashable.
             if not all(map(frozenset.__contains__, members, key)):
                 ref, v = next((r, v) for r, v in zip(refs, key) if v not in r._members)
-                raise InputError(f"value {v!r} not in domain of {ref.name!r}")
+                ref.index(v)  # raises: v is outside ref's domain
             if (type(p) is not Fraction or p.numerator < 0) and float(p) < -SUM_TOL:
                 raise InputError(f"negative probability {p} at {key}")
             if key in fixed:
@@ -215,13 +215,13 @@ class DistTable:
         raise InputError(f"variable {name!r} not in scope {self.names}")
 
     def _positions(self, given: Assignment) -> list[tuple[int, Value]]:
+        """(scope position, value) per variable of `given`, refused by `ref`
+        outside the scope and by `VariableRef.index` outside a domain."""
         out = []
         for name, value in given.items():
             i = self._index.get(name)
-            if i is None:
-                raise InputError(f"variable {name!r} not in scope {self.names}")
-            if value not in self.scope[i].domain:
-                raise InputError(f"value {value!r} not in domain of {name!r}")
+            ref = self.ref(name) if i is None else self.scope[i]
+            ref.index(value)
             out.append((i, value))
         return out
 
@@ -448,8 +448,7 @@ class Policy:
             if any(float(p) < 0 for p in row.values()):
                 raise InputError(f"negative policy probability in context {ctx}")
             for d in row:
-                if d not in self.decision.domain:
-                    raise InputError(f"decision {d!r} outside {self.decision.domain}")
+                self.decision.index(d)  # refuses a decision outside the domain
 
 
 @dataclass(frozen=True)
@@ -524,8 +523,9 @@ class BehaviouralDataset:
         return self.decision.domain
 
     def table(self, d: Value) -> DistTable:
-        if d not in self.per_decision:
-            raise InputError(f"no table for decision {d!r}")
+        """Decision d's table; refuses any d outside the decisions, unhashable too."""
+        if d not in self.decisions:
+            raise InputError(f"decision {d!r} not in {self.decisions}")
         return self.per_decision[d]
 
     def all_domains(self) -> tuple[ExperimentalDomain, ...]:
@@ -538,9 +538,8 @@ def _check_pair(data: BehaviouralDataset, d: Value, d_star: Value) -> None:
     """A decision and a distinct baseline, both decisions of `data`."""
     if d == d_star:
         raise InputError("decision and baseline must differ")
-    for value in (d, d_star):
-        if value not in data.decisions:
-            raise InputError(f"decision {value!r} not in {data.decisions}")
+    data.table(d)  # each refuses a value outside the decisions
+    data.table(d_star)
 
 
 def _check_unfixed_utility(utility: str, *parts: Assignment) -> None:
@@ -560,8 +559,7 @@ def policy_to_atomic(p_pi: DistTable, pi: Policy, d: Value) -> DistTable:
     Uses P_d(y, c) = P_pi(y | d, c) * P_pi(c), which is valid whenever the
     policy gives the decision positive probability in every context.
     """
-    if d not in pi.decision.domain:
-        raise InputError(f"decision {d!r} outside {pi.decision.domain}")
+    pi.decision.index(d)  # refuses a decision outside the domain
     dname = pi.decision.name
     if dname not in p_pi.names:
         raise InputError(f"joint table lacks the decision variable {dname!r}")

@@ -189,6 +189,22 @@ def assert_lookups_compiled_once(model: Scm, domains=()) -> None:
             Scm(model.variables, {**model.mechanisms, name: cut}, model.exo)
 
 
+def ternary_v_dataset() -> BehaviouralDataset:
+    """Both decisions with one table over a ternary V, Y and Z: Y = Z = 1 and
+    V uniform."""
+    v = VariableRef("V", (0, 1, 2))
+    table = DistTable((v, Y, Z), {(k, 1, 1): Fraction(1, 3) for k in v.domain})
+    return BehaviouralDataset(D, {0: table, 1: table})
+
+
+def half_utility_dataset() -> BehaviouralDataset:
+    """Both decisions with one table over Y in {0, 0.5, 1} and Z: Z = 1 and Y
+    uniform."""
+    y = VariableRef("Y", (0, 0.5, 1))
+    table = DistTable((y, Z), {(k, 1): Fraction(1, 3) for k in y.domain})
+    return BehaviouralDataset(D, {0: table, 1: table})
+
+
 def wyz_dataset(cells) -> BehaviouralDataset:
     """Binary W, Y and Z, and both decisions with one table: the (W, Y, Z)
     `cells`, equally likely."""
@@ -542,7 +558,7 @@ def _reference_positions(table, given):
         if i < 0:
             raise InputError(f"variable {name!r} not in scope {table.names}")
         if value not in table.scope[i].domain:
-            raise InputError(f"value {value!r} not in domain of {name!r}")
+            raise InputError(f"value {value!r} not in domain of {name!r} {table.scope[i].domain}")
         out.append((i, value))
     return out
 
@@ -634,7 +650,7 @@ def reference_dist_table(scope, entries):
         key = tuple(key[i] for i in remap)
         for ref, v in zip(refs, key):
             if v not in ref.domain:
-                raise InputError(f"value {v!r} not in domain of {ref.name!r}")
+                raise InputError(f"value {v!r} not in domain of {ref.name!r} {ref.domain}")
         if float(p) < -SUM_TOL:
             raise InputError(f"negative probability {p} at {key}")
         if key in fixed:
@@ -695,8 +711,8 @@ def reference_pieces(table, utility, c, z):
 
 
 def reference_thm4(data, p_sigma_c, c, z, d, d_star):
-    from beliefbound.bounds import _RANGE_TOL, GapInterval
-    from beliefbound.errors import DataError, InputError, ZeroMassError
+    from beliefbound.bounds import GapInterval
+    from beliefbound.errors import InputError, ZeroMassError
     from beliefbound.tables import _check_pair, merge_assignments
 
     _check_pair(data, d, d_star)
@@ -734,11 +750,6 @@ def reference_thm4(data, p_sigma_c, c, z, d, d_star):
         notes.append(f"lower clamped from {lo_raw}")
     if up_raw > 1.0:
         notes.append(f"upper clamped from {up_raw}")
-    if lower > upper + _RANGE_TOL:
-        raise DataError(
-            "shifted covariate probabilities are inconsistent with the observed "
-            f"tables (raw interval [{lo_raw}, {up_raw}])"
-        )
     return GapInterval(
         lower, upper, "preference", "covariate-shift", False, "reference",
         raw_lower=lo_raw if lo_raw < -1.0 else None,
@@ -755,7 +766,7 @@ def reference_direct(data, d, z0, z1, c):
     if d not in data.decisions:
         raise InputError(f"decision {d!r} not in {data.decisions}")
     if len(z0) != 1 or len(z1) != 1 or set(z0) != set(z1):
-        raise InputError("z0 and z1 must assign the same single protected attribute")
+        raise InputError("z0 and z1 must assign only the protected attribute")
     (attr,) = z0
     table = data.table(d)
     ref = table.ref(attr)
@@ -777,21 +788,21 @@ def reference_direct(data, d, z0, z1, c):
 
 
 def reference_unconfoundedness(data, z, w0, w1, d, d_star):
-    from beliefbound.bounds import _RANGE_TOL, GapInterval
+    from beliefbound.bounds import GapInterval
     from beliefbound.errors import InputError
     from beliefbound.tables import _check_pair, merge_assignments
 
     _check_pair(data, d, d_star)
     if len(w0) != 1 or len(w1) != 1 or set(w0) != set(w1):
-        raise InputError("w0 and w1 must assign the same single covariate")
+        raise InputError("w0 and w1 must assign only the covariate")
     (wname,) = w0
-    if w0[wname] == w1[wname]:
-        raise InputError("w0 and w1 must differ")
     ref = data.table(d).ref(wname)
     if len(ref.domain) != 2:
         raise InputError(f"covariate {wname!r} must be binary, got {ref.domain}")
+    if w0[wname] == w1[wname]:
+        raise InputError("w0 and w1 must differ")
     if wname in z:
-        raise InputError(f"covariate {wname!r} cannot be part of the shift")
+        raise InputError(f"covariate {wname!r} must not appear in the shift")
 
     swapped = []
 
@@ -824,8 +835,6 @@ def reference_unconfoundedness(data, z, w0, w1, d, d_star):
         notes.append(f"lower clamped from {raw_lower}")
     if raw_upper > 1.0:
         notes.append(f"upper clamped from {raw_upper}")
-    if lower > upper + _RANGE_TOL:
-        raise InputError("deconfounding envelopes crossed; inputs are inconsistent")
     return GapInterval(
         lower, upper, "preference", "partial-unconfoundedness", False, "reference",
         raw_lower=raw_lower if raw_lower < -1.0 else None,

@@ -27,7 +27,13 @@ from beliefbound.predictability import strong_verdict, weak_verdict
 from beliefbound.scm import counterfactual_probability, joint_distribution, scm_dataset, submodel
 from beliefbound.tables import BehaviouralDataset, DistTable, VariableRef, expectation
 
-from support import exact_dataset, random_behaviour_model, random_binary_dataset
+from support import (
+    exact_dataset,
+    half_utility_dataset,
+    random_behaviour_model,
+    random_binary_dataset,
+    ternary_v_dataset,
+)
 
 Z1 = {"Z": 1}
 Y = VariableRef("Y", (0, 1))
@@ -433,6 +439,107 @@ def test_a_question_that_fixes_the_utility_is_refused(medai, form):
     fixes the gap by definition; no form may report an interval for it."""
     with pytest.raises(InputError, match="fixes the utility Y="):
         _FIXES_THE_UTILITY[form](medai)
+
+
+# -- a malformed question: one refusal per rule ----------------------------------
+
+_MALFORMED = {
+    "fairness-decision": (
+        lambda medai: fairness_gap_interval(medai, 7, {"Z": 0}, {}),
+        "decision 7 not in (0, 1)",
+    ),
+    "fairness-unhashable-decision": (
+        lambda medai: fairness_gap_interval(medai, [1], {"Z": 0}, {}),
+        "decision [1] not in (0, 1)",
+    ),
+    "fairness-two-attributes": (
+        lambda medai: fairness_gap_interval(ternary_v_dataset(), 1, {"V": 0, "Z": 1}, {}),
+        "z0 must assign only the protected attribute",
+    ),
+    "fairness-binary": (
+        lambda medai: fairness_gap_interval(ternary_v_dataset(), 1, {"V": 0}, {}),
+        "protected attribute 'V' must be binary, got (0, 1, 2)",
+    ),
+    "fairness-value": (
+        lambda medai: fairness_gap_interval(medai, 1, {"Z": 7}, {}),
+        "value 7 not in domain of 'Z' (0, 1)",
+    ),
+    "fairness-context": (
+        lambda medai: fairness_gap_interval(medai, 1, {"Z": 0}, {"Z": 0}),
+        "protected attribute 'Z' must not appear in the context",
+    ),
+    "direct-decision": (
+        lambda medai: direct_discrimination_interval(medai, 7, {"Z": 0}, {"Z": 1}, {}),
+        "decision 7 not in (0, 1)",
+    ),
+    "direct-same-single": (
+        lambda medai: direct_discrimination_interval(medai, 1, {"Z": 0}, {}, {}),
+        "z0 and z1 must assign only the protected attribute",
+    ),
+    "direct-binary": (
+        lambda medai: direct_discrimination_interval(
+            ternary_v_dataset(), 1, {"V": 0}, {"V": 1}, {}
+        ),
+        "protected attribute 'V' must be binary, got (0, 1, 2)",
+    ),
+    "direct-differ": (
+        lambda medai: direct_discrimination_interval(medai, 1, {"Z": 1}, {"Z": 1}, {}),
+        "z0 and z1 must differ",
+    ),
+    "direct-context": (
+        lambda medai: direct_discrimination_interval(medai, 1, {"Z": 0}, {"Z": 1}, {"Z": 1}),
+        "protected attribute 'Z' must not appear in the context",
+    ),
+    "harm-binary": (
+        lambda medai: harm_gap_interval(half_utility_dataset(), 1, 0, {}),
+        "harm bounds need a binary 0/1 utility, got (0, 0.5, 1)",
+    ),
+    "causal-harm-decision-column": (
+        lambda medai: causal_harm_interval(medai.table(1), 1, 0, {}),
+        "table lacks the decision column 'D'",
+    ),
+    "causal-harm-binary": (
+        lambda medai: causal_harm_interval(half_utility_dataset().table(1), 1, 0, {}, decision="Z"),
+        "causal harm needs a binary 0/1 utility, got (0, 0.5, 1)",
+    ),
+    "causal-harm-text-utility": (
+        lambda medai: causal_harm_interval(
+            DistTable((VariableRef("D", (0, 1)), VariableRef("Y", (0, "x"))),
+                      {(1, "x"): 0.5, (0, 0): 0.5}), 1, 0, {}
+        ),
+        "causal harm needs a binary 0/1 utility, got (0, 'x')",
+    ),
+    "causal-harm-value": (
+        lambda medai: causal_harm_interval(
+            joint_table(0.3, 0.2, 0.2, 0.3), 1, 0, {}, harm_value=7
+        ),
+        "harm value 7 outside domain of 'Y'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_a_malformed_question_gets_its_one_refusal(medai, case):
+    call, message = _MALFORMED[case]
+    with pytest.raises(InputError) as exc:
+        call(medai)
+    assert str(exc.value) == message
+
+
+def test_thm4_crossed_ends_are_a_data_error():
+    # P_d(Z=1) = 1 and P_d(c) = 1/100 in both tables, with all of the shifted
+    # covariate mass on c: the lower end (0.99) passes the mirrored upper (-0.99).
+    w = VariableRef("W", (0, 1))
+    table = DistTable((w, Y, Z), {
+        (1, 1, 1): Fraction(1, 100), (0, 1, 1): Fraction(49, 100), (0, 0, 1): Fraction(1, 2),
+    })
+    data = BehaviouralDataset(VariableRef("D", (0, 1)), {0: table, 1: table})
+    sigma = DistTable((w, Z), {(1, 1): Fraction(1)})
+    with pytest.raises(DataError) as exc:
+        thm4_covariate_shift_lower(data, sigma, {"Z": 1, "W": 1}, Z1, 1, 0)
+    assert str(exc.value) == (
+        "covariate-shift: lower 0.99 exceeds upper -0.99; inputs are mutually inconsistent"
+    )
 
 
 # -- causal harm ------------------------------------------------------------

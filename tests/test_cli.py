@@ -330,9 +330,24 @@ def test_oracle_exits_two_on_a_context_of_no_mass(tmp_path, capsys, monkeypatch)
     argv = ["oracle", "--data", data, "--skeleton", str(skeleton), "--shift", "Z=1",
             "--context", "W=1", "--decision", "1", "--baseline", "0", "--direction", "min"]
     assert run_inprocess(argv, capsys, monkeypatch) == (2, "", (
-        "error: context {'W': 1} has zero probability under do({'Z': 1}) for every "
-        "compatible model\n"
+        "error: event {'W': 1, 'Z': 1} has zero probability in the table\n"
     ))
+
+
+def test_oracle_refuses_a_question_the_closed_form_refuses_before_building(
+    capsys, monkeypatch
+):
+    from beliefbound import oracle
+
+    calls = []
+    build = oracle.build_polytope
+    monkeypatch.setattr(oracle, "build_polytope", lambda *a: calls.append(a) or build(*a))
+    argv = ["oracle", "--data", _MEDAI, "--shift", "Y=1", "--decision", "1",
+            "--baseline", "0", "--direction", "min"]
+    assert run_inprocess(argv, capsys, monkeypatch) == (2, "", (
+        "error: the question fixes the utility Y=1, which fixes its gap by definition\n"
+    ))
+    assert calls == []
 
 
 def test_assignment_parser():

@@ -209,8 +209,8 @@ def test_a_verdict_computes_one_envelope_per_table(monkeypatch):
 
 
 @pytest.mark.parametrize("c, z, message", [
-    ({"W": [1]}, {"Z": 1}, "value [1] not in domain of 'W'"),
-    ({}, {"Z": {1: 2}}, "value {1: 2} not in domain of 'Z'"),
+    ({"W": [1]}, {"Z": 1}, "value [1] not in domain of 'W' (0, 1)"),
+    ({}, {"Z": {1: 2}}, "value {1: 2} not in domain of 'Z' (0, 1)"),
 ])
 def test_an_unhashable_value_raises_the_input_error_unmemoised(c, z, message):
     data = random_dataset(1, exact=False)

@@ -23,7 +23,7 @@ from beliefbound.relaxations import (
 from beliefbound.scm import ExoDistribution, Mechanism, Scm, scm_dataset
 from beliefbound.tables import BehaviouralDataset, DistTable, VariableRef
 
-from support import reference_ball_minimum
+from support import half_utility_dataset, reference_ball_minimum, ternary_v_dataset
 
 Z1 = {"Z": 1}
 
@@ -516,6 +516,25 @@ def test_unconfoundedness_validation(medai):
         partial_unconfoundedness_interval(data, {"W": 1}, {"W": 0}, {"W": 1}, 1, 0)
 
 
+@pytest.mark.parametrize("w0, w1, z, message", [
+    ({"W": 0}, {"V": 1}, Z1, "w0 and w1 must assign only the covariate"),
+    ({"V": 0}, {"V": 1}, Z1, "covariate 'V' must be binary, got (0, 1, 2)"),
+    ({"W": 0}, {"W": 0}, Z1, "w0 and w1 must differ"),
+    ({"W": 0}, {"W": 1}, {"W": 1}, "covariate 'W' must not appear in the shift"),
+])
+def test_unconfoundedness_refuses_all_but_one_binary_covariate_flipped(w0, w1, z, message):
+    data = ternary_v_dataset() if "V" in w0 else scm_dataset(augmented_fixture(), "D")
+    with pytest.raises(InputError) as exc:
+        partial_unconfoundedness_interval(data, z, w0, w1, 1, 0)
+    assert str(exc.value) == message
+
+
+def test_proxy_refuses_a_utility_that_is_not_zero_one():
+    with pytest.raises(InputError) as exc:
+        proxy_alignment_lower(half_utility_dataset(), 0.9, Z1, 1, 0)
+    assert str(exc.value) == "proxy bounds need a binary 0/1 utility, got (0, 0.5, 1)"
+
+
 # -- the decision pair: one check, shared with the closed forms -----------------
 
 _PAIR_CALLS = {
@@ -536,6 +555,7 @@ _PAIR_CALLS = {
         (1, 1, "decision and baseline must differ"),
         (1, 7, "decision 7 not in (0, 1)"),
         (7, 0, "decision 7 not in (0, 1)"),
+        ([1], 0, "decision [1] not in (0, 1)"),
     ],
 )
 def test_relaxations_check_the_pair_as_the_closed_forms_do(medai, name, d, d_star, message):

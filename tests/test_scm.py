@@ -253,6 +253,14 @@ def test_derived_models_reuse_lookups_that_match_a_fresh_compile(m1, m2):
         assert_lookups_compiled_once(base)
 
 
+@pytest.mark.parametrize("zero", [0.0, Fraction(0)], ids=["float", "fraction"])
+def test_product_drops_zero_probability_atoms(zero):
+    a = ExoDistribution((VariableRef("A", (0, 1, 2)),),
+                        (((0,), 0.25), ((1,), zero), ((2,), 0.75)))
+    b = ExoDistribution((VariableRef("B", (0, 1)),), (((0,), zero), ((1,), 1.0)))
+    assert ExoDistribution.product(a, b).atoms == (((0, 1), 0.25), ((2, 1), 0.75))
+
+
 def test_exact_atoms_below_the_float_range_are_kept(m1):
     """An exact atom whose float is 0.0 is not a zero atom: products and
     policy blocks keep it, and the mass stays exactly 1."""
