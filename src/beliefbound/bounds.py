@@ -22,6 +22,7 @@ from .tables import (
     DistTable,
     Number,
     Value,
+    VariableRef,
     _check_numeric,
     _check_pair,
     _check_unfixed_utility,
@@ -202,13 +203,13 @@ def _utility_range(table: DistTable, utility: str) -> tuple[Value, Value]:
     return min(domain), max(domain)
 
 
-def _check_binary_utility(table: DistTable, utility: str, prefix: str) -> tuple[Value, ...]:
-    """The utility's domain, refused unless it is {0, 1}; compared with ==
-    only, so a domain mixing text and numbers is refused too."""
-    domain = table.ref(utility).domain
-    if domain not in ((0, 1), (1, 0)):
-        raise InputError(f"{prefix} a binary 0/1 utility, got {domain}")
-    return domain
+def _check_binary_utility(table: DistTable, utility: str, prefix: str) -> VariableRef:
+    """The utility's variable, refused unless its domain is {0, 1}; compared
+    with == only, so a domain mixing text and numbers is refused too."""
+    ref = table.ref(utility)
+    if ref.domain not in ((0, 1), (1, 0)):
+        raise InputError(f"{prefix} a binary 0/1 utility, got {ref.domain}")
+    return ref
 
 
 def _check_flip(
@@ -360,9 +361,6 @@ def thm4_covariate_shift_lower(
     if extra:
         raise InputError(f"shift variables {sorted(extra)} are not context variables")
     merge_assignments(c, z)
-    missing = set(c) - set(p_sigma_c.names)
-    if missing:
-        raise InputError(f"shifted covariate table lacks {sorted(missing)}")
     ps = p_sigma_c.prob(c)
     if float(ps) <= 0.0:
         raise ZeroMassError(f"context {dict(c)} has zero shifted probability")
@@ -495,13 +493,10 @@ def causal_harm_interval(
     """
     if d1 == d0:
         raise InputError("decision and baseline must differ")
-    if decision not in p.names:
-        raise InputError(f"table lacks the decision column {decision!r}")
-    domain = _check_binary_utility(p, utility, "causal harm needs")
+    p.ref(decision)  # refuses a table without the decision column
+    yref = _check_binary_utility(p, utility, "causal harm needs")
     y1 = harm_value
-    if y1 not in domain:
-        raise InputError(f"harm value {y1!r} outside domain of {utility!r}")
-    (y0,) = [v for v in domain if v != y1]
+    y0 = yref.domain[1 - yref.index(y1)]
 
     c = dict(c)
     p_y1_d1 = p.prob(merge_assignments({utility: y1, decision: d1}, c))

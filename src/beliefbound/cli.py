@@ -10,9 +10,10 @@ with nothing ruled out; 4 oracle certification delta over tolerance; 5 atom
 limit breached.
 
 Start-up: ``bounds``, ``predict`` and ``relax --kind proxy`` on table,
-dataset or CSV inputs never import numpy.  ``oracle``, ``relax --kind
-approx-grounding`` and any model (``mechanisms``) input import it when they
-run, through the modules that need it.
+dataset or CSV inputs never import numpy.  ``oracle`` imports it once its
+question passes the closed form; ``relax --kind approx-grounding`` and any
+model (``mechanisms``) input import it when they run, through the modules
+that need it.
 """
 
 from __future__ import annotations
@@ -308,20 +309,21 @@ def _skeleton_from_args(
 
 
 def cmd_oracle(args) -> int:
-    from .oracle import atom_limit, build_polytope, optimize_gap
-
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise InputError(f"--tol must be a finite number >= 0, got {args.tol}")
-    limit = atom_limit(args.atom_limit)
     data, c, z, d, d0 = _gap_question(args, "oracle")
     # The LP is constrained by every domain; the closed form pools those whose
     # intervention agrees with do(z) (the base alone, i.e. thm1, when none does).
-    # It runs first, so a question it refuses builds no polytope.
+    # It runs first, so a question it refuses builds no polytope and imports no
+    # numpy.
     agree = tuple(
         dom for dom in data.domains
         if all(k in z and z[k] == v for k, v in dom.intervened.items())
     )
     closed = bnd.thm2_multidomain_lower(replace(data, domains=agree), c, z, d, d0)
+    from .oracle import atom_limit, build_polytope, optimize_gap
+
+    limit = atom_limit(args.atom_limit)
     skeleton = _skeleton_from_args(args, data, z, c)
     polytope = build_polytope(data, skeleton, limit)
     lp_value = optimize_gap(polytope, z, c, d, d0, args.direction)

@@ -19,8 +19,7 @@ leaves are exactly the classes; a leaf's first atom (free responses 0) is
 computed arithmetically, as a Python int, since the atom count passes any
 fixed-width integer on a handful of binary covariates.  A gap walks the data
 blocks together with the objective's (d, z) and (d*, z) blocks and groups the
-leaves by polytope class, objective coefficient and context indicator, once
-per (z, c, d, d*) on a polytope (`Polytope._gaps`), so both ends share it.  The
+leaves by polytope class, objective coefficient and context indicator.  The
 simplex runs over these classes, numbered in order of first atom, with each
 class's mass put back on its first atom.  Under Bland's rule a later duplicate
 never enters the basis ahead of its first occurrence, so the pivots and the
@@ -62,7 +61,6 @@ import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from decimal import Decimal
-from functools import cached_property
 from itertools import product
 from operator import itemgetter, mul
 from typing import Mapping, Sequence
@@ -86,7 +84,6 @@ from .tables import (
     Value,
     VariableRef,
     _check_pair,
-    _memoised,
     merge_assignments,
     query,
 )
@@ -338,11 +335,6 @@ class Polytope:
     blocks: tuple[dict[str, int], ...]
     classes: dict[tuple[int, ...], int]
 
-    @cached_property
-    def _gaps(self) -> dict[tuple, _GapClasses]:
-        """`_gap_classes`'s memo, keyed by (z items, c items, d, d*)."""
-        return {}
-
     @property
     def a_eq(self) -> np.ndarray:
         """The per-atom constraint matrix, rows ordered as `merged`'s: one row
@@ -465,21 +457,7 @@ def _gap_classes(
     d_star: Value,
 ) -> _GapClasses:
     """The gap's classes, from one walk over the data blocks and the
-    objective's (d, z) and (d*, z) blocks, memoised on the polytope: the min
-    and max of a gap walk once.  Errors are not stored, and the stored arrays
-    are read-only."""
-    key = (tuple(z.items()), tuple(c.items()), d, d_star)
-    return _memoised(polytope._gaps, key, lambda: _walk_gap(polytope, z, c, d, d_star))
-
-
-def _walk_gap(
-    polytope: Polytope,
-    z: Assignment,
-    c: Assignment,
-    d: Value,
-    d_star: Value,
-) -> _GapClasses:
-    """`_gap_classes` computed from one walk."""
+    objective's (d, z) and (d*, z) blocks."""
     space = polytope.space
     utility = polytope.data.utility
     for key in (*z, *c):
@@ -512,8 +490,6 @@ def _walk_gap(
         at.setdefault(key, j)  # leaves come in order of first atom
     pick = np.fromiter(at.values(), dtype=np.intp, count=len(at))
     coarse, num, den = coarse[pick], num[pick], den[pick]
-    for array in (coarse, num, den):
-        array.setflags(write=False)
     return _GapClasses(coarse, num, None if degenerate else den)
 
 
@@ -621,8 +597,10 @@ def witness_thm1_scm(
     utility to its maximum for d0 and minimum for d1.
     """
     dref = base.ref(decision)
-    if d1 == d0 or d1 not in dref.domain or d0 not in dref.domain:
-        raise InputError(f"bad decision pair ({d1!r}, {d0!r}) for domain {dref.domain}")
+    if d1 == d0:
+        raise InputError("decision and baseline must differ")
+    dref.index(d1)  # each refuses a value outside the domain
+    dref.index(d0)
     merged = merge_assignments(c, z)
     for name, value in merged.items():
         base.ref(name).index(value)  # refuses a value outside the domain
@@ -693,6 +671,14 @@ def witness_thm1_scm(
 # -- canonical (z, y) response tables and unknown-shift witnesses ----------
 
 
+def _zero_one(y: VariableRef) -> list[Value]:
+    """Y's domain sorted, refused unless it is {0, 1}; compared with == before
+    anything sorts, so a domain mixing text and numbers is refused too."""
+    if y.domain not in ((0, 1), (1, 0)):
+        raise InputError(f"Y must be 0/1, got {y.domain}")
+    return sorted(y.domain)
+
+
 @dataclass(frozen=True)
 class ResponseTypeTable:
     """Joint law of (z-response, y-response) types for binary Z and 0/1 Y.
@@ -708,8 +694,7 @@ class ResponseTypeTable:
     def __post_init__(self) -> None:
         if len(self.z.domain) != 2:
             raise InputError(f"Z must be binary, got {self.z.domain}")
-        if tuple(sorted(self.y.domain)) != (0, 1):
-            raise InputError(f"Y must be 0/1, got {self.y.domain}")
+        _zero_one(self.y)
         cells = {}
         for (a, b), p in self.cells.items():
             if a not in (0, 1) or b not in (0, 1, 2, 3):
@@ -755,7 +740,7 @@ def canonical_zy_table(table: DistTable, z_name: str = "Z", y_name: str = "Y") -
     """
     zy = query(table, [z_name, y_name])
     zref, yref = zy.ref(z_name), zy.ref(y_name)
-    lo, hi = sorted(yref.domain)
+    lo, hi = _zero_one(yref)
     cells: dict[tuple[int, int], Number] = {}
     for a in (0, 1):
         zv = zref.domain[a]

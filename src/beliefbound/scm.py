@@ -98,8 +98,7 @@ class Mechanism:
 
     @classmethod
     def constant(cls, target: VariableRef, value: Value) -> "Mechanism":
-        if value not in target.domain:
-            raise InputError(f"constant {value!r} outside domain of {target.name!r}")
+        target.index(value)  # refuses a value outside the domain
         return cls(target, (), (), {(): value})
 
 
@@ -122,8 +121,7 @@ class ExoDistribution:
             if len(key) != len(refs):
                 raise InputError(f"exogenous atom {key} does not match arity {len(refs)}")
             for ref, v in zip(refs, key):
-                if v not in ref.domain:
-                    raise InputError(f"value {v!r} not in domain of exogenous {ref.name!r}")
+                ref.index(v)  # refuses a value outside the domain
             if key in seen:
                 raise InputError(f"duplicate exogenous atom {key}")
             if float(p) < 0:

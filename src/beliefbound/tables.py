@@ -55,7 +55,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import compress, product
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
@@ -561,14 +561,7 @@ def policy_to_atomic(p_pi: DistTable, pi: Policy, d: Value) -> DistTable:
     """
     pi.decision.index(d)  # refuses a decision outside the domain
     dname = pi.decision.name
-    if dname not in p_pi.names:
-        raise InputError(f"joint table lacks the decision variable {dname!r}")
-    for name in pi.context:
-        if name not in p_pi.names:
-            raise InputError(f"joint table lacks context variable {name!r}")
-
-    from itertools import product
-
+    p_pi.ref(dname)  # refuses a table without the decision variable
     ctx_refs = [p_pi.ref(name) for name in pi.context]
     cond: dict[tuple[Value, ...], Number] = {}
     for values in product(*[r.domain for r in ctx_refs]):

@@ -720,9 +720,6 @@ def reference_thm4(data, p_sigma_c, c, z, d, d_star):
     if extra:
         raise InputError(f"shift variables {sorted(extra)} are not context variables")
     merge_assignments(c, z)
-    missing = set(c) - set(p_sigma_c.names)
-    if missing:
-        raise InputError(f"shifted covariate table lacks {sorted(missing)}")
     ps = reference_prob(p_sigma_c, c)
     if float(ps) <= 0.0:
         raise ZeroMassError(f"context {dict(c)} has zero shifted probability")

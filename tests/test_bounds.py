@@ -496,7 +496,7 @@ _MALFORMED = {
     ),
     "causal-harm-decision-column": (
         lambda medai: causal_harm_interval(medai.table(1), 1, 0, {}),
-        "table lacks the decision column 'D'",
+        "variable 'D' not in scope ('Y', 'Z')",
     ),
     "causal-harm-binary": (
         lambda medai: causal_harm_interval(half_utility_dataset().table(1), 1, 0, {}, decision="Z"),
@@ -513,7 +513,7 @@ _MALFORMED = {
         lambda medai: causal_harm_interval(
             joint_table(0.3, 0.2, 0.2, 0.3), 1, 0, {}, harm_value=7
         ),
-        "harm value 7 outside domain of 'Y'",
+        "value 7 not in domain of 'Y' (0, 1)",
     ),
 }
 

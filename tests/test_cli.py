@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import functools
 import io
 import json
 import operator
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -918,19 +921,31 @@ print(json.dumps(runs))
 """
 
 
+# `oracle` questions the closed form refuses: each exits 2 before numpy loads.
+_REFUSED_ORACLE = {
+    "oracle_no_data": ["oracle", "--direction", "min"],
+    "oracle_fixed_utility": [
+        "oracle", "--data", _MEDAI, "--shift", "Y=1", "--decision", "1", "--baseline", "0",
+        "--direction", "min",
+    ],
+}
+
+
 def test_closed_form_commands_never_import_numpy():
     names = ["bounds_intervention", "predict_weak", "relax_proxy", "relax_exact", "oracle_min"]
+    cases = [(name, GOLDEN_CASES[name]) for name in names]
     result = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE,
-         json.dumps([(name, GOLDEN_CASES[name]) for name in names])],
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps([*_REFUSED_ORACLE.items(), *cases])],
         capture_output=True, text=True, cwd=REPO, check=True,
     )
     runs = json.loads(result.stdout)
-    assert [(name, numpy) for name, numpy, _ in runs] == [
-        ("import", False), ("bounds_intervention", False), ("predict_weak", False),
+    assert runs[:3] == [["import", False, ""], ["oracle_no_data", False, 2],
+                        ["oracle_fixed_utility", False, 2]]
+    assert [(name, numpy) for name, numpy, _ in runs[3:]] == [
+        ("bounds_intervention", False), ("predict_weak", False),
         ("relax_proxy", False), ("relax_exact", False), ("oracle_min", True),
     ]
-    for name, _, out in runs[1:]:
+    for name, _, out in runs[3:]:
         assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
@@ -947,6 +962,41 @@ def test_package_exports_resolve_on_first_access():
         assert getattr(beliefbound, module).__name__ == f"beliefbound.{module}"
     with pytest.raises(AttributeError):
         beliefbound.no_such_name
+
+
+# -- README examples -----------------------------------------------------------
+
+
+def test_readme_examples_run(capsys, monkeypatch):
+    """Every `beliefbound` command of the README's bash block exits 0 from the
+    repository root, and its library block yields the values its comments give."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    blocks = dict.fromkeys(["bash", "python"], "")
+    for lang, body in re.findall(r"```(\w+)\n(.*?)```", readme, flags=re.S):
+        if lang in blocks and ("beliefbound " in body or lang == "python"):
+            blocks[lang] = body
+    lines = blocks["bash"].replace("\\\n", " ").splitlines()
+    folder = next(line[2:] for line in lines if line.startswith("F="))
+    commands = [
+        shlex.split(line.replace("$F", folder))[1:]
+        for line in lines if line.startswith("beliefbound ")
+    ]
+    assert commands
+    for argv in commands:
+        code, out, err = run_inprocess(argv, capsys, monkeypatch)
+        assert (code, err) == (0, ""), argv
+
+    namespace: dict = {}
+    shown = []
+    for node in ast.parse(blocks["python"]).body:
+        if isinstance(node, ast.Expr):
+            shown.append(eval(compile(ast.Expression(node.value), "README", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+    gap = namespace["gap"]
+    assert (gap.lower, gap.upper, gap.tight) == (-0.4, 0.8, True)
+    assert shown == [-0.4]  # the bare optimize_gap(..., "min") line
+    assert namespace["verdict"].ruled_out == frozenset()
 
 
 # -- malformed inputs (fuzz) ---------------------------------------------------

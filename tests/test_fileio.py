@@ -133,7 +133,7 @@ def test_dataset_from_log_rejects_deterministic_policy():
 
 def test_dataset_from_log_names_an_unknown_context_variable():
     rows = [{"D": 0, "Y": 1, "Z": 0}, {"D": 1, "Y": 0, "Z": 1}]
-    with pytest.raises(InputError, match="joint table lacks context variable 'Q'"):
+    with pytest.raises(InputError, match=r"variable 'Q' not in scope \('D', 'Y', 'Z'\)"):
         dataset_from_log(rows, None, "D", ["Q"])
 
 

@@ -61,8 +61,14 @@ def test_submodel_empty_is_identity(m1):
 
 
 def test_submodel_rejects_bad_value(m1):
-    with pytest.raises(InputError, match=r"^constant 7 outside domain of 'Z'$"):
+    with pytest.raises(InputError, match=r"^value 7 not in domain of 'Z' \(0, 1\)$"):
         submodel(m1, {"Z": 7})
+
+
+def test_exogenous_value_outside_its_domain_is_refused():
+    u = VariableRef("U", (0, 1))
+    with pytest.raises(InputError, match=r"^value 2 not in domain of 'U' \(0, 1\)$"):
+        ExoDistribution((u,), (((0,), 0.5), ((2,), 0.5)))
 
 
 def test_queries_reject_a_bad_intervention_value(m1):
