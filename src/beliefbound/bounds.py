@@ -23,7 +23,6 @@ from .tables import (
     Number,
     Value,
     VariableRef,
-    _check_numeric,
     _check_pair,
     _check_unfixed_utility,
     _mean,
@@ -168,48 +167,37 @@ def _envelope(
         raise ZeroMassError(f"event {cz} has zero probability in the table")
     if float(den) <= 0.0:
         raise ZeroMassError(f"denominator P{cz} + 1 - P{dict(z)} vanishes")
-    _check_numeric(table, utility)
-    lo, hi = _utility_range(table, utility)
+    lo, hi = table.ref(utility).value_range()
     e = _mean(cells, p_cz if cz else None)
     _check_unfixed_utility(utility, c, z)
-    # With lo = 0 and hi = 1 both ends keep the 0/1 formula's arithmetic.
-    lower = e * p_cz if lo == 0 else e * p_cz + lo - lo * p_z
-    return lower / den, (e * p_cz + hi - hi * p_z) / den
+    return (e * p_cz + lo - lo * p_z) / den, (e * p_cz + hi - hi * p_z) / den
+
+
+def _gap_box(utility: VariableRef) -> tuple[float, float]:
+    """[lo - hi, hi - lo]: the range of a gap in a utility with range [lo, hi]."""
+    lo, hi = utility.value_range()
+    return float(lo - hi), float(hi - lo)
 
 
 def _clamped(
-    raw_lower: float, raw_upper: float, notes: list[str], lo: float = -1.0
+    raw_lower: float, raw_upper: float, notes: list[str], box: tuple[float, float]
 ) -> dict:
     """`GapInterval`'s `lower`, `upper`, `raw_lower`, `raw_upper` and `notes`
-    for raw ends clamped to [lo, 1]: a `raw_*` is kept, and a "clamped from"
+    for raw ends clamped to `box`: a `raw_*` is kept, and a "clamped from"
     note follows the form's own `notes`, only for an end the clamp moved."""
+    lo, hi = box
     notes = list(notes)
     if raw_lower < lo:
         notes.append(f"lower clamped from {raw_lower}")
-    if raw_upper > 1.0:
+    if raw_upper > hi:
         notes.append(f"upper clamped from {raw_upper}")
     return {
         "lower": max(raw_lower, lo),
-        "upper": min(raw_upper, 1.0),
+        "upper": min(raw_upper, hi),
         "raw_lower": raw_lower if raw_lower < lo else None,
-        "raw_upper": raw_upper if raw_upper > 1.0 else None,
+        "raw_upper": raw_upper if raw_upper > hi else None,
         "notes": tuple(notes),
     }
-
-
-def _utility_range(table: DistTable, utility: str) -> tuple[Value, Value]:
-    """(lo, hi): the least and greatest value of a numeric utility domain."""
-    domain = table.ref(utility).domain
-    return min(domain), max(domain)
-
-
-def _check_binary_utility(table: DistTable, utility: str, prefix: str) -> VariableRef:
-    """The utility's variable, refused unless its domain is {0, 1}; compared
-    with == only, so a domain mixing text and numbers is refused too."""
-    ref = table.ref(utility)
-    if ref.domain not in ((0, 1), (1, 0)):
-        raise InputError(f"{prefix} a binary 0/1 utility, got {ref.domain}")
-    return ref
 
 
 def _check_flip(
@@ -324,18 +312,21 @@ def thm2_multidomain_lower(
     )
 
 
-def thm3_unknown_shift_interval() -> GapInterval:
-    """Preference gap under a shift whose nature is unknown: always [-1, 1].
-
-    Tight: canonical witness models achieve both ends whatever the data says.
+def thm3_unknown_shift_interval(data: BehaviouralDataset | None = None) -> GapInterval:
+    """Preference gap under a shift whose nature is unknown: [lo - hi, hi - lo]
+    for the utility's range [lo, hi] in `data`, [-1, 1] without data.  Tight
+    only for a 0/1 utility: `oracle.unknown_shift_witnesses` reach both ends.
     """
+    ref = (VariableRef("Y", (0, 1)) if data is None
+           else data.table(data.decisions[0]).ref(data.utility))
+    lower, upper = _gap_box(ref)
     return GapInterval(
-        lower=-1.0,
-        upper=1.0,
+        lower=lower,
+        upper=upper,
         kind="preference",
         theorem="unknown-shift",
-        tight=True,
-        inputs_digest={"op": "thm3"},
+        tight=ref.zero_one,
+        inputs_digest={"op": "thm3"} if data is None else {"op": "thm3", "utility": ref.domain},
     )
 
 
@@ -352,9 +343,9 @@ def thm4_covariate_shift_lower(
     Lower bound:
         1 - (2 + E_{d*}[Y|c] P_{d*}(c) - E_d[Y|c] P_d(c)
                - P_d(z) - P_{d*}(z) + P_d(c)) / P_sigma(c)
-    clamped to >= -1.  The upper bound is the mirrored lower bound of the
-    swapped pair; unlike the lower bound it is a derived convenience, and the
-    whole interval is not tight in general.
+    clamped to [lo - hi, hi - lo], lo and hi the utility's range (the formula
+    is the 0/1 one).  The upper bound mirrors the swapped pair's lower bound, a
+    derived convenience; the interval is not tight in general.
     """
     _check_pair(data, d, d_star)
     extra = set(z) - set(c)
@@ -378,7 +369,7 @@ def thm4_covariate_shift_lower(
     up_raw = 0.0 - raw_lower(d_star, d)  # not -x, which is -0.0 when x is 0.0
     ends = _clamped(lo_raw, up_raw, [
         "upper bound is the mirrored lower bound of the swapped pair, not a stated result"
-    ])
+    ], _gap_box(data.table(d).ref(data.utility)))
     _check_unfixed_utility(data.utility, c, z)
     return GapInterval(
         kind="preference",
@@ -405,7 +396,7 @@ def fairness_gap_interval(
     table = data.table(d)
     _check_flip(table, "protected attribute", c, "context", z0=z0)
     e = expectation(table, data.utility, merge_assignments(z0, c))
-    lo, hi = _utility_range(table, data.utility)
+    lo, hi = table.ref(data.utility).value_range()
     _check_unfixed_utility(data.utility, z0, c)
     lower = float(lo - e)  # not -(e - lo), which is -0.0 when e == lo
     return GapInterval(
@@ -430,7 +421,7 @@ def harm_gap_interval(
     is limited to the Frechet interval [max(0, a + b - 1), min(a, b)].
     """
     _check_pair(data, d, d0)
-    _check_binary_utility(data.table(d), data.utility, "harm bounds need")
+    data.table(d).ref(data.utility).check_zero_one("harm bounds need")
     a = float(expectation(data.table(d), data.utility, c))
     b = float(expectation(data.table(d0), data.utility, c))
     _check_unfixed_utility(data.utility, c)
@@ -459,12 +450,11 @@ def direct_discrimination_interval(
     _check_flip(table, "protected attribute", c, "context", z0=z0, z1=z1)
     p1, e1 = _moments(table, data.utility, merge_assignments(z1, c))
     p0, e0 = _moments(table, data.utility, merge_assignments(z0, c))
-    lo, hi = _utility_range(table, data.utility)
+    lo, hi = table.ref(data.utility).value_range()
     _check_unfixed_utility(data.utility, z0, c)
     diff = e1 * p1 - e0 * p0
-    lower, upper = diff + hi * p0 - hi, diff + hi - hi * p1
-    if lo != 0:  # as in `_pieces`, a 0/1 utility keeps its arithmetic
-        lower, upper = lower + lo - lo * p1, upper - lo + lo * p0
+    lower = diff + hi * p0 - hi + lo - lo * p1
+    upper = diff + hi - hi * p1 - lo + lo * p0
     return GapInterval(
         lower=float(lower),
         upper=float(upper),
@@ -494,9 +484,9 @@ def causal_harm_interval(
     if d1 == d0:
         raise InputError("decision and baseline must differ")
     p.ref(decision)  # refuses a table without the decision column
-    yref = _check_binary_utility(p, utility, "causal harm needs")
-    y1 = harm_value
-    y0 = yref.domain[1 - yref.index(y1)]
+    yref = p.ref(utility)
+    yref.check_zero_one("causal harm needs")
+    y1, y0 = harm_value, yref.domain[1 - yref.index(harm_value)]
 
     c = dict(c)
     p_y1_d1 = p.prob(merge_assignments({utility: y1, decision: d1}, c))
@@ -523,5 +513,5 @@ def causal_harm_interval(
         inputs_digest={"op": "causal-harm", "d1": d1, "d0": d0, "c": dict(c), "table": p},
         **_clamped(0.0, max(0.0, up_raw), [
             "lower-bound numerator cancels to zero under grounding (kept as stated)"
-        ], lo=0),
+        ], (0.0, 1.0)),
     )

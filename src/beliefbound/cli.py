@@ -6,8 +6,9 @@ verdicts), ``oracle`` (LP certification of the closed forms), ``relax``
 stderr.
 
 Exit codes: 0 success; 2 parse/domain errors; 3 ``predict --require-verdict``
-with nothing ruled out; 4 oracle certification delta over tolerance; 5 atom
-limit breached.
+with nothing ruled out; 4 oracle certification failed (a tight claim more than
+``--tol`` from the LP's optimum, or a form claiming no tightness more than
+``--tol`` inside it: unsound); 5 atom limit breached.
 
 Start-up: ``bounds``, ``predict`` and ``relax --kind proxy`` on table,
 dataset or CSV inputs never import numpy.  ``oracle`` imports it once its
@@ -42,7 +43,7 @@ if TYPE_CHECKING:
 _PREFERENCE = {
     "intervention": bnd.thm1_gap_interval,
     "multidomain": bnd.thm2_multidomain_lower,
-    "unknown-shift": lambda data, c, z, d, d_star: bnd.thm3_unknown_shift_interval(),
+    "unknown-shift": lambda data, c, z, d, d_star: bnd.thm3_unknown_shift_interval(data),
 }
 
 THEOREMS = (
@@ -121,22 +122,31 @@ def _load_data(args):
     raise InputError(f"{args.data}: unrecognised input format")
 
 
+def _variables(args) -> tuple[str, str]:
+    """(decision, utility) names: --decision-var and --utility-var, else D and Y."""
+    return ("D" if args.decision_var is None else args.decision_var,
+            "Y" if args.utility_var is None else args.utility_var)
+
+
 def _dataset_from_args(args) -> BehaviouralDataset:
     kind, payload = _load_data(args)
-    if kind == "dataset":
+    if kind == "dataset":  # names its own decision and utility
+        for flag, given, own in (("--decision-var", args.decision_var, payload.decision.name),
+                                 ("--utility-var", args.utility_var, payload.utility)):
+            if given not in (None, own):
+                raise InputError(f"{flag} {given!r} differs from the dataset's {own!r}")
         return payload
     if kind == "scm":
         from .scm import scm_dataset
 
-        return scm_dataset(payload, args.decision_var, args.utility_var)
+        return scm_dataset(payload, *_variables(args))
     if kind == "log":
         rows, weights = payload
         context = [s for s in (args.context_vars or "").split(",") if s]
         if not context:
             raise InputError("CSV ingestion needs --context-vars naming the policy inputs")
-        return fileio.dataset_from_log(
-            rows, weights, args.decision_var, context, args.utility_var
-        )
+        decision, utility = _variables(args)
+        return fileio.dataset_from_log(rows, weights, decision, context, utility)
     raise InputError("--data must be a model, dataset, or CSV log for this command")
 
 
@@ -190,10 +200,8 @@ def cmd_bounds(args) -> int:
     z = parse_assignment(args.shift)
     request = _request(args, c, z, theorem=args.theorem)
     theorem = args.theorem
-    if theorem == "unknown-shift":  # [-1, 1] whatever the data, but a given --data must load
-        if args.data:
-            _load_data(args)
-        interval = _PREFERENCE[theorem](None, c, z, None, None)
+    if theorem == "unknown-shift":  # a given --data sets the utility's range
+        interval = bnd.thm3_unknown_shift_interval(_dataset_from_args(args) if args.data else None)
     elif theorem == "causal-harm":
         _require(args, ["decision", "baseline"])
         joint = _joint_from_args(args)
@@ -202,8 +210,7 @@ def cmd_bounds(args) -> int:
             fileio._parse_cell(args.decision),
             fileio._parse_cell(args.baseline),
             c,
-            decision=args.decision_var,
-            utility=args.utility_var,
+            *_variables(args),  # decision, utility
             harm_value=fileio._parse_cell(args.harm_value),
         )
     else:
@@ -329,7 +336,9 @@ def cmd_oracle(args) -> int:
     lp_value = optimize_gap(polytope, z, c, d, d0, args.direction)
     closed_value = closed.lower if args.direction == "min" else closed.upper
     delta = abs(lp_value - closed_value)
-    certified = delta <= args.tol
+    # A form that claims no tightness need only be sound: <= the LP's min, >= its max.
+    slack = lp_value - closed_value if args.direction == "min" else closed_value - lp_value
+    certified = delta <= args.tol if closed.tight else slack >= -args.tol
     report = Report(
         command="oracle",
         request=_request(args, c, z, direction=args.direction, tolerance=args.tol),
@@ -342,14 +351,14 @@ def cmd_oracle(args) -> int:
             "delta": delta,
             "certified": certified,
             "tight_claimed": closed.tight,
+            **({} if closed.tight else {"slack": slack}),
         },
         seed=args.seed,
     )
     sys.stdout.write(report.render(args.format))
     if not certified:
-        sys.stderr.write(
-            f"error: oracle delta {delta:.3e} exceeds tolerance {args.tol:.3e}\n"
-        )
+        what = "oracle delta" if closed.tight else "unsound closed form: overreach"
+        sys.stderr.write(f"error: {what} {delta:.3e} exceeds tolerance {args.tol:.3e}\n")
         return 4
     return 0
 
@@ -404,8 +413,8 @@ def cmd_relax(args) -> int:
 
 def _add_common(sub) -> None:
     sub.add_argument("--data", help="model JSON, dataset JSON, table JSON, or CSV log")
-    sub.add_argument("--decision-var", default="D", help="decision variable name")
-    sub.add_argument("--utility-var", default="Y", help="utility variable name")
+    sub.add_argument("--decision-var", help="decision variable (default D; a dataset has its own)")
+    sub.add_argument("--utility-var", help="utility variable (default Y; a dataset has its own)")
     sub.add_argument("--context-vars", help="policy inputs for CSV ingestion (comma list)")
     sub.add_argument("--shift", help="shift assignment, e.g. Z=1")
     sub.add_argument("--context", help="context assignment, e.g. Z=1")

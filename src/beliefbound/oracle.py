@@ -611,10 +611,7 @@ def witness_thm1_scm(
                 f"shift variable {name!r} has endogenous parents; the witness "
                 "construction needs exogenously driven shift variables"
             )
-    yref = base.ref(utility)
-    if not yref.numeric:
-        raise InputError(f"utility {utility!r} must be numeric")
-    y_lo, y_hi = min(yref.domain), max(yref.domain)
+    y_lo, y_hi = base.ref(utility).value_range()
 
     z_exo = []
     for name in z_names:
@@ -671,14 +668,6 @@ def witness_thm1_scm(
 # -- canonical (z, y) response tables and unknown-shift witnesses ----------
 
 
-def _zero_one(y: VariableRef) -> list[Value]:
-    """Y's domain sorted, refused unless it is {0, 1}; compared with == before
-    anything sorts, so a domain mixing text and numbers is refused too."""
-    if y.domain not in ((0, 1), (1, 0)):
-        raise InputError(f"Y must be 0/1, got {y.domain}")
-    return sorted(y.domain)
-
-
 @dataclass(frozen=True)
 class ResponseTypeTable:
     """Joint law of (z-response, y-response) types for binary Z and 0/1 Y.
@@ -694,7 +683,7 @@ class ResponseTypeTable:
     def __post_init__(self) -> None:
         if len(self.z.domain) != 2:
             raise InputError(f"Z must be binary, got {self.z.domain}")
-        _zero_one(self.y)
+        self.y.check_zero_one("unknown-shift witnesses need")
         cells = {}
         for (a, b), p in self.cells.items():
             if a not in (0, 1) or b not in (0, 1, 2, 3):
@@ -740,7 +729,8 @@ def canonical_zy_table(table: DistTable, z_name: str = "Z", y_name: str = "Y") -
     """
     zy = query(table, [z_name, y_name])
     zref, yref = zy.ref(z_name), zy.ref(y_name)
-    lo, hi = _zero_one(yref)
+    yref.check_zero_one("unknown-shift witnesses need")
+    lo, hi = yref.value_range()
     cells: dict[tuple[int, int], Number] = {}
     for a in (0, 1):
         zv = zref.domain[a]

@@ -15,7 +15,7 @@ from math import isfinite
 from operator import itemgetter
 from typing import Sequence
 
-from .bounds import GapInterval, _check_binary_utility, _check_flip, _clamped, _utility_range
+from .bounds import GapInterval, _check_flip, _clamped, _gap_box
 from .errors import InputError, SamplingError, UnsupportedError
 from .tables import (
     Assignment,
@@ -73,7 +73,7 @@ def _tv_objective(
     cells = list(product(*[r.domain for r in table.scope]))
     hits = [not any(cell[at[n]] != v for n, v in z.items()) for cell in cells]
     y = at[data.utility]
-    lo, hi = _utility_range(table, data.utility)
+    lo, hi = table.ref(data.utility).value_range()
     success = [cell[y] - lo if hit else 0 for cell, hit in zip(cells, hits)]
     failure = [hi - cell[y] if hit else 0 for cell, hit in zip(cells, hits)]
     return cells, success, failure, lo - hi
@@ -231,7 +231,7 @@ def proxy_alignment_lower(
         raise InputError(f"alpha must lie in [0, 1], got {alpha}")
     _check_pair(data, d, d_star)
     table = data.table(d)
-    _check_binary_utility(table, data.utility, "proxy bounds need")
+    table.ref(data.utility).check_zero_one("proxy bounds need")
     mass = table.prob(merge_assignments(z, {data.utility: 1}))
     _check_unfixed_utility(data.utility, z)
     return float(alpha * mass - 1)
@@ -276,7 +276,7 @@ def partial_unconfoundedness_interval(
     lo_d, up_d = envelope(d)
     lo_s, up_s = envelope(d_star)
     notes = [f"slice labels swapped for decisions {sorted(map(str, swapped))}"] if swapped else []
-    ends = _clamped(lo_d - up_s, up_d - lo_s, notes)
+    ends = _clamped(lo_d - up_s, up_d - lo_s, notes, _gap_box(data.table(d).ref(data.utility)))
     _check_unfixed_utility(data.utility, z, w0)
     return GapInterval(
         kind="preference",

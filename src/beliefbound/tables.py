@@ -139,6 +139,22 @@ class VariableRef:
     def numeric(self) -> bool:
         return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in self.domain)
 
+    def value_range(self) -> tuple[Value, Value]:
+        """(lo, hi), the least and greatest value of a numeric domain; refuses any other."""
+        if not self.numeric:
+            raise InputError(f"variable {self.name!r} has a non-numeric domain {self.domain}")
+        return min(self.domain), max(self.domain)
+
+    @property
+    def zero_one(self) -> bool:
+        """The domain is {0, 1}, compared with == (one mixing text and numbers is not)."""
+        return self.domain in ((0, 1), (1, 0))
+
+    def check_zero_one(self, prefix: str) -> None:
+        """Refuses a domain other than {0, 1}."""
+        if not self.zero_one:
+            raise InputError(f"{prefix} a binary 0/1 utility, got {self.domain}")
+
 
 def _sorted_scope(scope: Iterable[VariableRef]) -> tuple[VariableRef, ...]:
     refs = sorted(scope, key=lambda r: r.name)
@@ -322,12 +338,6 @@ def _div(num: Number, den: Number) -> Number:
     return float(num) / float(den)
 
 
-def _check_numeric(table: DistTable, of: str) -> None:
-    ref = table.ref(of)
-    if not ref.numeric:
-        raise InputError(f"variable {of!r} has a non-numeric domain {ref.domain}")
-
-
 def _mean(cells: dict[tuple[Value, ...], Number], mass: Number | None) -> Number:
     """Mean of the first target value over the cells, each divided by `mass`
     unless it is None (an unconditional expectation).  The divided cells are
@@ -363,7 +373,7 @@ def _moments(
 ) -> tuple[Number, Number]:
     """(P(given), E[of | given]) from one scan, raising what `expectation`
     raises."""
-    _check_numeric(table, of)
+    table.ref(of).value_range()  # refuses a non-numeric variable
     given = dict(given or {})
     mass, cells = _conditional(table, given, (of,))
     return mass, _mean(cells, mass if given else None)

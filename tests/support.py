@@ -47,6 +47,29 @@ def random_behaviour_model(seed: int, max_atoms: int = 16, y: VariableRef = Y) -
     return Scm((D, Z, y), mechanisms, exo)
 
 
+def two_shift_model(seed: int) -> Scm:
+    """Random hidden model: Z1 <- U and Z2 <- U, roots driven by one 4-valued
+    latent U (integer weights 1 to 9), and a random 0/1 table Y <- (D, Z1, Z2, U)."""
+    rng = np.random.default_rng(seed)
+    u = VariableRef("U", (0, 1, 2, 3))
+    weights = rng.integers(1, 10, size=4)
+    total = int(weights.sum())
+    probs = [Fraction(int(w), total) for w in weights]
+    exo = ExoDistribution((u,), tuple(((i,), p) for i, p in enumerate(probs)))
+    z1, z2 = VariableRef("Z1", (0, 1)), VariableRef("Z2", (0, 1))
+    z_out = rng.integers(0, 2, size=(2, 4))
+    y_out = rng.integers(0, 2, size=(2, 2, 2, 4))
+    mechanisms = {
+        "D": Mechanism.constant(D, 0),
+        "Z1": Mechanism.from_function(z1, (), (u,), lambda a: int(z_out[0, a["U"]])),
+        "Z2": Mechanism.from_function(z2, (), (u,), lambda a: int(z_out[1, a["U"]])),
+        "Y": Mechanism.from_function(
+            Y, (D, z1, z2), (u,), lambda a: int(y_out[a["D"], a["Z1"], a["Z2"], a["U"]])
+        ),
+    }
+    return Scm((D, z1, z2, Y), mechanisms, exo)
+
+
 def model_with_positive_cells(seed: int, cells=None) -> Scm:
     """First random model (scanning seeds upward) whose joint hits every cell."""
     from beliefbound.scm import joint_distribution, submodel
@@ -86,6 +109,30 @@ def random_binary_dataset(seed: int) -> BehaviouralDataset:
             },
         )
     return BehaviouralDataset(D, tables)
+
+
+def random_wyz_dataset(seed, n_decisions, z_size, w_size, exact, y_domain=(0, 1)):
+    """Tables over (W, Y, Z) with random integer weights, about a fifth of the
+    cells empty; `exact` stores `Fraction`s, otherwise floats."""
+    rng = np.random.default_rng(seed)
+    scope = (
+        VariableRef("W", tuple(range(w_size))),
+        VariableRef("Y", y_domain),
+        VariableRef("Z", tuple(range(z_size))),
+    )
+    cells = list(product(*[r.domain for r in scope]))
+
+    def table():
+        weights = [int(w) for w in rng.integers(-2, 9, size=len(cells)).clip(0)]
+        weights[0] += 1
+        total = sum(weights)
+        return DistTable(scope, {
+            cell: Fraction(w, total) if exact else w / total
+            for cell, w in zip(cells, weights) if w
+        })
+
+    decision = VariableRef("D", tuple(range(n_decisions)))
+    return BehaviouralDataset(decision, {t: table() for t in decision.domain})
 
 
 def k_valued_shift_dataset(k: int):

@@ -24,6 +24,12 @@ from beliefbound.bounds import (
 )
 from beliefbound.errors import DataError, InputError, ZeroMassError
 from beliefbound.predictability import strong_verdict, weak_verdict
+from beliefbound.relaxations import (
+    GroundingBall,
+    approx_grounding_lower,
+    partial_unconfoundedness_interval,
+    proxy_alignment_lower,
+)
 from beliefbound.scm import counterfactual_probability, joint_distribution, scm_dataset, submodel
 from beliefbound.tables import BehaviouralDataset, DistTable, VariableRef, expectation
 
@@ -32,6 +38,7 @@ from support import (
     half_utility_dataset,
     random_behaviour_model,
     random_binary_dataset,
+    random_wyz_dataset,
     ternary_v_dataset,
 )
 
@@ -600,11 +607,22 @@ def test_causal_harm_zero_denominator():
         (0.0, 0.5, 0, (0.0, 0.5, None, None, ("own",))),
         (-0.25, 2.5, 0, (0, 1.0, -0.25, 2.5,
                          ("own", "lower clamped from -0.25", "upper clamped from 2.5"))),
+        # The preference box of a utility with range [0, 0.5]; (-2.0, 2.4) are
+        # thm4's raw ends on the fixture relabelled Y in {0, 0.5} with
+        # P_sigma(Z=1) = 0.5.
+        (-0.25, 0.25, -0.5, (-0.25, 0.25, None, None, ("own",))),
+        (-2.0, 2.4, -0.5, (-0.5, 0.5, -2.0, 2.4,
+                           ("own", "lower clamped from -2.0", "upper clamped from 2.4"))),
+        (-0.625, 0.875, -0.5, (-0.5, 0.5, -0.625, 0.875,
+                               ("own", "lower clamped from -0.625", "upper clamped from 0.875"))),
+        (-0.75, 0.25, -0.5, (-0.5, 0.25, -0.75, None, ("own", "lower clamped from -0.75"))),
     ],
 )
 def test_clamped_reports_each_end_the_clamp_moved(raw_lower, raw_upper, lo, ends):
+    """The box is [lo, -lo] for a preference gap (lo < 0) and causal harm's
+    [0, 1] for lo = 0."""
     notes = ["own"]
-    got = bounds._clamped(raw_lower, raw_upper, notes, lo=lo)
+    got = bounds._clamped(raw_lower, raw_upper, notes, (lo, -lo) if lo else (lo, 1.0))
     keys = ("lower", "upper", "raw_lower", "raw_upper", "notes")
     assert tuple(got[k] for k in keys) == ends
     assert [repr(got[k]) for k in keys] == [repr(v) for v in ends]  # 0.0 stays a float
@@ -683,3 +701,51 @@ def test_interval_ranges_hold_on_random_data():
             assert -1 - 1e-9 <= gap.lower <= gap.upper <= 1 + 1e-9
             harm = harm_gap_interval(data, d, ds, {})
             assert 0 <= harm.lower <= harm.upper <= 1
+
+
+@pytest.mark.parametrize("y_domain", [(0, 1), (0, 0.5), (0.25, 0.75), (0.2, 0.5, 0.9)],
+                         ids=["0,1", "0,0.5", "0.25,0.75", "0.2,0.5,0.9"])
+@pytest.mark.parametrize("exact", [True, False], ids=["fraction", "float"])
+def test_every_form_stays_in_the_box_of_the_utility_range(y_domain, exact):
+    """For a utility with range [lo, hi], every closed form and relaxation
+    keeps its ends in [lo - hi, hi - lo]; thm3 is that box, tight only for a
+    0/1 utility, and the forms that need a 0/1 utility refuse any other."""
+    lo, hi = min(y_domain), max(y_domain)
+    box = (float(lo - hi), float(hi - lo))
+    ends = []
+    for seed in range(12):
+        data = random_wyz_dataset(seed, 2, 2, 2, exact, y_domain)
+        model = random_behaviour_model(seed, y=VariableRef("Y", y_domain))
+        pooled = scm_dataset(model, "D", domains=[("exp", Z1)])  # consistent domains
+        forms = [
+            lambda d, ds: thm1_gap_interval(data, Z1, Z1, d, ds),
+            lambda d, ds: thm1_gap_interval(data, {"W": 1}, Z1, d, ds),
+            lambda d, ds: thm2_multidomain_lower(pooled, Z1, Z1, d, ds),
+            lambda d, ds: thm4_covariate_shift_lower(data, sigma_table("1/2"), Z1, Z1, d, ds),
+            lambda d, ds: thm4_covariate_shift_lower(data, sigma_table("9/10"), Z1, Z1, d, ds),
+            lambda d, ds: fairness_gap_interval(data, d, {"Z": 0}, {"W": 1}),
+            lambda d, ds: direct_discrimination_interval(data, d, {"Z": 0}, Z1, {}),
+            lambda d, ds: partial_unconfoundedness_interval(data, Z1, {"W": 0}, {"W": 1}, d, ds),
+        ]
+        for d, ds in ((1, 0), (0, 1)):
+            for form in forms:
+                try:
+                    gap = form(d, ds)
+                except ZeroMassError:
+                    continue
+                ends.append((gap.lower, gap.upper))
+            value = approx_grounding_lower(data, GroundingBall(0.2), Z1, Z1, d, ds)
+            ends.append((value, value))
+        unknown = thm3_unknown_shift_interval(data)
+        assert (unknown.lower, unknown.upper, unknown.tight) == (*box, y_domain == (0, 1))
+        if y_domain != (0, 1):
+            for refused in (
+                lambda: harm_gap_interval(data, 1, 0, {}),
+                lambda: causal_harm_interval(data.table(1), 1, 0, {}, decision="W"),
+                lambda: proxy_alignment_lower(data, 0.9, Z1, 1, 0),
+            ):
+                with pytest.raises(InputError, match=" a binary 0/1 utility, got "):
+                    refused()
+    assert len(ends) >= 150
+    for lower, upper in ends:
+        assert box[0] - 1e-12 <= lower <= upper <= box[1] + 1e-12, (lower, upper)

@@ -22,12 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beliefbound import __version__, fileio
+from beliefbound import __version__, bounds, fileio
 from beliefbound.cli import main
 from beliefbound.scm import ExoDistribution, Mechanism, Scm, scm_dataset
 from beliefbound.tables import BehaviouralDataset, DistTable, VariableRef
 
-from support import random_behaviour_model, wyz_dataset
+from support import random_behaviour_model, two_shift_model, wyz_dataset
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = "src/beliefbound/fixtures"
@@ -878,6 +878,32 @@ def test_relabelled_fixture_certifies_in_both_directions(tmp_path, capsys, monke
     assert interval["upper"] == pytest.approx(1 / 3, abs=1e-12)
 
 
+def test_relabelled_fixture_reports_its_range_box(tmp_path, capsys, monkeypatch):
+    # With Y in {0, 0.5} no gap leaves [-0.5, 0.5]: the unknown-shift interval
+    # is that box, with no tight claim (no witness reaches it), and the
+    # covariate-shift interval is clamped to it.
+    doc = json.loads((REPO / FIXTURES / "medai.tables.json").read_text())
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(_relabelled(doc, {0: 0, 1: 0.5})))
+    question = ["--shift", "Z=1", "--context", "Z=1", "--decision", "1", "--baseline", "0"]
+    cases = [
+        (["--theorem", "unknown-shift"], None),
+        (["--theorem", "covariate-shift", "--sigma-context", "Z=1:0.5", *question], (-2.0, 2.4)),
+        (["--theorem", "covariate-shift", "--sigma-context", "Z=1:0.9", *question],
+         (-2 / 3, 8 / 9)),
+    ]
+    for flags, raw in cases:
+        code, out, _ = run_inprocess(["bounds", "--data", str(path), *flags], capsys, monkeypatch)
+        (interval,) = json.loads(out)["intervals"]
+        assert code == 0 and interval["tight"] is False
+        assert (interval["lower"], interval["upper"]) == (-0.5, 0.5)
+        got = (interval.get("raw_lower"), interval.get("raw_upper"))
+        assert got == ((None, None) if raw is None else pytest.approx(raw, abs=1e-12))
+    argv = ["predict", "--data", str(path), "--theorem", "unknown-shift", "--mode", "weak"]
+    code, out, _ = run_inprocess(argv, capsys, monkeypatch)
+    assert code == 0 and json.loads(out)["verdict"]["ruled_out"] == []
+
+
 @pytest.mark.parametrize("domain", [(0, 0.5), (0.2, 0.7), (0.1, 0.4, 0.9)])
 @pytest.mark.parametrize("exact", [True, False], ids=["fraction", "float"])
 def test_oracle_certifies_any_utility_range(domain, exact, tmp_path, capsys, monkeypatch):
@@ -904,6 +930,70 @@ def test_oracle_certifies_any_utility_range(domain, exact, tmp_path, capsys, mon
             for direction in ("min", "max"):
                 code, oracle = _oracle(path, direction, capsys, monkeypatch)
                 assert (code, oracle["certified"]) == (0, True), (seed, direction, oracle)
+
+
+# -- a closed form that claims no tightness: checked for soundness -------------
+
+
+def _two_shift_oracle(seed, direction, tmp_path, capsys, monkeypatch):
+    """`oracle` on do(Z1=1, Z2=1) over the base and the do(Z1=1) and do(Z2=1)
+    domains of `two_shift_model(seed)`: thm2 pools three domains, so it claims
+    no tightness."""
+    domains = [("z1", {"Z1": 1}), ("z2", {"Z2": 1})]
+    path = tmp_path / f"two_shift{seed}.json"
+    path.write_text(json.dumps(fileio.dump_dataset(
+        scm_dataset(two_shift_model(seed), "D", domains=domains)
+    )))
+    argv = ["oracle", "--data", str(path), "--shift", "Z1=1,Z2=1", "--decision", "1",
+            "--baseline", "0", "--direction", direction]
+    return run_inprocess(argv, capsys, monkeypatch)
+
+
+def test_a_sound_loose_closed_form_is_certified_with_its_slack(tmp_path, capsys, monkeypatch):
+    loose = 0
+    for seed in range(60):
+        for direction in ("min", "max"):
+            code, out, err = _two_shift_oracle(seed, direction, tmp_path, capsys, monkeypatch)
+            if code == 2:  # the base tables give Z1=1, Z2=1 no mass
+                assert "zero probability" in err
+                continue
+            oracle = json.loads(out)["oracle"]
+            assert (code, oracle["certified"], oracle["tight_claimed"]) == (0, True, False)
+            assert oracle["slack"] == pytest.approx(oracle["delta"], abs=1e-12)
+            loose += oracle["slack"] > 1e-6
+    assert loose >= 8
+
+
+@pytest.mark.parametrize("direction", ["min", "max"])
+def test_an_unsound_loose_closed_form_exits_4(direction, tmp_path, capsys, monkeypatch):
+    # thm2 mutated so that the reported end lies inside the LP's optimum: its
+    # lower end moved up to its upper one (or the reverse).
+    thm2 = bounds.thm2_multidomain_lower
+
+    def mutated(*args):
+        gap = thm2(*args)
+        return replace(gap, **{"lower": gap.upper} if direction == "min" else {"upper": gap.lower})
+
+    monkeypatch.setattr(bounds, "thm2_multidomain_lower", mutated)
+    code, out, err = _two_shift_oracle(13, direction, tmp_path, capsys, monkeypatch)
+    oracle = json.loads(out)["oracle"]
+    assert (code, oracle["certified"], oracle["tight_claimed"]) == (4, False, False)
+    assert oracle["slack"] == pytest.approx(-oracle["delta"], abs=1e-12) and oracle["slack"] < -0.1
+    assert err.startswith("error: unsound closed form: overreach ") and err.count("\n") == 1
+
+
+# -- a dataset JSON names its own decision and utility -------------------------
+
+
+@pytest.mark.parametrize("flag, other, own", [("--utility-var", "Q", "Y"),
+                                               ("--decision-var", "X", "D")])
+def test_a_dataset_json_refuses_another_variable_name(flag, other, own, capsys, monkeypatch):
+    argv = GOLDEN_CASES["bounds_intervention"]
+    code, out, err = run_inprocess([*argv, flag, other], capsys, monkeypatch)
+    message = f"error: {flag} {other!r} differs from the dataset's {own!r}\n"
+    assert (code, out, err) == (2, "", message)
+    code, out, _ = run_inprocess([*argv, flag, own], capsys, monkeypatch)
+    assert (code, out) == (0, (GOLDEN / "bounds_intervention.json").read_text(encoding="utf-8"))
 
 
 # -- start-up: numpy stays off the closed-form path ----------------------------

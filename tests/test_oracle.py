@@ -1240,6 +1240,13 @@ def test_witness_refuses_a_bad_decision_pair(m1, pair, message):
         witness_thm1_scm(m1, Z1, Z1, *pair)
 
 
+def test_witness_refuses_a_utility_without_a_numeric_range():
+    model = random_behaviour_model(0, y=VariableRef("Y", ("no", "yes")))
+    with pytest.raises(InputError) as exc:
+        witness_thm1_scm(model, Z1, Z1, 1, 0)
+    assert str(exc.value) == "variable 'Y' has a non-numeric domain ('no', 'yes')"
+
+
 # -- unknown-shift witnesses ----------------------------------------------------
 
 
@@ -1287,7 +1294,8 @@ def test_unknown_shift_degenerate_success_data():
 @pytest.mark.parametrize("call", ["table", "canonical"])
 def test_a_y_domain_mixing_text_and_numbers_is_refused_before_it_sorts(call):
     z, y = VariableRef("Z", (0, 1)), VariableRef("Y", (0, "x"))
-    with pytest.raises(InputError, match=r"^Y must be 0/1, got \(0, 'x'\)$"):
+    message = r"^unknown-shift witnesses need a binary 0/1 utility, got \(0, 'x'\)$"
+    with pytest.raises(InputError, match=message):
         if call == "table":
             ResponseTypeTable(z, y, {(0, 1): 1})
         else:

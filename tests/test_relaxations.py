@@ -21,9 +21,14 @@ from beliefbound.relaxations import (
     proxy_alignment_lower,
 )
 from beliefbound.scm import ExoDistribution, Mechanism, Scm, scm_dataset
-from beliefbound.tables import BehaviouralDataset, DistTable, VariableRef
+from beliefbound.tables import DistTable, VariableRef
 
-from support import half_utility_dataset, reference_ball_minimum, ternary_v_dataset
+from support import (
+    half_utility_dataset,
+    random_wyz_dataset,
+    reference_ball_minimum,
+    ternary_v_dataset,
+)
 
 Z1 = {"Z": 1}
 
@@ -51,7 +56,7 @@ def test_zero_radius_is_thm1_lower_on_any_utility_range(exact):
     compared = 0
     for seed in range(40):
         y_domain = ranges[seed % len(ranges)]
-        data = random_dataset(seed, 2 + seed % 3, 2, 2, exact, y_domain)
+        data = random_wyz_dataset(seed, 2 + seed % 3, 2, 2, exact, y_domain)
         d, d_star = data.decisions[-1], data.decisions[0]
         for z in ({"Z": 1}, {"W": 1, "Z": 0}):
             try:
@@ -253,30 +258,6 @@ def assert_sampler_parity(data, ball, d, d_star, *, n_samples, seed, concentrati
     return block
 
 
-def random_dataset(seed, n_decisions, z_size, w_size, exact, y_domain=(0, 1)):
-    """Tables over (W, Y, Z) with random integer weights, about a fifth of the
-    cells empty; `exact` stores `Fraction`s, otherwise floats."""
-    rng = np.random.default_rng(seed)
-    scope = (
-        VariableRef("W", tuple(range(w_size))),
-        VariableRef("Y", y_domain),
-        VariableRef("Z", tuple(range(z_size))),
-    )
-    cells = list(product(*[r.domain for r in scope]))
-
-    def table():
-        weights = [int(w) for w in rng.integers(-2, 9, size=len(cells)).clip(0)]
-        weights[0] += 1
-        total = sum(weights)
-        return DistTable(scope, {
-            cell: Fraction(w, total) if exact else w / total
-            for cell, w in zip(cells, weights) if w
-        })
-
-    decision = VariableRef("D", tuple(range(n_decisions)))
-    return BehaviouralDataset(decision, {t: table() for t in decision.domain})
-
-
 def block_rows(cells):
     return max(1, relaxations._BLOCK_FLOATS // (2 * cells))
 
@@ -306,7 +287,7 @@ def test_block_sampler_matches_per_draw_loop_on_fixture(medai, seed, d, d_star):
 @pytest.mark.parametrize("blocks", ["one row", "one block and a row", "several blocks"])
 def test_block_sampler_matches_per_draw_loop(seed, n_decisions, z_size, w_size, exact,
                                              y_domain, delta, blocks):
-    data = random_dataset(seed, n_decisions, z_size, w_size, exact, y_domain)
+    data = random_wyz_dataset(seed, n_decisions, z_size, w_size, exact, y_domain)
     rows = block_rows(len(y_domain) * z_size * w_size)
     n_samples = {"one row": 1, "one block and a row": rows + 1,
                  "several blocks": 3 * rows + 5}[blocks]
@@ -320,7 +301,7 @@ def test_block_sampler_matches_per_draw_loop(seed, n_decisions, z_size, w_size, 
 def test_block_sampler_matches_per_draw_loop_two_proposals_at_a_time(w_size):
     # The minimum hides most rows, so pin pairs of proposals (a one-row block
     # would reduce any matrix product to a dot); every draw is accepted.
-    data = random_dataset(w_size, 2, 4, w_size, False, (0, 0.3, 1))
+    data = random_wyz_dataset(w_size, 2, 4, w_size, False, (0, 0.3, 1))
     for seed in range(40):
         assert_sampler_parity(
             data, GroundingBall(1.0), 1, 0, n_samples=2, seed=seed,
@@ -329,8 +310,8 @@ def test_block_sampler_matches_per_draw_loop_two_proposals_at_a_time(w_size):
 
 
 def test_block_sampler_matches_per_draw_loop_on_explicit_centres():
-    data = random_dataset(11, 3, 3, 2, False, (0, 0.3, 1))
-    other = random_dataset(12, 3, 3, 2, True, (0, 0.3, 1))
+    data = random_wyz_dataset(11, 3, 3, 2, False, (0, 0.3, 1))
+    other = random_wyz_dataset(12, 3, 3, 2, True, (0, 0.3, 1))
     centred = replace(data, per_decision={0: data.table(0), 1: other.table(1), 2: other.table(0)})
     for d, d_star in ((1, 2), (2, 1)):
         value = assert_sampler_parity(
@@ -344,7 +325,7 @@ def test_block_sampler_matches_per_draw_loop_below_gamma_weights():
     # numpy's Dirichlet breaks sticks when the largest weight is below 0.1:
     # everywhere at concentration 0.05, and for the near-uniform decision only
     # at concentration 1, where the other decision's heaviest cell weighs 0.9.
-    data = random_dataset(21, 2, 3, 4, False, (0, 0.3, 1))
+    data = random_wyz_dataset(21, 2, 3, 4, False, (0, 0.3, 1))
     spread = DistTable(data.scope, {
         cell: 1 / 36 for cell in product(*[r.domain for r in data.scope])
     })
@@ -584,6 +565,6 @@ _FIXES_THE_UTILITY = {
 def test_relaxations_refuse_a_question_that_fixes_the_utility(name):
     # Seed 1's tables give every conditioning event mass, so only the check
     # can refuse the question.
-    data = random_dataset(1, 2, 2, 2, exact=True)
+    data = random_wyz_dataset(1, 2, 2, 2, exact=True)
     with pytest.raises(InputError, match="fixes the utility Y="):
         _FIXES_THE_UTILITY[name](data)
