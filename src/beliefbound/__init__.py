@@ -6,7 +6,9 @@ harm gaps, and certify the tight ones against an exact linear-programming
 oracle over canonical response-type models.
 
 Submodules and public names load on first access (PEP 562), so importing the
-package, or only the closed-form parts of it, never imports numpy.
+package, or only the closed-form parts of it, never imports numpy.  hashlib
+(and with it OpenSSL) loads on the first read of an interval's provenance
+digest (`GapInterval.inputs_digest`), not with `bounds`.
 """
 
 from importlib import import_module

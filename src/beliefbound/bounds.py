@@ -11,7 +11,6 @@ asked, valid because tables are immutable (contract in `tables`).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 
@@ -74,8 +73,9 @@ class GapInterval:
 
     `inputs_digest` may be given as a ready digest string or as the payload
     of bound inputs; a payload is hashed with `digest` when the field is
-    first read (by `as_dict`, `repr`, `==` or `hash`).  Verdicts read only
-    the ends, so they never pay for the hash.
+    first read (by `as_dict`, `repr`, `==` or `hash`), and that first read
+    is what imports hashlib.  Verdicts, relaxations and the oracle read only
+    the ends, so they never pay for the hash or load OpenSSL.
     """
 
     lower: float
@@ -122,7 +122,14 @@ class GapInterval:
 
 
 def digest(payload: object) -> str:
-    """Stable short digest of bound inputs, for report provenance."""
+    """Stable short digest of bound inputs, for report provenance.
+
+    hashlib is imported here, not at module level: it maps OpenSSL's
+    libcrypto (3.5 MB of RSS with OpenSSL 3.0 on x86-64 Linux), and only a
+    report that prints a digest needs it, so oracle, verdict and relaxation
+    runs never load it.
+    """
+    import hashlib
 
     def default(obj):
         if isinstance(obj, DistTable):

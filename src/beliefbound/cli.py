@@ -14,7 +14,10 @@ Start-up: ``bounds``, ``predict`` and ``relax --kind proxy`` on table,
 dataset or CSV inputs never import numpy.  ``oracle`` imports it once its
 question passes the closed form; ``relax --kind approx-grounding`` and any
 model (``mechanisms``) input import it when they run, through the modules
-that need it.
+that need it.  Every ``bounds`` command maps OpenSSL (hashlib), because its
+report prints a provenance digest; ``predict``, ``oracle`` and ``relax`` read
+interval ends only and skip it, except ``relax --method sample``, whose
+numpy.random import loads it.  ``predict`` alone loads the verdict module.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from typing import TYPE_CHECKING
 from . import bounds as bnd
 from . import fileio
 from .errors import AtomLimitError, BeliefBoundError, InputError
-from .predictability import strong_verdict, weak_verdict
 from .report import Report
 from .tables import BehaviouralDataset, DistTable, Value, estimate_from_samples
 
@@ -255,6 +257,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from .predictability import strong_verdict, weak_verdict
+
     data = _dataset_from_args(args)
     c = parse_assignment(args.context)
     z = parse_assignment(args.shift)

@@ -14,7 +14,6 @@ Formats:
 
 from __future__ import annotations
 
-import csv
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -293,6 +292,8 @@ def _parse_cell(raw: str) -> Value:
 
 def load_csv_log(source) -> tuple[list[dict[str, Value]], list[float]]:
     """Rows and weights from a UTF-8 sample log with a header line."""
+    import csv  # only CSV inputs pay for it
+
     path = Path(source)
     rows: list[dict[str, Value]] = []
     weights: list[float] = []

@@ -89,9 +89,13 @@ class Report:
                 )
         if "oracle" in doc:
             o = doc["oracle"]
+            if "slack" in o:  # a form that claims no tightness need only be sound
+                label = "sound, not tight" if o["certified"] else "unsound closed form: overreach"
+                check = f"slack={o['slack']:.3e} ({label})"
+            else:
+                check = f"delta={o['delta']:.3e} ({'certified' if o['certified'] else 'MISMATCH'})"
             lines.append(
-                f"  lp={o['lp_value']:+.9f} closed-form={o['closed_form']:+.9f} "
-                f"delta={o['delta']:.3e} ({'certified' if o['certified'] else 'MISMATCH'})"
+                f"  lp={o['lp_value']:+.9f} closed-form={o['closed_form']:+.9f} {check}"
             )
         if "relaxation" in doc:
             r = doc["relaxation"]

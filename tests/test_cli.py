@@ -935,7 +935,7 @@ def test_oracle_certifies_any_utility_range(domain, exact, tmp_path, capsys, mon
 # -- a closed form that claims no tightness: checked for soundness -------------
 
 
-def _two_shift_oracle(seed, direction, tmp_path, capsys, monkeypatch):
+def _two_shift_oracle(seed, direction, tmp_path, capsys, monkeypatch, *extra):
     """`oracle` on do(Z1=1, Z2=1) over the base and the do(Z1=1) and do(Z2=1)
     domains of `two_shift_model(seed)`: thm2 pools three domains, so it claims
     no tightness."""
@@ -945,7 +945,7 @@ def _two_shift_oracle(seed, direction, tmp_path, capsys, monkeypatch):
         scm_dataset(two_shift_model(seed), "D", domains=domains)
     )))
     argv = ["oracle", "--data", str(path), "--shift", "Z1=1,Z2=1", "--decision", "1",
-            "--baseline", "0", "--direction", direction]
+            "--baseline", "0", "--direction", direction, *extra]
     return run_inprocess(argv, capsys, monkeypatch)
 
 
@@ -980,6 +980,18 @@ def test_an_unsound_loose_closed_form_exits_4(direction, tmp_path, capsys, monke
     assert (code, oracle["certified"], oracle["tight_claimed"]) == (4, False, False)
     assert oracle["slack"] == pytest.approx(-oracle["delta"], abs=1e-12) and oracle["slack"] < -0.1
     assert err.startswith("error: unsound closed form: overreach ") and err.count("\n") == 1
+    code, out, _ = _two_shift_oracle(13, direction, tmp_path, capsys, monkeypatch,
+                                     "--format", "table")
+    last = out.splitlines()[-1]
+    assert code == 4 and last.endswith(f" slack={oracle['slack']:.3e} (unsound closed form: overreach)")
+
+
+def test_the_table_format_prints_a_loose_form_s_slack(tmp_path, capsys, monkeypatch):
+    code, out, _ = _two_shift_oracle(13, "min", tmp_path, capsys, monkeypatch, "--format", "table")
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "  lp=-0.272727273 closed-form=-0.515151515 slack=2.424e-01 (sound, not tight)"
+    )
 
 
 # -- a dataset JSON names its own decision and utility -------------------------
@@ -996,19 +1008,25 @@ def test_a_dataset_json_refuses_another_variable_name(flag, other, own, capsys, 
     assert (code, out) == (0, (GOLDEN / "bounds_intervention.json").read_text(encoding="utf-8"))
 
 
-# -- start-up: numpy stays off the closed-form path ----------------------------
+# -- start-up: each command loads only the modules it reads -------------------
 
+# One fresh interpreter per command, so one command's imports never show up in
+# another's.  Prints the watched modules loaded by importing the CLI, those
+# loaded once the command has run, and its stdout (or its nonzero exit code).
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 import beliefbound, beliefbound.cli
-runs = [("import", "numpy" in sys.modules, "")]
-for name, argv in json.loads(sys.argv[1]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = beliefbound.cli.main(argv)
-    runs.append((name, "numpy" in sys.modules, out.getvalue() if code == 0 else code))
-print(json.dumps(runs))
+argv, watched = json.loads(sys.argv[1])
+imported = [m for m in watched if m in sys.modules]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = beliefbound.cli.main(argv)
+ran = [m for m in watched if m in sys.modules]
+print(json.dumps([imported, ran, out.getvalue() if code == 0 else code]))
 """
+
+# numpy; OpenSSL's libcrypto, mapped by hashlib; the verdict module; csv.
+_WATCHED = ("numpy", "_hashlib", "beliefbound.predictability", "csv")
 
 
 # `oracle` questions the closed form refuses: each exits 2 before numpy loads.
@@ -1021,22 +1039,73 @@ _REFUSED_ORACLE = {
 }
 
 
-def test_closed_form_commands_never_import_numpy():
-    names = ["bounds_intervention", "predict_weak", "relax_proxy", "relax_exact", "oracle_min"]
-    cases = [(name, GOLDEN_CASES[name]) for name in names]
+@functools.lru_cache(maxsize=None)
+def _probe(name: str) -> tuple[set, set, str | int]:
+    """`_IMPORT_PROBE`'s (loaded on import, loaded after the run, output) for
+    the command `name`, a golden case or a refused oracle question."""
+    argv = {**GOLDEN_CASES, **_REFUSED_ORACLE}[name]
     result = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps([*_REFUSED_ORACLE.items(), *cases])],
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps([argv, _WATCHED])],
         capture_output=True, text=True, cwd=REPO, check=True,
     )
-    runs = json.loads(result.stdout)
-    assert runs[:3] == [["import", False, ""], ["oracle_no_data", False, 2],
-                        ["oracle_fixed_utility", False, 2]]
-    assert [(name, numpy) for name, numpy, _ in runs[3:]] == [
-        ("bounds_intervention", False), ("predict_weak", False),
-        ("relax_proxy", False), ("relax_exact", False), ("oracle_min", True),
-    ]
-    for name, _, out in runs[3:]:
+    imported, ran, out = json.loads(result.stdout)
+    return set(imported), set(ran), out
+
+
+def test_closed_form_commands_never_import_numpy():
+    for name in _REFUSED_ORACLE:
+        imported, ran, code = _probe(name)
+        assert ("numpy" in imported | ran, code) == (False, 2)
+    for name in ["bounds_intervention", "predict_weak", "relax_proxy", "relax_exact", "oracle_min"]:
+        imported, ran, out = _probe(name)
+        assert ("numpy" in imported, "numpy" in ran) == (False, name == "oracle_min")
         assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+# What each command loads of `_WATCHED`: only `bounds` prints a digest, so only
+# it maps OpenSSL, and only `predict` reaches a verdict.
+_LOADED = {
+    "bounds_intervention": {"_hashlib"},
+    "oracle_min": {"numpy"},
+    "predict_weak": {"beliefbound.predictability"},
+    "relax_exact": set(),
+    "relax_proxy": set(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOADED))
+def test_a_command_loads_only_the_modules_it_reads(name):
+    imported, ran, out = _probe(name)
+    assert (imported, ran) == (set(), _LOADED[name])
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+_LIBRARY_PROBE = """
+import json, sys
+from beliefbound import thm1_gap_interval, thm2_multidomain_lower, weak_verdict
+from beliefbound.fixtures import medai_dataset
+data = medai_dataset()
+ends = [thm1_gap_interval(data, {"Z": 1}, {"Z": 1}, 1, 0)]
+ends.append(thm2_multidomain_lower(data, {"Z": 1}, {"Z": 1}, 1, 0))
+weak_verdict(
+    lambda d, d0: thm1_gap_interval(data, {"Z": 1}, {"Z": 1}, d, d0).lower,
+    data.decisions, {"Z": 1},
+)
+before = "hashlib" in sys.modules
+digest = ends[0].as_dict()["inputs_digest"]
+print(json.dumps([[[g.lower, g.upper] for g in ends], before, "hashlib" in sys.modules, digest]))
+"""
+
+
+def test_reading_interval_ends_leaves_hashlib_unimported():
+    result = subprocess.run(
+        [sys.executable, "-c", _LIBRARY_PROBE],
+        capture_output=True, text=True, cwd=REPO, check=True,
+    )
+    ends, before, after, digest = json.loads(result.stdout)
+    assert ends == [[-0.4, 0.8], [-0.4, 0.8]]
+    golden = json.loads((GOLDEN / "bounds_intervention.json").read_text(encoding="utf-8"))
+    assert (before, after, digest) == (False, True, golden["intervals"][0]["inputs_digest"])
 
 
 def test_package_exports_resolve_on_first_access():

@@ -12,7 +12,10 @@ quoted or not, counts as used.  The second lists the module-level `_name`s
 their own definition.  The third lists the private methods of the package's
 classes (cached properties included; not dunders) that no module reads as an
 attribute.  The fourth lists the backticked references in docstrings and
-comments that name no definition.
+comments that name no definition.  The fifth keeps `numpy`, `hashlib` and
+`csv` out of the module-level imports of the modules that `import
+beliefbound.cli` loads: every CLI run pays for those, and only some commands
+read them.
 """
 
 from __future__ import annotations
@@ -280,3 +283,87 @@ def test_check_sees_stale_references():
     ]
     sources["b"] += "_gone = 0\n"
     assert stale_references(sources) == ["a:1 `Box.weight`", "a:1 `Shift`", "a:8 `_removed`"]
+
+
+def module_level_imports(source: str) -> set[str]:
+    """The modules `source` imports when it runs: top-level names of absolute
+    imports and `.name` for relative ones, from statements at module level
+    (inside `if` and `try` too, but not under `if TYPE_CHECKING` and not in a
+    function or class body)."""
+    found: set[str] = set()
+
+    def visit(statements: list[ast.stmt]) -> None:
+        for node in statements:
+            if isinstance(node, ast.Import):
+                found.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                found.update(
+                    [f".{node.module}"] if node.module else [f".{a.name}" for a in node.names]
+                )
+            elif isinstance(node, ast.ImportFrom):
+                found.add(node.module.split(".")[0])
+            elif isinstance(node, ast.If):
+                if not (isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING"):
+                    visit(node.body)
+                visit(node.orelse)
+            elif isinstance(node, ast.Try):
+                for block in (node.body, *(h.body for h in node.handlers), node.orelse,
+                              node.finalbody):
+                    visit(block)
+
+    visit(ast.parse(source).body)
+    return found
+
+
+def loaded_with(sources: dict[str, str], module: str) -> set[str]:
+    """The package modules that importing `module` loads: the package's
+    `__init__`, `module`, and what their module-level relative imports load."""
+    loaded, todo = set(), ["__init__", module]
+    while todo:
+        name = todo.pop()
+        if name not in loaded:
+            loaded.add(name)
+            todo += [m[1:] for m in module_level_imports(sources[name])
+                     if m.startswith(".") and m[1:] in sources]
+    return loaded
+
+
+_CLI_MODULES = {"__init__", "bounds", "cli", "errors", "fileio", "report", "tables"}
+_DEFERRED = {"csv", "hashlib", "numpy"}  # imported where they are read
+
+
+def test_the_cli_imports_numpy_hashlib_and_csv_only_where_they_are_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    offenders = sorted(
+        f"{m}: {name}" for m in _CLI_MODULES
+        for name in module_level_imports(sources[m]) & _DEFERRED
+    )
+    assert offenders == []
+    assert loaded_with(sources, "cli") == _CLI_MODULES
+
+
+def test_check_sees_module_level_imports_only():
+    source = (
+        "from __future__ import annotations\n"
+        "import csv, os.path\n"
+        "from typing import TYPE_CHECKING\n"
+        "from . import bounds as bnd, report\n"
+        "from .tables import DistTable\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy\n"
+        "try:\n"
+        "    import json\n"
+        "except ImportError:\n"
+        "    import simplejson as json\n"
+        "def digest(x):\n"
+        "    import hashlib\n"
+        "    return hashlib.sha256(x)\n"
+        "class Table:\n"
+        "    from .scm import Scm\n"
+    )
+    assert module_level_imports(source) == {
+        "__future__", "csv", "os", "typing", ".bounds", ".report", ".tables", "json", "simplejson",
+    }
+    sources = {"__init__": "", "cli": source, "bounds": "import numpy\n", "report": "",
+               "tables": "from .errors import E\n", "errors": "", "scm": ""}
+    assert loaded_with(sources, "cli") == {"__init__", "cli", "bounds", "report", "tables", "errors"}
