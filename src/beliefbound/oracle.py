@@ -49,6 +49,14 @@ per-atom view left is `Polytope.a_eq`, built on access from
 `CanonicalAtomSpace.atom_cells` for readers that count its rows; the per-atom
 program itself is defined by the tests' reference.
 
+The skeleton fixes the columns and the data only b_eq, so structure is kept per
+process: `build_polytope` reuses the space, of the SPACE_CACHE_SIZE most recently
+used, whose decision, names, parents, typed domains (1 is not True) and atom cap
+match, and a space memoises its class program per set of data blocks and its
+gap classes per question.  An entry is O(classes) per program row, its arrays
+read-only; an error or an unhashable key is not kept.  A process asking one
+question, as one CLI call does, gains nothing.
+
 Also houses the constructive side: extracting a concrete model from any
 feasible point, the bound-achieving witness models for atomic shifts, and the
 row-preserving reshuffles that realise the +/-1 extremes under unknown shifts.
@@ -61,8 +69,10 @@ import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import lru_cache
 from itertools import product
 from operator import itemgetter, mul
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -84,12 +94,14 @@ from .tables import (
     Value,
     VariableRef,
     _check_pair,
+    _memoised,
     merge_assignments,
     query,
 )
 
 DEFAULT_ATOM_LIMIT = 1_000_000
 ATOM_LIMIT_ENV = "BELIEFBOUND_ATOM_LIMIT"
+SPACE_CACHE_SIZE = 8  # spaces kept per process, least recently used dropped first
 
 
 def atom_limit(override: int | str | None = None) -> int:
@@ -210,6 +222,8 @@ class CanonicalAtomSpace:
             ))
         slots, strides = zip(*self._strided([v.name for v in self.variables]))
         self._cell_slots, self._cell_strides = list(slots), np.array(strides, dtype=np.intp)
+        self._programs: dict[tuple, tuple] = {}
+        self._gaps: dict[tuple, _GapClasses] = {}
 
     def _strided(self, names: Sequence[str]) -> list[tuple[int, int]]:
         """(slot, C-order stride) of each named variable: the terms of its ravel."""
@@ -276,6 +290,23 @@ class CanonicalAtomSpace:
         value indices: [class, block]."""
         return self._cell_strides @ values[:, self._cell_slots, :]
 
+    def _program(self, blocks: Sequence[Mapping[str, int]]) -> tuple:
+        """Memoised per block set: (every joint cell as a table key, each class's
+        first atom, its read-only 0/1 column with the mass row, its number by its cells)."""
+
+        def compute() -> tuple:
+            cells = list(product(*[v.domain for v in self.variables]))
+            first, values = self.walk(blocks)
+            keys = self.cells(values)
+            merged = np.zeros((len(blocks) * len(cells) + 1, len(first)))
+            merged[keys + len(cells) * np.arange(len(blocks)), np.arange(len(first))[:, None]] = 1.0
+            merged[-1] = 1.0
+            merged.flags.writeable = False
+            classes = {tuple(key): j for j, key in enumerate(keys.tolist())}
+            return cells, tuple(first), merged, MappingProxyType(classes)
+
+        return _memoised(self._programs, _items(blocks), compute)
+
     def _values(self, fixed: Mapping[str, int], responses: Mapping[str, int]) -> dict:
         """Value index of every variable with the `fixed` indices held; any
         other variable takes its response's base-k digit at its parents'
@@ -333,7 +364,7 @@ class Polytope:
     first: list[int]
     start: lp.PhaseOne
     blocks: tuple[dict[str, int], ...]
-    classes: dict[tuple[int, ...], int]
+    classes: Mapping[tuple[int, ...], int]
 
     @property
     def a_eq(self) -> np.ndarray:
@@ -406,22 +437,13 @@ def build_polytope(
             raise InputError(
                 f"domain mismatch for {v.name!r}: skeleton {v.domain} vs data {ref.domain}"
             )
-    space = CanonicalAtomSpace(data.decision, skeleton, limit)
-
-    cells = list(product(*[v.domain for v in space.variables]))
-    blocks: list[dict[str, int]] = []
-    rhs: list[float] = []
+    space = _space(data.decision, skeleton, atom_limit(limit))
+    blocks = [space._fixed(d, dom.intervened) for dom in data.all_domains() for d in data.decisions]
+    cells, first, merged, classes = space._program(blocks)
+    rhs = []
     for dom in data.all_domains():
-        for d in data.decisions:
-            blocks.append(space._fixed(d, dom.intervened))
-            table = dom.per_decision[d]
-            # Tables and `cells` are both name-sorted, so a cell is a table key.
-            rhs += [float(table.entries.get(values, 0)) for values in cells]
-    first, values = space.walk(blocks)
-    keys = space.cells(values)
-    merged = np.zeros((len(blocks) * len(cells) + 1, len(first)))
-    merged[keys + len(cells) * np.arange(len(blocks)), np.arange(len(first))[:, None]] = 1.0
-    merged[-1] = 1.0
+        for d in data.decisions:  # tables and `cells` are both name-sorted
+            rhs += [float(dom.per_decision[d].entries.get(values, 0)) for values in cells]
     rhs.append(1.0)
     b_eq = np.asarray(rhs)
     with _solver_errors():
@@ -431,11 +453,39 @@ def build_polytope(
         data=data,
         merged=merged,
         b_eq=b_eq,
-        first=first,
+        first=list(first),
         start=start,
         blocks=tuple(blocks),
-        classes={tuple(key): j for j, key in enumerate(keys.tolist())},
+        classes=classes,
     )
+
+
+def _items(blocks: Sequence[Mapping[str, int]]) -> tuple:
+    """Value-index blocks as a memo key."""
+    return tuple(tuple(block.items()) for block in blocks)
+
+
+def _typed(values: tuple) -> tuple:
+    """`values` with each one's type, in nested tuples too: 1 == 1.0 == True."""
+    return tuple((type(v), _typed(v) if isinstance(v, tuple) else v) for v in values)
+
+
+def _space(decision: VariableRef, skeleton: Sequence[SkeletonVariable], cap: int):
+    """The space of this structure and cap: a kept one, or a fresh one for a
+    structure that cannot be hashed."""
+    variables = tuple((v.name, _typed(v.domain), v.parents) for v in skeleton)
+    key = (decision.name, _typed(decision.domain), variables, cap)
+    try:
+        hash(key)
+    except TypeError:
+        return CanonicalAtomSpace(decision, skeleton, cap)
+    return _kept_space(key, decision, tuple(skeleton), cap)
+
+
+@lru_cache(maxsize=SPACE_CACHE_SIZE)  # thread-safe, unlike a dict's pop and insert
+def _kept_space(key: tuple, decision: VariableRef, skeleton: tuple, cap: int):
+    """`_space` of a hashable structure `key`, kept per process."""
+    return CanonicalAtomSpace(decision, skeleton, cap)
 
 
 @dataclass(frozen=True)
@@ -456,41 +506,50 @@ def _gap_classes(
     d: Value,
     d_star: Value,
 ) -> _GapClasses:
-    """The gap's classes, from one walk over the data blocks and the
-    objective's (d, z) and (d*, z) blocks."""
+    """The gap's classes, from one walk over the data blocks and the objective's
+    (d, z) and (d*, z) blocks, memoised on the space (read-only arrays)."""
     space = polytope.space
     utility = polytope.data.utility
     for key in (*z, *c):
         if key not in space._parents:
             raise InputError(f"{key!r} is not a modelled variable")
     merge_assignments(c, z)
-    degenerate = all(name in z for name in c)
-    n = len(polytope.blocks)
-    values = space.walk([*polytope.blocks, space._fixed(d, z), space._fixed(d_star, z)])[1]
-    ev_d, ev_s = values[:, :, n], values[:, :, n + 1]
-    sat = np.ones(len(values), dtype=bool)
-    for name, value in c.items():
-        slot = space._slot[name]
-        if np.any(ev_d[:, slot] != ev_s[:, slot]):
-            raise UnsupportedError(
-                f"context variable {name!r} responds to the decision under do(z); the "
-                "conditional objective is not a single-denominator program"
-            )
-        sat &= ev_d[:, slot] == space.refs[name].index(value)
-    den = sat.astype(float)
-    y = np.array([float(v) for v in space.refs[utility].domain])
-    u = space._slot[utility]
-    num = (y[ev_d[:, u]] - y[ev_s[:, u]]) * den
-    cells = space.cells(values[:, :, :n]).tolist()
-    coarse = np.array([polytope.classes[tuple(key)] for key in cells])
+    objective = (space._fixed(d, z), space._fixed(d_star, z))
 
-    keys = [coarse.tolist(), num.tolist()] + [den.tolist()] * (not degenerate)
-    at: dict[tuple, int] = {}
-    for j, key in enumerate(zip(*keys)):
-        at.setdefault(key, j)  # leaves come in order of first atom
-    pick = np.fromiter(at.values(), dtype=np.intp, count=len(at))
-    coarse, num, den = coarse[pick], num[pick], den[pick]
-    return _GapClasses(coarse, num, None if degenerate else den)
+    def compute() -> _GapClasses:
+        degenerate = all(name in z for name in c)
+        n = len(polytope.blocks)
+        values = space.walk([*polytope.blocks, *objective])[1]
+        ev_d, ev_s = values[:, :, n], values[:, :, n + 1]
+        sat = np.ones(len(values), dtype=bool)
+        for name, value in c.items():
+            slot = space._slot[name]
+            if np.any(ev_d[:, slot] != ev_s[:, slot]):
+                raise UnsupportedError(
+                    f"context variable {name!r} responds to the decision under do(z); the "
+                    "conditional objective is not a single-denominator program"
+                )
+            sat &= ev_d[:, slot] == space.refs[name].index(value)
+        den = sat.astype(float)
+        y = np.array([float(v) for v in space.refs[utility].domain])
+        u = space._slot[utility]
+        num = (y[ev_d[:, u]] - y[ev_s[:, u]]) * den
+        cells = space.cells(values[:, :, :n]).tolist()
+        coarse = np.array([polytope.classes[tuple(key)] for key in cells])
+
+        keys = [coarse.tolist(), num.tolist()] + [den.tolist()] * (not degenerate)
+        at: dict[tuple, int] = {}
+        for j, key in enumerate(zip(*keys)):
+            at.setdefault(key, j)  # leaves come in order of first atom
+        pick = np.fromiter(at.values(), dtype=np.intp, count=len(at))
+        coarse, num, den = coarse[pick], num[pick], den[pick]
+        for array in (coarse, num, den):
+            array.flags.writeable = False
+        return _GapClasses(coarse, num, None if degenerate else den)
+
+    # A context value is keyed as given: values that index alike give one program.
+    key = (_items(polytope.blocks), utility, _items(objective), tuple(c.items()))
+    return _memoised(space._gaps, key, compute)
 
 
 def _solve_gap(polytope: Polytope, gap: _GapClasses, cost: np.ndarray) -> np.ndarray | None:

@@ -319,7 +319,8 @@ def _pushforward(scm: Scm, refs: tuple[VariableRef, ...], iv: Assignment) -> Dis
     """The law of the name-sorted `refs` under do(iv): each exogenous atom's
     mass is added to the cell of its values, in atom order."""
     columns = _evaluate_units(scm, scm.exo._columns, len(scm.exo.atoms), iv)
-    values = zip(*(np.array(r.domain, dtype=object)[columns[r.name]] for r in refs))
+    # One element per value: `np.array` would give a domain of tuples a second axis.
+    values = zip(*(np.fromiter(r.domain, object, len(r.domain))[columns[r.name]] for r in refs))
     common, probs = scm.exo._exact or (None, (p for _, p in scm.exo.atoms))
     cells: dict[tuple[Value, ...], Number] = {}
     for key, p in zip(values, probs):

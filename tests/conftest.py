@@ -28,3 +28,14 @@ def m1():
 @pytest.fixture(scope="session")
 def m2():
     return medai_alt_scm()
+
+
+@pytest.fixture
+def cold_spaces():
+    """No canonical space kept from an earlier test, and none left for a later
+    one: for tests that count walks or phase ones or bound allocations."""
+    from beliefbound.oracle import _kept_space
+
+    _kept_space.cache_clear()
+    yield
+    _kept_space.cache_clear()

@@ -22,6 +22,7 @@ from beliefbound.errors import (
 from beliefbound import lp
 from beliefbound.oracle import (
     _gap_classes,
+    _kept_space,
     _refined_start,
     _solve_gap,
     _vertex,
@@ -937,6 +938,7 @@ def _count_phases(monkeypatch):
     return shapes, starts
 
 
+@pytest.mark.usefixtures("cold_spaces")
 def test_merged_programs_stay_small(monkeypatch):
     """Z in 0..6 and Y <- (D, Z) give 114,688 atoms but only 28 distinct
     feasibility columns: Z's value and Y's responses at (0, Z) and (1, Z)."""
@@ -951,6 +953,7 @@ def test_merged_programs_stay_small(monkeypatch):
     assert len(starts) == 2 and all(cols <= 100 for _, cols in starts)
 
 
+@pytest.mark.usefixtures("cold_spaces")
 def test_build_solve_and_witness_enumerate_classes_not_atoms(monkeypatch):
     """On the 114,688-atom shape the build, both gap solves and the witness
     run with the per-atom view and the digit rule it reads disabled.  The build and
@@ -1070,6 +1073,160 @@ def test_gap_values_do_not_depend_on_the_blas_thread_count():
     ]
     assert [line.split()[0] for line in outputs[0].splitlines()] == ["24576", "114688"]
     assert outputs[0] == outputs[1]
+
+
+# -- structure kept per skeleton ----------------------------------------------
+
+
+def kept_spaces():
+    return _kept_space.cache_info().currsize
+
+
+def _answers(data, skeleton, pivots):
+    """Everything one polytope gives, as bytes, reprs and pivot counts: its
+    program, both contexts' gap classes and both ends of each, and its witness."""
+    pivots.clear()
+    poly = build_polytope(data, skeleton)
+    out = [poly.first, poly.merged.tobytes(), poly.b_eq.tobytes(), len(pivots)]
+    for c in (Z1, {"W": 1}):
+        gap = _gap_classes(poly, Z1, c, 1, 0)
+        out += [gap.coarse.tobytes(), gap.num.tobytes(), gap.den is None or gap.den.tobytes()]
+        for direction in ("min", "max"):
+            pivots.clear()
+            out += [repr(optimize_gap(poly, Z1, c, 1, 0, direction)), len(pivots)]
+    model = feasible_scm(poly)
+    return out + [model.exo], model
+
+
+@pytest.mark.usefixtures("cold_spaces")
+def test_a_kept_space_answers_as_a_fresh_one(monkeypatch):
+    """Seeded datasets on one skeleton, plain and with an experimental domain,
+    give the same classes, values (by repr), pivot counts and witness from a
+    kept space as from a fresh one, and each witness reproduces its tables."""
+    pivots = []
+    pivot = lp._pivot
+    monkeypatch.setattr(lp, "_pivot", lambda *args: pivots.append(args[-1]) or pivot(*args))
+    cases = []
+    for sizes in ({"Z": 3, "W": 2}, {"Z": 2, "W": 3}):
+        for seed in range(3):
+            data, skeleton = chained_dataset(seed, sizes)
+            cases += [(data, skeleton), (dataclasses.replace(data, domains=()), skeleton)]
+    fresh = []
+    for data, skeleton in cases:
+        _kept_space.cache_clear()
+        fresh.append(_answers(data, skeleton, pivots)[0])
+    for (data, skeleton), want in zip(cases, fresh):
+        got, model = _answers(data, skeleton, pivots)
+        assert got == want
+        domains = [(dom.label, dom.intervened) for dom in data.domains]
+        tables = scm_dataset(model, "D", domains=domains)
+        for mine, theirs in zip(data.all_domains(), tables.all_domains()):
+            for d in data.decisions:
+                want_cells, got_cells = mine.per_decision[d].entries, theirs.per_decision[d].entries
+                for cell in {*want_cells, *got_cells}:
+                    assert float(got_cells.get(cell, 0)) == pytest.approx(
+                        float(want_cells.get(cell, 0)), abs=1e-9
+                    )
+    assert kept_spaces() == 2 and len({repr(answer) for answer in fresh}) == len(cases)
+
+
+@pytest.mark.usefixtures("cold_spaces")
+def test_datasets_on_one_skeleton_do_not_share_values():
+    """Two datasets asked in turn of one kept space each give their own fresh
+    values: only structure is kept."""
+    datasets = [
+        wyz_dataset([(0, 1, 1), (1, 0, 0), (1, 1, 1)]),
+        wyz_dataset([(0, 0, 1), (1, 1, 0), (0, 1, 0), (1, 0, 1), (1, 1, 1)]),
+    ]
+
+    def ends(data):
+        poly = build_polytope(data, WYZ_SKELETON)
+        contexts, directions = (Z1, {"W": 1}), ("min", "max")
+        return [repr(optimize_gap(poly, Z1, c, 1, 0, d)) for c in contexts for d in directions]
+
+    fresh = []
+    for data in datasets:
+        _kept_space.cache_clear()
+        fresh.append(ends(data))
+    assert fresh[0] != fresh[1]
+    assert [ends(data) for data in datasets * 2] == fresh * 2
+    assert kept_spaces() == 1
+
+
+@pytest.mark.usefixtures("cold_spaces")
+def test_a_second_build_on_a_skeleton_walks_no_classes(medai, monkeypatch):
+    """The class program and a gap's classes are walked once per skeleton and
+    question; every build reads its own tables."""
+    walks = []
+    walk = CanonicalAtomSpace.walk
+    monkeypatch.setattr(CanonicalAtomSpace, "walk", lambda *args: walks.append(1) or walk(*args))
+    first = build_polytope(random_binary_dataset(0), SKELETON)
+    optimize_gap(first, Z1, Z1, 1, 0, "min")
+    assert len(walks) == 2
+    second = build_polytope(random_binary_dataset(1), SKELETON)
+    optimize_gap(second, Z1, Z1, 1, 0, "max")
+    assert len(walks) == 2 and second.space is first.space
+    assert second.b_eq.tobytes() != first.b_eq.tobytes()
+    optimize_gap(second, Z1, {}, 1, 0, "min")  # a new question
+    build_polytope(medai, SKELETON)  # medai's exact tables have the same structure
+    assert len(walks) == 3
+
+
+@pytest.mark.usefixtures("cold_spaces")
+def test_bool_and_int_domains_get_spaces_of_their_own():
+    """(0, 1) and (False, True) are equal tuples, but a space keeps its
+    domains' values: the witness of each dataset carries that dataset's types."""
+    ints = random_binary_dataset(3)
+    z = VariableRef("Z", (False, True))
+    bools = BehaviouralDataset(ints.decision, {
+        d: DistTable((ints.table(d).ref("Y"), z), {
+            (y, bool(zv)): p for (y, zv), p in ints.table(d).entries.items()
+        })
+        for d in ints.decisions
+    })
+    bool_skeleton = [SkeletonVariable("Z", z.domain), SKELETON[1]]
+    for data, skeleton, kind in ((ints, SKELETON, int), (bools, bool_skeleton, bool)) * 2:
+        poly = build_polytope(data, skeleton)
+        want = optimize_gap(build_polytope(ints, SKELETON), Z1, Z1, 1, 0, "min")
+        assert optimize_gap(poly, {"Z": 1}, {"Z": 1}, 1, 0, "min") == want
+        tables = scm_dataset(feasible_scm(poly), "D")
+        for d in data.decisions:
+            assert {type(cell[1]) for cell in tables.table(d).entries} == {kind}
+    assert kept_spaces() == 2
+
+
+@pytest.mark.usefixtures("cold_spaces")
+def test_a_lowered_atom_cap_refuses_a_kept_space(medai, monkeypatch):
+    assert build_polytope(medai, SKELETON).space.dimension == 32
+    monkeypatch.setenv("BELIEFBOUND_ATOM_LIMIT", "16")
+    with pytest.raises(AtomLimitError, match="needs 32 atoms, over the cap of 16"):
+        build_polytope(medai, SKELETON)
+    assert kept_spaces() == 1
+
+
+@pytest.mark.usefixtures("cold_spaces")
+def test_kept_arrays_are_read_only(medai):
+    poly = build_polytope(medai, SKELETON)
+    gap = _gap_classes(poly, {}, Z1, 1, 0)
+    for array in (poly.merged, gap.coarse, gap.num, gap.den):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    with pytest.raises(TypeError):
+        poly.classes[()] = 0
+    poly.first.append(-1)  # the polytope's own list
+    assert build_polytope(medai, SKELETON).first == poly.first[:-1]
+
+
+@pytest.mark.usefixtures("cold_spaces")
+def test_a_skeleton_that_cannot_be_hashed_is_checked_and_not_kept(medai):
+    """A list for a parent name is refused as an unknown parent, with a
+    space already kept, and is not kept itself."""
+    build_polytope(medai, SKELETON)
+    skeleton = [SkeletonVariable("Z", (0, 1)), SkeletonVariable("Y", (0, 1), (["D"], "Z"))]
+    for _ in range(2):
+        with pytest.raises(InputError, match="unknown parent"):
+            build_polytope(medai, skeleton)
+    assert kept_spaces() == 1
 
 
 # -- model extraction and witnesses -------------------------------------------
@@ -1195,6 +1352,7 @@ def test_witness_models_reuse_lookups_that_match_a_fresh_compile(medai, medai_ex
         assert_lookups_compiled_once(model, domains=[("exp", Z1)])
 
 
+@pytest.mark.usefixtures("cold_spaces")
 def test_feasible_scm_reuses_the_polytope_point(medai, monkeypatch):
     """Phase one runs once per polytope: gaps, conditional ones included, and
     witnesses start phase two from it."""

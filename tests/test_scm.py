@@ -281,3 +281,26 @@ def test_exact_atoms_below_the_float_range_are_kept(m1):
     model = policy_model(m1, Policy(m1.ref("D"), (), rows))
     assert len(model.exo.atoms) == 2 * len(m1.exo.atoms)
     assert sum(p for _, p in model.exo.atoms) == 1
+
+
+def test_tuple_valued_variables_keep_their_values_in_every_query():
+    """A domain of tuples is one value per tuple: the joint law, the data and
+    the counterfactual probability all key X by (0, 0) and (1, 1)."""
+    d, u, y = VariableRef("D", (0, 1)), VariableRef("U", (0, 1)), VariableRef("Y", (0, 1))
+    x = VariableRef("X", ((0, 0), (1, 1)))
+    quarter = Fraction(1, 4)
+    model = Scm(
+        (d, x, y),
+        {
+            "D": Mechanism(d, (), ("U",), {(0,): 0, (1,): 1}),
+            "X": Mechanism(x, ("D",), (), {(0,): (0, 0), (1,): (1, 1)}),
+            "Y": Mechanism(y, ("X",), (), {((0, 0),): 0, ((1, 1),): 1}),
+        },
+        ExoDistribution((u,), (((0,), quarter), ((1,), 1 - quarter))),
+    )
+    joint = {(0, (0, 0), 0): quarter, (1, (1, 1), 1): 1 - quarter}
+    assert joint_distribution(model).entries == joint
+    data = scm_dataset(model, "D", domains=[("exp", {"X": (0, 0)})])
+    assert data.table(1).entries == {((1, 1), 1): 1}
+    assert data.domains[0].per_decision[1].entries == {((0, 0), 0): 1}
+    assert counterfactual_probability(model, [({}, {"X": (1, 1)})]) == 1 - quarter
