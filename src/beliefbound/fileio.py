@@ -10,6 +10,9 @@ Formats:
     objects, optional experimental domains.
   * sample log (CSV): header of variable names plus an optional ``weight``
     column.
+
+A repeated JSON key, table assignment, exogenous atom, mechanism row or CSV
+column is an `InputError`, not a silent choice of one copy.
 """
 
 from __future__ import annotations
@@ -53,11 +56,24 @@ def _dump_prob(p: Number):
     return str(p) if isinstance(p, Fraction) else float(p)
 
 
+def _repeat(keys: list):
+    """The first of `keys` that repeats an earlier one, or None."""
+    return next((k for i, k in enumerate(keys) if k in keys[:i]), None)
+
+
 def _load_json(source) -> dict:
     if isinstance(source, Mapping):
         return dict(source)
+
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            key = _repeat([k for k, _ in pairs])
+            raise InputError(f"{source}: JSON object repeats key {key!r}")
+        return obj
+
     try:
-        return json.loads(Path(source).read_text(encoding="utf-8"))
+        return json.loads(Path(source).read_text(encoding="utf-8"), object_pairs_hook=unique)
     except RecursionError as exc:
         raise InputError(f"{source}: JSON nested too deeply") from exc
 
@@ -91,11 +107,25 @@ def _field(node, key: str, owner: str):
     return _fields(node, (key,), owner)[0]
 
 
-def _not_scalar(values: tuple, keys: Sequence[str], owner: str) -> InputError:
-    """The error for a table key that failed to hash: one of its `values`
-    (read from fields `keys`) is a JSON array or object."""
-    key, value = next(kv for kv in zip(keys, values) if isinstance(kv[1], (list, dict)))
-    return InputError(f"{owner} field {key!r} must be a JSON scalar, not {value!r:.40}")
+def _keyed_rows(rows, fields, keys: Sequence[str], owner: str, key_owner: str) -> dict:
+    """``{key: value}`` of JSON objects `rows`, each with an assignment at
+    ``fields[0]`` (read at `keys`) and a value at ``fields[1]``; a key that
+    holds an array or object, or repeats, is an `InputError`."""
+    out = {}
+    for row in rows:
+        assignment, value = _fields(row, fields, owner)
+        key = _fields(assignment, keys, key_owner)
+        try:
+            repeated = key in out
+        except TypeError:
+            name, bad = next(kv for kv in zip(keys, key) if isinstance(kv[1], (list, dict)))
+            raise InputError(
+                f"{key_owner} field {name!r} must be a JSON scalar, not {bad!r:.40}"
+            ) from None
+        if repeated:
+            raise InputError(f"duplicate {owner} at {assignment}")
+        out[key] = value
+    return out
 
 
 def _names(node, key: str, owner: str, *default) -> tuple[str, ...]:
@@ -125,16 +155,10 @@ def load_scm(source) -> Scm:
         r.name: r
         for r in (_ref(obj, "exogenous entry") for obj in _array(doc, "exogenous", "model", []))
     }
-    atoms = []
-    for item in _array(doc, "exogenous_distribution", "model", []):
-        assignment, p = _fields(item, ("assignment", "p"), "exogenous_distribution entry")
-        key = _fields(assignment, exo_refs, "exogenous assignment")
-        try:
-            hash(key)
-        except TypeError:
-            raise _not_scalar(key, tuple(exo_refs), "exogenous assignment") from None
-        atoms.append((key, _parse_prob(p)))
-    exo = ExoDistribution(tuple(exo_refs.values()), tuple(atoms))
+    atoms = _keyed_rows(_array(doc, "exogenous_distribution", "model", []), ("assignment", "p"),
+                        tuple(exo_refs), "exogenous_distribution entry", "exogenous assignment")
+    exo = ExoDistribution(tuple(exo_refs.values()),
+                          tuple((key, _parse_prob(p)) for key, p in atoms.items()))
 
     variables = []
     mechanisms = {}
@@ -146,19 +170,9 @@ def load_scm(source) -> Scm:
         rows = _mapping(_field(doc, "mechanisms", "model"), "mechanisms")
         if rows.get(ref.name) is None:
             raise InputError(f"no mechanism rows for variable {ref.name!r}")
-        table = {}
         owner = f"mechanism row for {ref.name!r}"
-        inputs = (*parents, *exo_parents)
-        for row in _array(rows, ref.name, "mechanisms"):
-            given, value = _fields(row, ("given", "value"), owner)
-            key = _fields(given, inputs, f"{owner} given")
-            try:
-                duplicate = key in table
-            except TypeError:
-                raise _not_scalar(key, inputs, f"{owner} given") from None
-            if duplicate:
-                raise InputError(f"duplicate mechanism row for {ref.name!r} at {given}")
-            table[key] = value
+        table = _keyed_rows(_array(rows, ref.name, "mechanisms"), ("given", "value"),
+                            (*parents, *exo_parents), owner, f"{owner} given")
         mechanisms[ref.name] = Mechanism(ref, parents, exo_parents, table)
     return Scm(tuple(variables), mechanisms, exo)
 
@@ -167,11 +181,9 @@ def dump_scm(scm: Scm) -> dict:
     mechanisms = {}
     for name in scm.names:
         mech = scm.mechanisms[name]
-        rows = []
-        for key, value in sorted(mech.table.items(), key=lambda kv: str(kv[0])):
-            given = dict(zip((*mech.parents, *mech.exo_parents), key))
-            rows.append({"given": given, "value": value})
-        mechanisms[name] = rows
+        inputs = (*mech.parents, *mech.exo_parents)
+        rows = sorted(mech.table.items(), key=lambda kv: str(kv[0]))
+        mechanisms[name] = [{"given": dict(zip(inputs, k)), "value": v} for k, v in rows]
     return {
         "variables": [
             {
@@ -199,16 +211,9 @@ def dump_scm(scm: Scm) -> dict:
 def load_table(source) -> DistTable:
     doc = _load_json(source)
     refs = tuple(_ref(obj, "scope entry") for obj in _array(doc, "scope", "table"))
-    names = [r.name for r in refs]
-    entries = {}
-    for item in _array(doc, "entries", "table"):
-        assignment, p = _fields(item, ("assignment", "p"), "entry")
-        key = _fields(assignment, names, "entry assignment")
-        try:
-            entries[key] = _parse_prob(p)
-        except TypeError:
-            raise _not_scalar(key, names, "entry assignment") from None
-    return DistTable(refs, entries)
+    entries = _keyed_rows(_array(doc, "entries", "table"), ("assignment", "p"),
+                          [r.name for r in refs], "entry", "entry assignment")
+    return DistTable(refs, {key: _parse_prob(p) for key, p in entries.items()})
 
 
 def dump_table(table: DistTable) -> dict:
@@ -252,24 +257,21 @@ def load_dataset(source) -> BehaviouralDataset:
     )
 
 
+def _dump_per_decision(per_decision: Mapping[Value, DistTable]) -> dict:
+    tables = sorted(per_decision.items(), key=lambda kv: str(kv[0]))
+    return {str(d): dump_table(t) for d, t in tables}
+
+
 def dump_dataset(data: BehaviouralDataset) -> dict:
     out = {
         "decision": {"name": data.decision.name, "domain": list(data.decision.domain)},
         "utility": data.utility,
-        "per_decision": {
-            str(d): dump_table(t) for d, t in sorted(data.per_decision.items(), key=lambda kv: str(kv[0]))
-        },
+        "per_decision": _dump_per_decision(data.per_decision),
     }
     if data.domains:
         out["domains"] = [
-            {
-                "label": dom.label,
-                "intervened": dict(dom.intervened),
-                "per_decision": {
-                    str(d): dump_table(t)
-                    for d, t in sorted(dom.per_decision.items(), key=lambda kv: str(kv[0]))
-                },
-            }
+            {"label": dom.label, "intervened": dict(dom.intervened),
+             "per_decision": _dump_per_decision(dom.per_decision)}
             for dom in data.domains
         ]
     return out
@@ -301,19 +303,16 @@ def load_csv_log(source) -> tuple[list[dict[str, Value]], list[float]]:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise InputError(f"{path}: empty log")
-        has_weight = "weight" in reader.fieldnames
+        if (repeated := _repeat(reader.fieldnames)) is not None:
+            raise InputError(f"{path}: header repeats column {repeated!r}")
         for record in reader:
-            weight = 1.0
             row = {}
             for name, raw in record.items():
                 if raw is None or name is None:
                     raise InputError(f"{path}: ragged row {record}")
-                if name == "weight" and has_weight:
-                    weight = float(raw)
-                else:
-                    row[name] = _parse_cell(raw)
+                row[name] = float(raw) if name == "weight" else _parse_cell(raw)
+            weights.append(row.pop("weight", 1.0))
             rows.append(row)
-            weights.append(weight)
     return rows, weights
 
 

@@ -393,16 +393,13 @@ def _solver_errors():
         raise OracleError(f"simplex stopped: {exc}") from exc
 
 
-def _refined_start(polytope: Polytope, coarse: np.ndarray) -> lp.PhaseOne:
-    """The phase one of `merged[:, coarse]`, for classes numbered in order of
-    first atom that refine the polytope's (`coarse` maps each to the class it
-    refines), read off the stored one without pivoting (module docstring):
-    its columns gathered, and each basic class moved to its first refined class.
-    """
-    at = np.unique(coarse, return_index=True)[1]
+def _refined_start(polytope: Polytope, gap: _GapClasses) -> lp.PhaseOne:
+    """The phase one of `merged[:, gap.coarse]`, read off the stored one without
+    pivoting (module docstring): its columns gathered, and each basic class
+    moved to its first refined class (`gap.first`)."""
     return lp.PhaseOne(
-        polytope.start.tableau[:, np.append(coarse, -1)],
-        tuple(at[list(polytope.start.basis)].tolist()),
+        polytope.start.tableau[:, np.append(gap.coarse, -1)],
+        tuple(gap.first[list(polytope.start.basis)].tolist()),
     )
 
 
@@ -433,7 +430,7 @@ def build_polytope(
         )
     for v in skeleton:
         ref = refs[v.name]
-        if ref.domain != tuple(v.domain):
+        if _typed(ref.domain) != _typed(tuple(v.domain)):
             raise InputError(
                 f"domain mismatch for {v.name!r}: skeleton {v.domain} vs data {ref.domain}"
             )
@@ -492,11 +489,13 @@ def _kept_space(key: tuple, decision: VariableRef, skeleton: tuple, cap: int):
 class _GapClasses:
     """A gap program's classes, numbered in order of first atom: atoms of one
     polytope class (`coarse`) with one numerator coefficient `num` and, for a
-    conditional gap (`den` not None), one context indicator."""
+    conditional gap (`den` not None), one context indicator; `first` holds
+    each polytope class's first refined class."""
 
     coarse: np.ndarray
     num: np.ndarray
     den: np.ndarray | None
+    first: np.ndarray
 
 
 def _gap_classes(
@@ -543,9 +542,10 @@ def _gap_classes(
             at.setdefault(key, j)  # leaves come in order of first atom
         pick = np.fromiter(at.values(), dtype=np.intp, count=len(at))
         coarse, num, den = coarse[pick], num[pick], den[pick]
-        for array in (coarse, num, den):
+        first = np.unique(coarse, return_index=True)[1]
+        for array in (coarse, num, den, first):
             array.flags.writeable = False
-        return _GapClasses(coarse, num, None if degenerate else den)
+        return _GapClasses(coarse, num, None if degenerate else den, first)
 
     # A context value is keyed as given: values that index alike give one program.
     key = (_items(polytope.blocks), utility, _items(objective), tuple(c.items()))
@@ -556,7 +556,7 @@ def _solve_gap(polytope: Polytope, gap: _GapClasses, cost: np.ndarray) -> np.nda
     """Minimiser of cost . x over the gap's classes, from the stored phase one.
     For a conditional gap, of (cost . x) / (den . x) from the start's own vertex
     (no pivot), else the one with the most context mass; None if that has none."""
-    start = _refined_start(polytope, gap.coarse)
+    start = _refined_start(polytope, gap)
     with _solver_errors():
         if gap.den is None:
             return lp.phase_two(start, cost).x
@@ -586,7 +586,7 @@ def optimize_gap(
 
     A context outside the shift makes the gap a ratio, minimised by Dinkelbach
     steps; its denominator, the context's probability under do(z), must not
-    depend on the decision, which the ancestry check enforces before solving.
+    depend on the decision, which `_gap_classes` checks on every class.
     """
     if direction not in ("min", "max"):
         raise InputError(f"direction must be 'min' or 'max', got {direction!r}")

@@ -1322,9 +1322,29 @@ _COMMANDS = [
 ]
 
 
+def _repeats_an_assignment(doc) -> bool:
+    """Whether ``doc`` is a dataset with a table that lists one assignment twice."""
+    if not isinstance(doc, dict) or "mechanisms" in doc:
+        return False
+    domains = doc.get("domains")
+    for group in [doc, *(domains if isinstance(domains, list) else ())]:
+        per_decision = group.get("per_decision") if isinstance(group, dict) else None
+        for table in per_decision.values() if isinstance(per_decision, dict) else ():
+            entries = table.get("entries") if isinstance(table, dict) else None
+            seen = [
+                json.dumps(entry.get("assignment"), sort_keys=True)
+                for entry in (entries if isinstance(entries, list) else ())
+                if isinstance(entry, dict)
+            ]
+            if len(set(seen)) < len(seen):
+                return True
+    return False
+
+
 def _run_on_file(name: str, text: str, argv) -> str:
     """Run the CLI with ``{}`` in ``argv`` replaced by a file holding ``text``;
-    check the exit contract and return stderr."""
+    check the exit contract and return stderr.  A dataset whose table repeats
+    an assignment is never answered."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / name
         path.write_text(text, encoding="utf-8")
@@ -1339,6 +1359,7 @@ def _run_on_file(name: str, text: str, argv) -> str:
     assert err.count("\n") == (code != 0), err
     if code == 0:
         json.loads(out.getvalue())
+        assert not (name.endswith(".json") and _repeats_an_assignment(json.loads(text))), text
     return err
 
 
@@ -1346,6 +1367,20 @@ def _run_on_file(name: str, text: str, argv) -> str:
 @given(_FILES, st.sampled_from(_COMMANDS))
 def test_malformed_inputs_exit_with_one_line_diagnostic(file, command):
     _run_on_file(*file, [command[0], "--data", "{}", "--context-vars", "Z", *command[1:]])
+
+
+def _with_a_repeated_row(doc: dict) -> dict:
+    """``doc`` with the first row of decision 0's table listed twice."""
+    entries = doc["per_decision"]["0"]["entries"]
+    entries.append(dict(entries[0]))
+    return doc
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_FILLED.map(_with_a_repeated_row), st.sampled_from(_COMMANDS))
+def test_tables_that_repeat_an_assignment_exit_with_one_line_diagnostic(doc, command):
+    argv = [command[0], "--data", "{}", "--context-vars", "Z", *command[1:]]
+    _run_on_file("input.json", json.dumps(doc), argv)
 
 
 _DOMAIN_COMMANDS = [cmd for cmd in _COMMANDS if cmd[0] == "oracle" or "multidomain" in cmd]

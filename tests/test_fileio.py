@@ -244,3 +244,46 @@ def test_wrongly_typed_value_names_the_field_and_its_owner(load, where, value, m
     with pytest.raises(InputError) as info:
         load(doc)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "load, where, message",
+    [
+        (load_dataset, ("per_decision", "1", "entries"), "duplicate entry at {'Y': 0, 'Z': 0}"),
+        (load_scm, ("exogenous_distribution",),
+         "duplicate exogenous_distribution entry at {'U': 1}"),
+        (load_scm, ("mechanisms", "Z"), "duplicate mechanism row for 'Z' at {'U': 1}"),
+    ],
+)
+def test_repeated_row_names_the_row_and_its_owner(load, where, message):
+    """A row that repeats an earlier row's assignment is refused, even with the
+    same value: the file does not say which copy it means."""
+    name = "medai.scm.json" if load is load_scm else "medai_experiment.tables.json"
+    doc = json.loads(fixture_path(name).read_text(encoding="utf-8"))
+    rows = doc
+    for key in where:
+        rows = rows[key]
+    rows.append(dict(rows[0]))
+    with pytest.raises(InputError) as info:
+        load(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("data.json",
+         '{"per_decision": {}, ' + fixture_path("medai.tables.json").read_text(encoding="utf-8")[1:],
+         "JSON object repeats key 'per_decision'"),
+        ("log.csv", "D,Z,Y,Z\n0,1,1,0\n", "header repeats column 'Z'"),
+        ("log.csv", "D,Y\n0\n", "ragged row {'D': '0', 'Y': None}"),
+        ("log.csv", "D,Y\n0,1,1\n", "ragged row {'D': '0', 'Y': '1', None: ['1']}"),
+    ],
+    ids=["json-key", "csv-column", "csv-short-row", "csv-long-row"],
+)
+def test_malformed_file_names_the_file_and_the_fault(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputError) as info:
+        (load_csv_log if name.endswith(".csv") else load_dataset)(path)
+    assert str(info.value) == f"{path}: {message}"

@@ -21,6 +21,7 @@ from beliefbound.errors import (
 )
 from beliefbound import lp
 from beliefbound.oracle import (
+    _GapClasses,
     _gap_classes,
     _kept_space,
     _refined_start,
@@ -327,7 +328,8 @@ def test_inconsistent_tables_rejected():
 
 def test_table_lacking_a_skeleton_value_rejected():
     """A table whose domain lacks a value of the skeleton's is malformed, not
-    a table with zero mass at that value."""
+    a table with zero mass at that value; a domain of other types (False for
+    0) is another domain, as the kept spaces key it."""
     y, z = VariableRef("Y", (0, 1)), VariableRef("Z", (0, 1))
     tables = {
         0: DistTable((y, z), {(1, 1): 0.5, (0, 0): 0.5}),
@@ -335,6 +337,10 @@ def test_table_lacking_a_skeleton_value_rejected():
     }
     with pytest.raises(InputError, match=r"decision 1 in domain \(base\) lists 'Z' as \(0,\)"):
         build_polytope(BehaviouralDataset(VariableRef("D", (0, 1)), tables), SKELETON)
+    bools = DistTable((y, VariableRef("Z", (False, True))), {(1, True): 0.5, (0, False): 0.5})
+    with pytest.raises(InputError) as info:
+        build_polytope(BehaviouralDataset(VariableRef("D", (0, 1)), {0: bools, 1: bools}), SKELETON)
+    assert str(info.value) == "domain mismatch for 'Z': skeleton (0, 1) vs data (False, True)"
 
 
 # -- gap optimization ---------------------------------------------------------
@@ -850,7 +856,7 @@ def test_a_start_without_context_mass_moves_to_the_most_context_mass(monkeypatch
     skeleton = [*WYZ_SKELETON[:1], SkeletonVariable("W", (0, 1), ("Z",)), WYZ_SKELETON[2]]
     poly = build_polytope(wyz_dataset(NO_W), skeleton)
     gap = _gap_classes(poly, Z1, {"W": 1}, 1, 0)
-    start = _refined_start(poly, gap.coarse)
+    start = _refined_start(poly, gap)
     assert lp.phase_two(start, np.zeros(gap.num.size)).x @ gap.den == 0.0
     costs = []
     phase_two = lp.phase_two
@@ -898,7 +904,7 @@ def test_a_zero_gap_is_positive_zero_at_both_ends(c):
 def test_refined_programs_start_from_the_stored_phase_one(medai, medai_exp):
     """A cold phase one over a gap program's refined columns ends exactly on
     the polytope's stored tableau with its columns gathered and each basic
-    class moved to its first refined class."""
+    class moved to its first refined class, the one its gap classes keep."""
     rng = np.random.default_rng(5)
     polytopes = [build_polytope(medai, SKELETON), build_polytope(medai_exp, SKELETON)]
     for sizes in ({"Z": 3, "W": 2}, {"Z": 2, "W": 3}):
@@ -909,13 +915,21 @@ def test_refined_programs_start_from_the_stored_phase_one(medai, medai_exp):
         num = reference_objective_terms(poly, Z1, Z1, 1, 0)[0]
         of_atom = reference_program(poly)[2]
         dimension = poly.space.dimension
+
+        def first(coarse):  # each polytope class's first refined class
+            return [coarse.tolist().index(k) for k in range(poly.merged.shape[1])]
+
         for cost in (num, -num, rng.integers(-1, 2, dimension), rng.integers(0, 2, dimension)):
-            coarse = of_atom[reference_classes([of_atom, cost])[1]]
+            atoms = reference_classes([of_atom, cost])[1]
+            coarse = of_atom[atoms]
             cold = lp.phase_one(poly.merged[:, coarse], poly.b_eq)
-            start = _refined_start(poly, coarse)
+            gap = _GapClasses(coarse, cost[atoms], None, np.array(first(coarse)))
+            start = _refined_start(poly, gap)
             assert start.tableau.tobytes() == cold.tableau.tobytes()
             assert start.basis == cold.basis
             checked += coarse.size > poly.merged.shape[1]
+        gap = _gap_classes(poly, Z1, Z1, 1, 0)
+        assert gap.first.tolist() == first(gap.coarse)
     assert checked >= 10  # programs whose classes are strictly finer
 
 
