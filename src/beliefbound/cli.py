@@ -2,13 +2,17 @@
 
 Subcommands: ``bounds`` (closed-form intervals), ``predict`` (weak/strong
 verdicts), ``oracle`` (LP certification of the closed forms), ``relax``
-(ball/proxy relaxations).  Reports go to stdout, single-line diagnostics to
-stderr.
+(ball/proxy relaxations).  A command returns its report's fields and a
+failure line or None; `main` alone builds and writes the report to stdout,
+writes the one ``error:`` line to stderr and picks the exit code, so stderr
+holds one line exactly when the code is not 0.  A malformed command line is
+that one line too, not argparse's usage block.
 
 Exit codes: 0 success; 2 parse/domain errors; 3 ``predict --require-verdict``
 with nothing ruled out; 4 oracle certification failed (a tight claim more than
 ``--tol`` from the LP's optimum, or a form claiming no tightness more than
-``--tol`` inside it: unsound); 5 atom limit breached.
+``--tol`` inside it: unsound); 5 atom limit breached.  A 3 or a 4 comes after
+the report.
 
 Start-up: ``bounds``, ``predict`` and ``relax --kind proxy`` on table,
 dataset or CSV inputs never import numpy.  ``oracle`` imports it once its
@@ -23,7 +27,6 @@ numpy.random import loads it.  ``predict`` alone loads the verdict module.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import replace
@@ -34,7 +37,7 @@ from . import bounds as bnd
 from . import fileio
 from .errors import AtomLimitError, BeliefBoundError, InputError
 from .report import Report
-from .tables import BehaviouralDataset, DistTable, Value, estimate_from_samples
+from .tables import SUM_TOL, BehaviouralDataset, DistTable, Value, estimate_from_samples
 
 if TYPE_CHECKING:
     from .oracle import SkeletonVariable
@@ -98,7 +101,7 @@ def parse_sigma_context(raw: str, data: BehaviouralDataset) -> DistTable:
     sorted_names = sorted(names)
     refs = [data.table(data.decisions[0]).ref(n) for n in sorted_names]
     total = sum(cells.values())
-    if total < 1.0 - 1e-12 and len(refs) == 1:
+    if total < 1.0 - SUM_TOL and len(refs) == 1:
         missing = [v for v in refs[0].domain if (v,) not in cells]
         if len(missing) == 1:
             cells[(missing[0],)] = 1.0 - total
@@ -197,9 +200,10 @@ def _interval_warnings(intervals: list[dict]) -> list[str]:
     ]
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple[dict, None]:
     c = parse_assignment(args.context)
     z = parse_assignment(args.shift)
+    d, d0 = (None if v is None else fileio._parse_cell(v) for v in (args.decision, args.baseline))
     request = _request(args, c, z, theorem=args.theorem)
     theorem = args.theorem
     if theorem == "unknown-shift":  # a given --data sets the utility's range
@@ -208,17 +212,11 @@ def cmd_bounds(args) -> int:
         _require(args, ["decision", "baseline"])
         joint = _joint_from_args(args)
         interval = bnd.causal_harm_interval(
-            joint,
-            fileio._parse_cell(args.decision),
-            fileio._parse_cell(args.baseline),
-            c,
-            *_variables(args),  # decision, utility
+            joint, d, d0, c, *_variables(args),  # decision, utility
             harm_value=fileio._parse_cell(args.harm_value),
         )
     else:
         data = _dataset_from_args(args)
-        d = fileio._parse_cell(args.decision) if args.decision is not None else None
-        d0 = fileio._parse_cell(args.baseline) if args.baseline is not None else None
         if theorem in _PREFERENCE:
             _require(args, ["decision", "baseline", "shift"])
             interval = _PREFERENCE[theorem](data, c, z, d, d0)
@@ -245,18 +243,11 @@ def cmd_bounds(args) -> int:
         else:  # pragma: no cover - argparse rejects other values
             raise InputError(f"unknown theorem {theorem!r}")
     intervals = [interval.as_dict()]
-    report = Report(
-        command="bounds",
-        request=request,
-        intervals=intervals,
-        warnings=_interval_warnings(intervals),
-        seed=args.seed,
-    )
-    sys.stdout.write(report.render(args.format))
-    return 0
+    return {"request": request, "intervals": intervals,
+            "warnings": _interval_warnings(intervals)}, None
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> tuple[dict, str | None]:
     from .predictability import strong_verdict, weak_verdict
 
     data = _dataset_from_args(args)
@@ -265,24 +256,11 @@ def cmd_predict(args) -> int:
     form = _PREFERENCE[args.theorem]
     run = weak_verdict if args.mode == "weak" else strong_verdict
     verdict = run(lambda d, d0: form(data, c, z, d, d0).lower, data.decisions, c, args.lam)
-    report = Report(
-        command="predict",
-        request={
-            "theorem": args.theorem,
-            "data": args.data,
-            "context": c,
-            "shift": z,
-            "mode": args.mode,
-            "lambda": args.lam,
-        },
-        verdict=verdict.as_dict(),
-        seed=args.seed,
-    )
-    sys.stdout.write(report.render(args.format))
-    if args.require_verdict and not verdict.ruled_out:
-        sys.stderr.write("error: no decision could be ruled out\n")
-        return 3
-    return 0
+    request = {"theorem": args.theorem, "data": args.data, "context": c, "shift": z,
+               "mode": args.mode, "lambda": args.lam}
+    failed = args.require_verdict and not verdict.ruled_out
+    return ({"request": request, "verdict": verdict.as_dict()},
+            "no decision could be ruled out" if failed else None)
 
 
 def _skeleton_from_args(
@@ -319,7 +297,7 @@ def _skeleton_from_args(
     return out
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> tuple[dict, str | None]:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise InputError(f"--tol must be a finite number >= 0, got {args.tol}")
     data, c, z, d, d0 = _gap_question(args, "oracle")
@@ -343,31 +321,24 @@ def cmd_oracle(args) -> int:
     # A form that claims no tightness need only be sound: <= the LP's min, >= its max.
     slack = lp_value - closed_value if args.direction == "min" else closed_value - lp_value
     certified = delta <= args.tol if closed.tight else slack >= -args.tol
-    report = Report(
-        command="oracle",
-        request=_request(args, c, z, direction=args.direction, tolerance=args.tol),
-        oracle={
-            "atoms": polytope.space.dimension,
-            "constraints": int(polytope.b_eq.shape[0]),
-            "direction": args.direction,
-            "lp_value": lp_value,
-            "closed_form": float(closed_value),
-            "delta": delta,
-            "certified": certified,
-            "tight_claimed": closed.tight,
-            **({} if closed.tight else {"slack": slack}),
-        },
-        seed=args.seed,
-    )
-    sys.stdout.write(report.render(args.format))
-    if not certified:
-        what = "oracle delta" if closed.tight else "unsound closed form: overreach"
-        sys.stderr.write(f"error: {what} {delta:.3e} exceeds tolerance {args.tol:.3e}\n")
-        return 4
-    return 0
+    oracle = {
+        "atoms": polytope.space.dimension,
+        "constraints": int(polytope.b_eq.shape[0]),
+        "direction": args.direction,
+        "lp_value": lp_value,
+        "closed_form": float(closed_value),
+        "delta": delta,
+        "certified": certified,
+        "tight_claimed": closed.tight,
+        **({} if closed.tight else {"slack": slack}),
+    }
+    what = "oracle delta" if closed.tight else "unsound closed form: overreach"
+    failure = None if certified else f"{what} {delta:.3e} exceeds tolerance {args.tol:.3e}"
+    request = _request(args, c, z, direction=args.direction, tolerance=args.tol)
+    return {"request": request, "oracle": oracle}, failure
 
 
-def cmd_relax(args) -> int:
+def cmd_relax(args) -> tuple[dict, None]:
     from . import relaxations
 
     data, c, z, d, d0 = _gap_question(args, "relax")
@@ -405,14 +376,7 @@ def cmd_relax(args) -> int:
         value = relaxations.proxy_alignment_lower(data, args.alpha, z, d, d0)
         payload = {"kind": "proxy", "method": "closed-form", "alpha": args.alpha,
                    "value": value}
-    report = Report(
-        command="relax",
-        request=_request(args, c, z),
-        relaxation=payload,
-        seed=args.seed,
-    )
-    sys.stdout.write(report.render(args.format))
-    return 0
+    return {"request": _request(args, c, z), "relaxation": payload}, None
 
 
 def _add_common(sub) -> None:
@@ -428,8 +392,17 @@ def _add_common(sub) -> None:
     sub.add_argument("--seed", type=int, default=None, help="echoed into the report")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as an `InputError`, so it ends in
+    `main`'s one ``error:`` line rather than a usage block; subparsers inherit
+    the class."""
+
+    def error(self, message: str):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="beliefbound",
         description="Behavioural bounds on preference, fairness, and harm gaps",
     )
@@ -475,19 +448,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: the report to stdout, then on any exit code but 0 one
+    ``error:`` line to stderr.  A report that fails to render (a non-finite
+    value) is an exit 2 with nothing on stdout."""
+    code = 0
     try:
-        return args.func(args)
-    except AtomLimitError as exc:
-        sys.stderr.write(f"error: {str(exc).splitlines()[0]}\n")
-        return 5
+        args = build_parser().parse_args(argv)
+        fields, failure = args.func(args)
+        sys.stdout.write(Report(args.command, seed=args.seed, **fields).render(args.format))
+        if failure is not None:
+            code = 3 if args.command == "predict" else 4
     except BeliefBoundError as exc:
-        sys.stderr.write(f"error: {str(exc).splitlines()[0]}\n")
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc.__class__.__name__}: {str(exc).splitlines()[0]}\n")
-        return 2
+        failure = str(exc).splitlines()[0]
+        code = 5 if isinstance(exc, AtomLimitError) else 2
+    except (OSError, KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        failure, code = f"{exc.__class__.__name__}: {str(exc).splitlines()[0]}", 2
+    if code:
+        sys.stderr.write(f"error: {failure}\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ column is an `InputError`, not a silent choice of one copy.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -110,7 +111,8 @@ def _field(node, key: str, owner: str):
 def _keyed_rows(rows, fields, keys: Sequence[str], owner: str, key_owner: str) -> dict:
     """``{key: value}`` of JSON objects `rows`, each with an assignment at
     ``fields[0]`` (read at `keys`) and a value at ``fields[1]``; a key that
-    holds an array or object, or repeats, is an `InputError`."""
+    holds a value that does not hash (a JSON array or object), or repeats, is
+    an `InputError`."""
     out = {}
     for row in rows:
         assignment, value = _fields(row, fields, owner)
@@ -118,7 +120,7 @@ def _keyed_rows(rows, fields, keys: Sequence[str], owner: str, key_owner: str) -
         try:
             repeated = key in out
         except TypeError:
-            name, bad = next(kv for kv in zip(keys, key) if isinstance(kv[1], (list, dict)))
+            name, bad = next(kv for kv in zip(keys, key) if not _hashes(kv[1]))
             raise InputError(
                 f"{key_owner} field {name!r} must be a JSON scalar, not {bad!r:.40}"
             ) from None
@@ -126,6 +128,14 @@ def _keyed_rows(rows, fields, keys: Sequence[str], owner: str, key_owner: str) -
             raise InputError(f"duplicate {owner} at {assignment}")
         out[key] = value
     return out
+
+
+def _hashes(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
 
 
 def _names(node, key: str, owner: str, *default) -> tuple[str, ...]:
@@ -293,7 +303,8 @@ def _parse_cell(raw: str) -> Value:
 
 
 def load_csv_log(source) -> tuple[list[dict[str, Value]], list[float]]:
-    """Rows and weights from a UTF-8 sample log with a header line."""
+    """Rows and weights from a UTF-8 sample log with a header line; a weight
+    cell must hold a finite number."""
     import csv  # only CSV inputs pay for it
 
     path = Path(source)
@@ -310,8 +321,17 @@ def load_csv_log(source) -> tuple[list[dict[str, Value]], list[float]]:
             for name, raw in record.items():
                 if raw is None or name is None:
                     raise InputError(f"{path}: ragged row {record}")
-                row[name] = float(raw) if name == "weight" else _parse_cell(raw)
-            weights.append(row.pop("weight", 1.0))
+                row[name] = raw if name == "weight" else _parse_cell(raw)
+            cell = row.pop("weight", "1")
+            try:
+                weight = float(cell)
+            except ValueError:
+                weight = math.nan
+            if not math.isfinite(weight):
+                raise InputError(
+                    f"{path}: line {reader.line_num}: weight {cell!r} is not a finite number"
+                )
+            weights.append(weight)
             rows.append(row)
     return rows, weights
 

@@ -94,6 +94,7 @@ from .tables import (
     Value,
     VariableRef,
     _check_pair,
+    _close_to_one,
     _memoised,
     merge_assignments,
     query,
@@ -752,7 +753,7 @@ class ResponseTypeTable:
             if p != 0:
                 cells[(a, b)] = p
         total = sum(cells.values(), start=0)
-        if abs(float(total) - 1.0) > 1e-12:
+        if not _close_to_one(total):
             raise InputError(f"cell mass {float(total)} is not 1")
         object.__setattr__(self, "cells", cells)
 

@@ -50,6 +50,7 @@ import numpy as np
 
 from .errors import InputError, ModelError
 from .tables import (
+    SUM_TOL,
     Assignment,
     BehaviouralDataset,
     DistTable,
@@ -132,7 +133,7 @@ class ExoDistribution:
         object.__setattr__(self, "atoms", tuple(atoms))
         total = _total(self._exact, (p for _, p in atoms))
         if not _close_to_one(total):
-            raise InputError(f"exogenous mass {float(total)} is not 1 within 1e-12")
+            raise InputError(f"exogenous mass {float(total)} is not 1 within {SUM_TOL}")
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -446,6 +446,30 @@ def test_exit_two_on_parse_error():
     assert result.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bounds", "--theorem", "nope"], "argument --theorem: invalid choice: 'nope' (choose from"),
+        (["oracle", "--data", "x"], "the following arguments are required: --direction"),
+        (["relax", "--kind", "proxy", "--alpha", "abc"], "argument --alpha: invalid float value"),
+        (["bounds", "--theorem", "harm", "--colour", "red"], "unrecognized arguments: --colour"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["invalid-choice", "missing-flag", "bad-float", "unknown-flag", "no-subcommand"],
+)
+def test_a_malformed_command_line_is_one_line(argv, message, capsys, monkeypatch):
+    code, out, err = run_inprocess(argv, capsys, monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
+def test_help_still_prints_usage_and_exits_zero():
+    result = run_subprocess(["bounds", "--help"])
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: beliefbound bounds") and "--theorem" in result.stdout
+    assert result.stderr == ""
+
+
 @pytest.mark.parametrize("content", [None, "[1]", "{"])
 def test_unknown_shift_reads_a_given_data_file(content, tmp_path, capsys, monkeypatch):
     """The interval is [-1, 1] whatever the data, but a missing or malformed

@@ -232,6 +232,8 @@ def test_null_array_field_names_the_field_and_its_owner(load, where, message):
         (load_scm, ("variables", 2, "parents"), [["D"]],
          "variables entry field 'parents' must hold JSON strings, not ['D']"),
         (load_scm, ("mechanisms", "Y"), 3, "mechanisms field 'Y' must be a JSON array, not 3"),
+        (load_dataset, ("per_decision", "1", "entries", 0, "assignment", "Z"), {1},
+         "entry assignment field 'Z' must be a JSON scalar, not {1}"),  # a Python caller's set
     ],
 )
 def test_wrongly_typed_value_names_the_field_and_its_owner(load, where, value, message):
@@ -278,8 +280,12 @@ def test_repeated_row_names_the_row_and_its_owner(load, where, message):
         ("log.csv", "D,Z,Y,Z\n0,1,1,0\n", "header repeats column 'Z'"),
         ("log.csv", "D,Y\n0\n", "ragged row {'D': '0', 'Y': None}"),
         ("log.csv", "D,Y\n0,1,1\n", "ragged row {'D': '0', 'Y': '1', None: ['1']}"),
+        ("log.csv", "D,Y,weight\n0,1,2\n1,0,abc\n", "line 3: weight 'abc' is not a finite number"),
+        ("log.csv", "D,weight,Y\n0,nan,1\n", "line 2: weight 'nan' is not a finite number"),
+        ("log.csv", "D,Y,weight\n0,1,\n", "line 2: weight '' is not a finite number"),
     ],
-    ids=["json-key", "csv-column", "csv-short-row", "csv-long-row"],
+    ids=["json-key", "csv-column", "csv-short-row", "csv-long-row", "csv-weight-text",
+         "csv-weight-nan", "csv-weight-empty"],
 )
 def test_malformed_file_names_the_file_and_the_fault(tmp_path, name, text, message):
     path = tmp_path / name

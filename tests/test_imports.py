@@ -15,7 +15,8 @@ attribute.  The fourth lists the backticked references in docstrings and
 comments that name no definition.  The fifth keeps `numpy`, `hashlib` and
 `csv` out of the module-level imports of the modules that `import
 beliefbound.cli` loads: every CLI run pays for those, and only some commands
-read them.
+read them.  The sixth keeps the CLI's exit path single: no code but
+`cli.main` calls `print` or reads `sys.stdout` or `sys.stderr`.
 """
 
 from __future__ import annotations
@@ -367,3 +368,64 @@ def test_check_sees_module_level_imports_only():
     sources = {"__init__": "", "cli": source, "bounds": "import numpy\n", "report": "",
                "tables": "from .errors import E\n", "errors": "", "scm": ""}
     assert loaded_with(sources, "cli") == {"__init__", "cli", "bounds", "report", "tables", "errors"}
+
+
+def writers(sources: dict[str, str]) -> list[str]:
+    """`module.function` (`module` at module level; methods as
+    `module.Class.method`) for each place in `sources` that calls `print` or
+    reads `sys.stdout` or `sys.stderr`."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if (
+                isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                and child.func.id == "print"
+            ) or (
+                isinstance(child, ast.Attribute) and child.attr in ("stdout", "stderr")
+                and isinstance(child.value, ast.Name) and child.value.id == "sys"
+            ):
+                found.append(where)
+            visit(child, where)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return sorted(found)
+
+
+def test_only_cli_main_writes_to_stdout_or_stderr():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert set(writers(sources)) == {"cli.main"}
+
+
+def test_check_sees_planted_writes():
+    sources = {
+        "cli": (
+            "import sys\n"
+            "def main():\n"
+            "    sys.stdout.write('report')\n"
+            "    sys.stderr.write('error: x\\n')\n"
+            "def cmd_predict(args):\n"
+            "    sys.stdout.write('report')\n"
+            "    return 0\n"
+            "if __name__ == '__main__':\n"
+            "    sys.exit(main())\n"
+        ),
+        "oracle": (
+            "import sys\n"
+            "class Polytope:\n"
+            "    def explain(self):\n"
+            "        print('atoms', file=sys.stderr)\n"
+            "def _log(message):\n"
+            "    out = sys.stderr\n"
+            "    out.write(message)\n"
+            "print('loaded')\n"
+        ),
+    }
+    assert writers(sources) == [
+        "cli.cmd_predict", "cli.main", "cli.main", "oracle", "oracle.Polytope.explain",
+        "oracle.Polytope.explain", "oracle._log",
+    ]

@@ -1472,3 +1472,11 @@ def test_a_y_domain_mixing_text_and_numbers_is_refused_before_it_sorts(call):
             ResponseTypeTable(z, y, {(0, 1): 1})
         else:
             canonical_zy_table(DistTable((z, y), {(0, 0): 0.5, (1, "x"): 0.5}))
+
+
+@pytest.mark.parametrize("mass", [1 + 2e-12, float("nan")])
+def test_response_type_mass_is_checked_within_the_table_tolerance(mass):
+    z, y = VariableRef("Z", (0, 1)), VariableRef("Y", (0, 1))
+    ResponseTypeTable(z, y, {(0, 1): 0.5, (1, 3): 0.5 + 5e-13})
+    with pytest.raises(InputError, match=rf"^cell mass {mass} is not 1$"):
+        ResponseTypeTable(z, y, {(0, 1): 0.5, (1, 3): mass - 0.5})
