@@ -14,11 +14,27 @@ The two phases are public because the oracle runs phase one once per
 polytope: every gap solve's phase twos start from the polytope's stored phase
 one, with its columns gathered onto the gap program's.  Each phase stops after
 MAX_PIVOTS pivots with LpIterationLimit, so a solve always terminates.
+
+Phase one replays the paths kept for its matrix (`PhaseOnePaths`): with A
+fixed, only the ratio test and the right-hand side read b, and every other
+decision reads the A-part, a function of the pivots made.  A trie keeps each
+cold path's pivots with their columns (cost row included) and its end; a replay
+runs the ratio tests and pivots on b's right-hand side alone, with the cold
+float operations (its cost entry sums b row by row, as `sum(axis=0)` does), so
+its result or exception (MAX_PIVOTS read at the call) is the cold one to the
+bit.  A replay that leaves the trie resumes cold there, redoing only its
+pivots' A-part, and the new path is attached whole, by one assignment under
+the writers' lock, so a reader, which takes no lock, never meets half of one.
+Never recorded: a b with a negative entry (its rows flip), a path that raises,
+a path past `limit`; a full trie still replays.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -62,7 +78,51 @@ class PhaseOne:
     basis: tuple[int, ...]
 
 
-def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
+# A trie node: a pivot's column index and column before it, and the next node by
+# leaving row; or a path's end: its drive-outs and its A-part's non-+0.0 entries.
+_Step = namedtuple("_Step", "col column after")
+_End = namedtuple("_End", "drives at entries")
+
+
+class PhaseOnePaths:
+    """At most `limit` phase-one paths of one matrix; the first node is `after[None]`."""
+
+    def __init__(self, limit: int) -> None:
+        self.limit, self.count, self.after = limit, 0, {}
+        self._lock = threading.Lock()  # writers only: a reader sees whole branches
+
+    def _attach(self, steps: list, drives: list, tableau: np.ndarray) -> None:
+        """Add a cold path unless it is kept or the trie full: pivots, drive-outs, result."""
+        keys, after, depth = [None, *(step[-1] for step in steps)], self.after, 0
+        with self._lock:
+            while depth < len(steps) and keys[depth] in after:
+                after, depth = after[keys[depth]].after, depth + 1
+            if self.count >= self.limit or keys[depth] in after:
+                return
+            a_part = tableau[:, :-1]
+            at = np.flatnonzero((a_part != 0.0) | np.signbit(a_part))  # -0.0 kept too
+            branch = _End(tuple(drives), at, a_part.flat[at])
+            for col, column, row in reversed(steps[depth:]):
+                branch = _Step(col, column, {row: branch})
+            after[keys[depth]] = branch
+            self.count += 1
+
+
+def _pivot(tableau, basis: list[int], row: int, col: int, column: list | None = None) -> None:
+    """Pivot on (row, col).  A replay passes only the right-hand side, a list,
+    and the column before the pivot: the same operations, on Python floats."""
+    basis[row] = col
+    if column is None:
+        _eliminate(tableau, row, col)
+        return
+    x = tableau[row] / column[row]
+    for i, factor in enumerate(column):
+        if factor:  # as below, a zero factor skips its row
+            tableau[i] -= factor * x
+    tableau[row] = x
+
+
+def _eliminate(tableau: np.ndarray, row: int, col: int) -> None:
     pivot = tableau[row]
     pivot /= pivot[col]
     factors = tableau[:, col].copy()
@@ -71,28 +131,27 @@ def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     # turn -0.0 into 0.0.
     rows = factors.nonzero()[0]
     tableau[rows] -= factors[rows, None] * pivot  # the outer product
-    basis[row] = col
 
 
-def _ratio_row(tableau: np.ndarray, basis: list[int], col: int, m: int) -> int:
+def _ratio_row(column: list[float], rhs: list[float], basis: list[int]) -> int:
     """Leaving row by minimum ratio; ties broken by smallest basis index (Bland)."""
-    column = tableau[:m, col]
-    rows = (column > PIVOT_EPS).nonzero()[0]
     best_row = -1
     best = np.inf
-    for i, ratio in zip(rows.tolist(), (tableau[rows, -1] / column[rows]).tolist()):
-        if ratio < best - PIVOT_EPS or (
-            abs(ratio - best) <= PIVOT_EPS and (best_row < 0 or basis[i] < basis[best_row])
-        ):
-            best = ratio
-            best_row = i
+    for i, a in enumerate(column):
+        if a > PIVOT_EPS:
+            ratio = rhs[i] / a
+            if ratio < best - PIVOT_EPS or (
+                abs(ratio - best) <= PIVOT_EPS and (best_row < 0 or basis[i] < basis[best_row])
+            ):
+                best, best_row = ratio, i
     return best_row
 
 
-def _run_simplex(tableau: np.ndarray, basis: list[int], m: int, ncols: int) -> None:
+def _run_simplex(tableau: np.ndarray, basis: list[int], m: int, ncols: int, steps=None) -> None:
+    """Pivot to optimality after the pivots in `steps`, appending each to it."""
     nonbasic = np.ones(ncols, dtype=bool)
     nonbasic[basis] = False
-    pivots = 0
+    pivots = 0 if steps is None else len(steps)
     while True:
         entering = (tableau[m, :ncols] < -COST_EPS) & nonbasic
         col = int(entering.argmax())
@@ -100,19 +159,53 @@ def _run_simplex(tableau: np.ndarray, basis: list[int], m: int, ncols: int) -> N
             return
         if pivots == MAX_PIVOTS:
             raise LpIterationLimit(f"no optimum after {MAX_PIVOTS} pivots")
-        row = _ratio_row(tableau, basis, col, m)
+        row = _ratio_row(tableau[:m, col].tolist(), tableau[:m, -1].tolist(), basis)
         if row < 0:
             raise LpUnbounded(f"column {col} has no blocking row")
+        if steps is not None:
+            steps.append((col, tableau[:, col].copy(), row))
         nonbasic[basis[row]] = True
         nonbasic[col] = False
         _pivot(tableau, basis, row, col)
         pivots += 1
 
 
-def phase_one(a_eq, b_eq) -> PhaseOne:
-    """A feasible basis of a_eq x = b_eq, x >= 0 (LpInfeasible if none)."""
-    a = np.asarray(a_eq, dtype=float).copy()
-    b = np.asarray(b_eq, dtype=float).copy()
+def _replay(paths: PhaseOnePaths, b: np.ndarray, n: int) -> PhaseOne | list:
+    """Phase one of b along the kept paths, or the pivots replayed before a miss."""
+    m = b.size
+    rhs = b.tolist()
+    rhs.append(0.0 - reduce(float.__add__, rhs, 0.0))  # row by row, as the cold sum(axis=0)
+    basis = list(range(n, n + m))
+    node, steps = paths.after.get(None), []
+    while isinstance(node, _Step):
+        if len(steps) == MAX_PIVOTS:
+            raise LpIterationLimit(f"no optimum after {MAX_PIVOTS} pivots")
+        col, column, after = node
+        values = column.tolist()  # its cost entry, < -COST_EPS, never blocks
+        row = _ratio_row(values, rhs, basis)
+        if row not in after:
+            return steps
+        _pivot(rhs, basis, row, col, values)
+        steps.append((col, column, row))
+        node = after[row]
+    if node is None:
+        return steps
+    if rhs[m] < -FEAS_EPS:
+        raise LpInfeasible(f"phase-1 residual {-rhs[m]:.3e}")
+    for col, column, row in node.drives:
+        _pivot(rhs, basis, row, col, column.tolist())
+    keep = [i for i in range(m) if basis[i] < n]  # an artificial left marks a dropped row
+    tableau = np.zeros((len(keep), n + 1), order="F")  # the cold result's layout
+    tableau[:, :n].flat[node.at] = node.entries
+    tableau[:, n] = [rhs[i] for i in keep]
+    return PhaseOne(tableau, tuple(basis[i] for i in keep))
+
+
+def phase_one(a_eq, b_eq, paths: PhaseOnePaths | None = None) -> PhaseOne:
+    """A feasible basis of a_eq x = b_eq, x >= 0 (LpInfeasible if none),
+    replayed from and recorded to `paths`, a_eq's kept paths, when given."""
+    a = np.asarray(a_eq, dtype=float)
+    b = np.asarray(b_eq, dtype=float)
     if a.ndim != 2:
         raise ValueError("a_eq must be a matrix")
     m, n = a.shape
@@ -120,18 +213,26 @@ def phase_one(a_eq, b_eq) -> PhaseOne:
         raise ValueError("inconsistent LP dimensions")
 
     neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
+    steps = drives = None
+    if paths is not None and not neg.any():
+        replayed = _replay(paths, b, n)
+        if isinstance(replayed, PhaseOne):
+            return replayed
+        steps, drives = replayed, []
 
     # Artificial basis, minimise total infeasibility.
     tableau = np.zeros((m + 1, n + m + 1))
     tableau[:m, :n] = a
-    tableau[:m, n : n + m] = np.eye(m)
     tableau[:m, -1] = b
+    tableau[:m][neg] *= -1.0  # rows with b_i < 0, before the identity goes in
+    tableau[:m, n : n + m] = np.eye(m)
     tableau[m, n : n + m] = 1.0
     tableau[m] -= tableau[:m].sum(axis=0)
     basis = list(range(n, n + m))
-    _run_simplex(tableau, basis, m, n + m)
+    for col, _, row in steps or ():  # the replayed pivots: their A-part
+        basis[row] = col
+        _eliminate(tableau, row, col)
+    _run_simplex(tableau, basis, m, n + m, steps)
     if tableau[m, -1] < -FEAS_EPS:
         raise LpInfeasible(f"phase-1 residual {-tableau[m, -1]:.3e}")
 
@@ -141,12 +242,18 @@ def phase_one(a_eq, b_eq) -> PhaseOne:
         if basis[i] >= n:
             nonzero = np.flatnonzero(np.abs(tableau[i, :n]) > PIVOT_EPS)
             if nonzero.size:
-                _pivot(tableau, basis, i, int(nonzero[0]))
+                col = int(nonzero[0])
+                if drives is not None:
+                    drives.append((col, tableau[:, col].copy(), i))
+                _pivot(tableau, basis, i, col)
                 keep.append(i)
             # else: redundant row, drop it
         else:
             keep.append(i)
-    return PhaseOne(tableau[keep][:, [*range(n), n + m]], tuple(basis[i] for i in keep))
+    start = PhaseOne(tableau[keep][:, [*range(n), n + m]], tuple(basis[i] for i in keep))
+    if steps is not None:
+        paths._attach(steps, drives, start.tableau)
+    return start
 
 
 def phase_two(start: PhaseOne, c) -> LpSolution:

@@ -52,10 +52,12 @@ program itself is defined by the tests' reference.
 The skeleton fixes the columns and the data only b_eq, so structure is kept per
 process: `build_polytope` reuses the space, of the SPACE_CACHE_SIZE most recently
 used, whose decision, names, parents, typed domains (1 is not True) and atom cap
-match, and a space memoises its class program per set of data blocks and its
+match, and a space memoises its class program per set of data blocks, with up to
+PHASE_ONE_PATHS phase-one paths its datasets took (`lp.PhaseOnePaths`), and its
 gap classes per question.  An entry is O(classes) per program row, its arrays
-read-only; an error or an unhashable key is not kept.  A process asking one
-question, as one CLI call does, gains nothing.
+read-only, and a path a column per pivot and the A-part it ends in; an error or
+an unhashable key is not kept.  A process asking one question, as one CLI call
+does, gains nothing: it records one path and reuses none.
 
 Also houses the constructive side: extracting a concrete model from any
 feasible point, the bound-achieving witness models for atomic shifts, and the
@@ -103,6 +105,7 @@ from .tables import (
 DEFAULT_ATOM_LIMIT = 1_000_000
 ATOM_LIMIT_ENV = "BELIEFBOUND_ATOM_LIMIT"
 SPACE_CACHE_SIZE = 8  # spaces kept per process, least recently used dropped first
+PHASE_ONE_PATHS = 128  # phase-one paths kept per class program (`lp.PhaseOnePaths`)
 
 
 def atom_limit(override: int | str | None = None) -> int:
@@ -293,7 +296,8 @@ class CanonicalAtomSpace:
 
     def _program(self, blocks: Sequence[Mapping[str, int]]) -> tuple:
         """Memoised per block set: (every joint cell as a table key, each class's
-        first atom, its read-only 0/1 column with the mass row, its number by its cells)."""
+        first atom, its read-only 0/1 column with the mass row, its number by its
+        cells, and the phase-one paths kept for those columns)."""
 
         def compute() -> tuple:
             cells = list(product(*[v.domain for v in self.variables]))
@@ -304,7 +308,8 @@ class CanonicalAtomSpace:
             merged[-1] = 1.0
             merged.flags.writeable = False
             classes = {tuple(key): j for j, key in enumerate(keys.tolist())}
-            return cells, tuple(first), merged, MappingProxyType(classes)
+            paths = lp.PhaseOnePaths(PHASE_ONE_PATHS)
+            return cells, tuple(first), merged, MappingProxyType(classes), paths
 
         return _memoised(self._programs, _items(blocks), compute)
 
@@ -350,8 +355,9 @@ class Polytope:
     identical columns, numbered in order of first atom: `first[j]` is class
     j's lowest atom index (a Python int), and `classes` maps a class's cells
     (one per block, `blocks` holding each block's `_fixed` indices) to its
-    number.  `start` is the phase one of `merged x = b_eq`, which every gap
-    solve starts its phase twos from.
+    number.  `start` is the phase one of `merged x = b_eq`, replayed bit for bit
+    when b_eq follows a path kept for `merged`; every gap solve starts its phase
+    twos from it.
 
     `a_eq` is the per-atom view, built on access by evaluating every atom:
     the benchmark's tracer reads its row count.  No build, solve or witness
@@ -429,15 +435,16 @@ def build_polytope(
         raise InputError(
             f"skeleton covers {sorted(v.name for v in skeleton)}, data scope is {sorted(refs)}"
         )
-    for v in skeleton:
+    domains = [_typed(tuple(v.domain)) for v in skeleton]
+    for v, domain in zip(skeleton, domains):
         ref = refs[v.name]
-        if _typed(ref.domain) != _typed(tuple(v.domain)):
+        if _typed(ref.domain) != domain:
             raise InputError(
                 f"domain mismatch for {v.name!r}: skeleton {v.domain} vs data {ref.domain}"
             )
-    space = _space(data.decision, skeleton, atom_limit(limit))
+    space = _space(data.decision, skeleton, domains, atom_limit(limit))
     blocks = [space._fixed(d, dom.intervened) for dom in data.all_domains() for d in data.decisions]
-    cells, first, merged, classes = space._program(blocks)
+    cells, first, merged, classes, paths = space._program(blocks)
     rhs = []
     for dom in data.all_domains():
         for d in data.decisions:  # tables and `cells` are both name-sorted
@@ -445,7 +452,7 @@ def build_polytope(
     rhs.append(1.0)
     b_eq = np.asarray(rhs)
     with _solver_errors():
-        start = lp.phase_one(merged, b_eq)
+        start = lp.phase_one(merged, b_eq, paths)
     return Polytope(
         space=space,
         data=data,
@@ -468,10 +475,10 @@ def _typed(values: tuple) -> tuple:
     return tuple((type(v), _typed(v) if isinstance(v, tuple) else v) for v in values)
 
 
-def _space(decision: VariableRef, skeleton: Sequence[SkeletonVariable], cap: int):
-    """The space of this structure and cap: a kept one, or a fresh one for a
-    structure that cannot be hashed."""
-    variables = tuple((v.name, _typed(v.domain), v.parents) for v in skeleton)
+def _space(decision: VariableRef, skeleton: Sequence[SkeletonVariable], domains: list, cap: int):
+    """The space of this structure (`domains` its typed domains) and cap: a kept
+    one, or a fresh one for a structure that cannot be hashed."""
+    variables = tuple((v.name, domain, v.parents) for v, domain in zip(skeleton, domains))
     key = (decision.name, _typed(decision.domain), variables, cap)
     try:
         hash(key)

@@ -198,6 +198,55 @@ def wide_skeleton_dataset(k: int, seed: int = 0):
     return scm_dataset(model, "D"), skeleton
 
 
+def chained_dataset(seed, sizes):
+    """Data from a random model with Z -> W -> Y <- D and a do(Z=1) domain:
+    (data, skeleton)."""
+    from beliefbound.oracle import SkeletonVariable
+    from beliefbound.scm import scm_dataset
+
+    rng = np.random.default_rng(seed)
+    d = VariableRef("D", (0, 1))
+    z, w = (VariableRef(n, tuple(range(sizes[n]))) for n in "ZW")
+    y = VariableRef("Y", (0, 1))
+    u = VariableRef("U", tuple(range(6)))
+    weights = [int(w) for w in rng.integers(1, 9, size=6)]
+    z_out = rng.integers(0, sizes["Z"], size=6)
+    w_out = rng.integers(0, sizes["W"], size=(sizes["Z"], 6))
+    y_out = rng.integers(0, 2, size=(2, sizes["W"], 6))
+    model = Scm(
+        (d, w, y, z),
+        {
+            "D": Mechanism.constant(d, 0),
+            "Z": Mechanism.from_function(z, (), (u,), lambda a: int(z_out[a["U"]])),
+            "W": Mechanism.from_function(w, (z,), (u,), lambda a: int(w_out[a["Z"], a["U"]])),
+            "Y": Mechanism.from_function(
+                y, (d, w), (u,), lambda a: int(y_out[a["D"], a["W"], a["U"]])
+            ),
+        },
+        ExoDistribution(
+            (u,), tuple(((i,), Fraction(w, sum(weights))) for i, w in enumerate(weights))
+        ),
+    )
+    skeleton = [
+        SkeletonVariable("Z", z.domain),
+        SkeletonVariable("W", w.domain, ("Z",)),
+        SkeletonVariable("Y", y.domain, ("D", "W")),
+    ]
+    return scm_dataset(model, "D", domains=[("exp", {"Z": 1})]), skeleton
+
+
+def trie_nodes(paths, ends_only=False):
+    """How many nodes an `lp.PhaseOnePaths` trie holds: pivots and path ends,
+    or path ends only."""
+    stack, count = list(paths.after.values()), 0
+    while stack:
+        node = stack.pop()
+        after = getattr(node, "after", None)
+        count += not (ends_only and after)
+        stack += (after or {}).values()
+    return count
+
+
 def exact_dataset(per_decision_cells: dict) -> BehaviouralDataset:
     """Dataset over (Y, Z) from {(y, z): Fraction} cell maps, keyed by decision."""
     tables = {

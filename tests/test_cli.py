@@ -609,6 +609,20 @@ def test_exit_two_when_simplex_hits_pivot_cap(capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_exit_two_when_a_replayed_phase_one_hits_pivot_cap(capsys, monkeypatch):
+    """Once the medai space is kept, the oracle's phase one replays its path,
+    with no full-tableau elimination, and still stops at the cap."""
+    from beliefbound import lp
+
+    assert run_inprocess(GOLDEN_CASES["oracle_min"], capsys, monkeypatch)[0] == 0
+
+    def cold(*args):
+        raise AssertionError("phase one ran cold")
+
+    monkeypatch.setattr(lp, "_eliminate", cold)
+    test_exit_two_when_simplex_hits_pivot_cap(capsys, monkeypatch)
+
+
 def test_exit_three_when_verdict_required(capsys, monkeypatch):
     argv = GOLDEN_CASES["predict_weak"] + ["--require-verdict"]
     result = run_subprocess(argv)

@@ -58,6 +58,7 @@ from beliefbound.tables import (
 
 from support import (
     assert_lookups_compiled_once,
+    chained_dataset,
     exact_dataset,
     k_valued_shift_dataset,
     random_behaviour_model,
@@ -71,6 +72,7 @@ from support import (
     reference_objective_terms,
     reference_program,
     reference_tables,
+    trie_nodes,
     wide_skeleton_dataset,
     wyz_dataset,
 )
@@ -156,39 +158,6 @@ def reference_evaluate(skeleton, decision, atom, d, intervention):
             values[v.name] = response[combos.index(tuple(values[p] for p in v.parents))]
     del values[decision.name]
     return values
-
-
-def chained_dataset(seed, sizes):
-    """Data from a random model with Z -> W -> Y <- D and a do(Z=1) domain."""
-    rng = np.random.default_rng(seed)
-    d = VariableRef("D", (0, 1))
-    z, w = (VariableRef(n, tuple(range(sizes[n]))) for n in "ZW")
-    y = VariableRef("Y", (0, 1))
-    u = VariableRef("U", tuple(range(6)))
-    weights = [int(w) for w in rng.integers(1, 9, size=6)]
-    z_out = rng.integers(0, sizes["Z"], size=6)
-    w_out = rng.integers(0, sizes["W"], size=(sizes["Z"], 6))
-    y_out = rng.integers(0, 2, size=(2, sizes["W"], 6))
-    model = Scm(
-        (d, w, y, z),
-        {
-            "D": Mechanism.constant(d, 0),
-            "Z": Mechanism.from_function(z, (), (u,), lambda a: int(z_out[a["U"]])),
-            "W": Mechanism.from_function(w, (z,), (u,), lambda a: int(w_out[a["Z"], a["U"]])),
-            "Y": Mechanism.from_function(
-                y, (d, w), (u,), lambda a: int(y_out[a["D"], a["W"], a["U"]])
-            ),
-        },
-        ExoDistribution(
-            (u,), tuple(((i,), Fraction(w, sum(weights))) for i, w in enumerate(weights))
-        ),
-    )
-    skeleton = [
-        SkeletonVariable("Z", z.domain),
-        SkeletonVariable("W", w.domain, ("Z",)),
-        SkeletonVariable("Y", y.domain, ("D", "W")),
-    ]
-    return scm_dataset(model, "D", domains=[("exp", Z1)]), skeleton
 
 
 @pytest.mark.parametrize("sizes", [{"Z": 3, "W": 2}, {"Z": 2, "W": 3}])
@@ -939,9 +908,9 @@ def _count_phases(monkeypatch):
     shapes, starts = [], []
     phase_one, phase_two = lp.phase_one, lp.phase_two
 
-    def counted_one(a, b):
+    def counted_one(a, b, *paths):
         shapes.append(np.shape(a))
-        return phase_one(a, b)
+        return phase_one(a, b, *paths)
 
     def counted_two(start, c):
         starts.append((start.tableau.shape[0], start.tableau.shape[1] - 1))
@@ -1184,6 +1153,44 @@ def test_a_second_build_on_a_skeleton_walks_no_classes(medai, monkeypatch):
     optimize_gap(second, Z1, {}, 1, 0, "min")  # a new question
     build_polytope(medai, SKELETON)  # medai's exact tables have the same structure
     assert len(walks) == 3
+
+
+def _kept_paths(poly):
+    """The phase-one paths kept beside a polytope's class program."""
+    return poly.space._program(poly.blocks)[-1]
+
+
+@pytest.mark.usefixtures("cold_spaces")
+def test_a_second_build_on_a_recorded_path_replays_it(monkeypatch):
+    """A dataset whose phase-one path is kept replays it: no full-tableau pivot,
+    no new trie node, and the same start to the bit."""
+    data = random_binary_dataset(0)
+    first = build_polytope(data, SKELETON)
+    paths = _kept_paths(first)
+    nodes = trie_nodes(paths)
+    assert paths.count == 1 and nodes > 1
+    tableaux = []
+    pivot = lp._pivot
+    monkeypatch.setattr(lp, "_pivot", lambda *args: tableaux.append(type(args[0])) or pivot(*args))
+    second = build_polytope(data, SKELETON)
+    assert tableaux and np.ndarray not in tableaux
+    assert (paths.count, trie_nodes(paths)) == (1, nodes)
+    assert second.start.tableau.tobytes() == first.start.tableau.tobytes()
+    assert second.start.basis == first.start.basis
+
+
+@pytest.mark.usefixtures("cold_spaces")
+def test_a_class_program_keeps_at_most_phase_one_paths(monkeypatch):
+    """PHASE_ONE_PATHS caps the paths kept per class program; datasets past it
+    are answered as from a fresh space."""
+    monkeypatch.setattr("beliefbound.oracle.PHASE_ONE_PATHS", 2)
+    polytopes = [build_polytope(random_binary_dataset(seed), SKELETON) for seed in range(8)]
+    paths = _kept_paths(polytopes[0])
+    assert paths.count == paths.limit == 2
+    for seed, poly in enumerate(polytopes):
+        _kept_space.cache_clear()
+        fresh = build_polytope(random_binary_dataset(seed), SKELETON)
+        assert poly.start.tableau.tobytes() == fresh.start.tableau.tobytes()
 
 
 @pytest.mark.usefixtures("cold_spaces")
