@@ -30,7 +30,6 @@ import argparse
 import math
 import sys
 from dataclasses import replace
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import bounds as bnd
@@ -73,7 +72,7 @@ def parse_assignment(raw: str | None) -> dict[str, Value]:
         name = name.strip()
         if name in out:
             raise InputError(f"variable {name!r} assigned twice")
-        out[name] = fileio._parse_cell(value)
+        out[name] = fileio.parse_cell(value)
     return out
 
 
@@ -109,22 +108,9 @@ def parse_sigma_context(raw: str, data: BehaviouralDataset) -> DistTable:
 
 
 def _load_data(args):
-    """(kind, payload) of --data, where kind is scm | dataset | table | log."""
     if not args.data:
         raise InputError("this request needs --data")
-    p = Path(args.data)
-    if p.suffix.lower() == ".csv":
-        return "log", fileio.load_csv_log(p)
-    doc = fileio._load_json(p)
-    if not isinstance(doc, dict):
-        raise InputError(f"{args.data}: expected a JSON object, got {type(doc).__name__}")
-    if "mechanisms" in doc:
-        return "scm", fileio.load_scm(doc)
-    if "per_decision" in doc:
-        return "dataset", fileio.load_dataset(doc)
-    if "entries" in doc:
-        return "table", fileio.load_table(doc)
-    raise InputError(f"{args.data}: unrecognised input format")
+    return fileio.load_input(args.data)
 
 
 def _variables(args) -> tuple[str, str]:
@@ -181,7 +167,7 @@ def _gap_question(args, label: str) -> tuple[BehaviouralDataset, dict, dict, Val
     data = _dataset_from_args(args)
     c = parse_assignment(args.context)
     z = parse_assignment(args.shift)
-    return data, c, z, fileio._parse_cell(args.decision), fileio._parse_cell(args.baseline)
+    return data, c, z, fileio.parse_cell(args.decision), fileio.parse_cell(args.baseline)
 
 
 def _request(args, c: dict, z: dict, **extra) -> dict:
@@ -203,7 +189,7 @@ def _interval_warnings(intervals: list[dict]) -> list[str]:
 def cmd_bounds(args) -> tuple[dict, None]:
     c = parse_assignment(args.context)
     z = parse_assignment(args.shift)
-    d, d0 = (None if v is None else fileio._parse_cell(v) for v in (args.decision, args.baseline))
+    d, d0 = (None if v is None else fileio.parse_cell(v) for v in (args.decision, args.baseline))
     request = _request(args, c, z, theorem=args.theorem)
     theorem = args.theorem
     if theorem == "unknown-shift":  # a given --data sets the utility's range
@@ -213,7 +199,7 @@ def cmd_bounds(args) -> tuple[dict, None]:
         joint = _joint_from_args(args)
         interval = bnd.causal_harm_interval(
             joint, d, d0, c, *_variables(args),  # decision, utility
-            harm_value=fileio._parse_cell(args.harm_value),
+            harm_value=fileio.parse_cell(args.harm_value),
         )
     else:
         data = _dataset_from_args(args)
@@ -266,21 +252,10 @@ def cmd_predict(args) -> tuple[dict, str | None]:
 def _skeleton_from_args(
     args, data: BehaviouralDataset, z: dict[str, Value], c: dict[str, Value]
 ) -> list[SkeletonVariable]:
+    if args.skeleton:
+        return fileio.load_skeleton(args.skeleton, data.scope)
     from .oracle import SkeletonVariable
 
-    if args.skeleton:
-        doc = fileio._load_json(args.skeleton)
-        refs = {r.name: r for r in data.scope}
-        out = []
-        for item in fileio._array(doc, "variables", "skeleton"):
-            name = fileio._field(item, "name", "skeleton variables entry")
-            if name not in tuple(refs):  # compared, not hashed: a name may be any JSON value
-                raise InputError(f"skeleton variable {name!r} not in data scope")
-            owner = f"skeleton variable {name!r}"
-            domain = fileio._array(item, "domain", owner, refs[name].domain)
-            parents = fileio._array(item, "parents", owner, ())
-            out.append(SkeletonVariable(name, domain, parents))
-        return out
     # Default: the utility responds to the decision and every other variable;
     # a context variable outside the shift responds to the shift variables, so
     # do(z) can move it; everything else is a root.
@@ -348,25 +323,14 @@ def cmd_relax(args) -> tuple[dict, None]:
         if args.method == "sample" and args.seed is None:
             raise InputError("sampling needs an explicit --seed")
         samples = relaxations.DEFAULT_SAMPLES if args.samples is None else args.samples
-        concentration = (
-            relaxations.DEFAULT_CONCENTRATION
-            if args.concentration is None
-            else args.concentration
-        )
-        ball = relaxations.GroundingBall(args.delta)
+        concentration = (relaxations.DEFAULT_CONCENTRATION if args.concentration is None
+                         else args.concentration)
         value = relaxations.approx_grounding_lower(
-            data, ball, c, z, d, d0,
-            method=args.method,
-            n_samples=samples,
-            seed=args.seed,
-            concentration=concentration,
+            data, relaxations.GroundingBall(args.delta), c, z, d, d0, method=args.method,
+            n_samples=samples, seed=args.seed, concentration=concentration,
         )
-        payload = {
-            "kind": "approx-grounding",
-            "method": args.method,
-            "delta": args.delta,
-            "value": value,
-        }
+        payload = {"kind": "approx-grounding", "method": args.method, "delta": args.delta,
+                   "value": value}
         if args.method == "sample":
             payload.update(samples=samples, concentration=concentration)
     else:
@@ -379,23 +343,28 @@ def cmd_relax(args) -> tuple[dict, None]:
     return {"request": _request(args, c, z), "relaxation": payload}, None
 
 
-def _add_common(sub) -> None:
+def _add_common(sub, pair: bool = True) -> None:
     sub.add_argument("--data", help="model JSON, dataset JSON, table JSON, or CSV log")
     sub.add_argument("--decision-var", help="decision variable (default D; a dataset has its own)")
     sub.add_argument("--utility-var", help="utility variable (default Y; a dataset has its own)")
     sub.add_argument("--context-vars", help="policy inputs for CSV ingestion (comma list)")
     sub.add_argument("--shift", help="shift assignment, e.g. Z=1")
     sub.add_argument("--context", help="context assignment, e.g. Z=1")
-    sub.add_argument("--decision", help="decision value")
-    sub.add_argument("--baseline", help="baseline decision value")
+    if pair:  # the decision and baseline of one gap; `predict` compares every decision
+        sub.add_argument("--decision", help="decision value")
+        sub.add_argument("--baseline", help="baseline decision value")
     sub.add_argument("--format", choices=("json", "table"), default="json")
     sub.add_argument("--seed", type=int, default=None, help="echoed into the report")
 
 
 class _Parser(argparse.ArgumentParser):
     """Reports a malformed command line as an `InputError`, so it ends in
-    `main`'s one ``error:`` line rather than a usage block; subparsers inherit
-    the class."""
+    `main`'s one ``error:`` line rather than a usage block, and reads no
+    abbreviated flag (``predict --decision`` is not ``--decision-var``);
+    subparsers inherit the class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         raise InputError(message)
@@ -418,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_bounds)
 
     p = commands.add_parser("predict", help="weak/strong predictability verdicts")
-    _add_common(p)
+    _add_common(p, pair=False)
     p.add_argument("--theorem", choices=tuple(_PREFERENCE), default="intervention")
     p.add_argument("--mode", choices=("weak", "strong"), required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0,

@@ -10,6 +10,12 @@ Formats:
     objects, optional experimental domains.
   * sample log (CSV): header of variable names plus an optional ``weight``
     column.
+  * skeleton (JSON): ``variables``, each {name, domain (default the data's),
+    parents (default none)}.
+
+`load_input` reads a ``--data`` file: a ``.csv`` is a sample log, a JSON object
+a model, dataset or table by its ``mechanisms``, ``per_decision`` or ``entries``
+key, tried in that order.  No other module reads a file.
 
 A repeated JSON key, table assignment, exogenous atom, mechanism row or CSV
 column is an `InputError`, not a silent choice of one copy.
@@ -37,6 +43,7 @@ from .tables import (
 )
 
 if TYPE_CHECKING:
+    from .oracle import SkeletonVariable
     from .scm import Scm
 
 
@@ -73,8 +80,9 @@ def _load_json(source) -> dict:
             raise InputError(f"{source}: JSON object repeats key {key!r}")
         return obj
 
+    path = source if hasattr(source, "read_text") else Path(source)  # a zipped resource too
     try:
-        return json.loads(Path(source).read_text(encoding="utf-8"), object_pairs_hook=unique)
+        return json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique)
     except RecursionError as exc:
         raise InputError(f"{source}: JSON nested too deeply") from exc
 
@@ -290,7 +298,7 @@ def dump_dataset(data: BehaviouralDataset) -> dict:
 # -- CSV sample logs ---------------------------------------------------------
 
 
-def _parse_cell(raw: str) -> Value:
+def parse_cell(raw: str) -> Value:
     raw = raw.strip()
     try:
         return int(raw)
@@ -321,7 +329,7 @@ def load_csv_log(source) -> tuple[list[dict[str, Value]], list[float]]:
             for name, raw in record.items():
                 if raw is None or name is None:
                     raise InputError(f"{path}: ragged row {record}")
-                row[name] = raw if name == "weight" else _parse_cell(raw)
+                row[name] = raw if name == "weight" else parse_cell(raw)
             cell = row.pop("weight", "1")
             try:
                 weight = float(cell)
@@ -355,3 +363,38 @@ def dataset_from_log(
     policy = Policy(dref, tuple(context), {})
     per_decision = {d: policy_to_atomic(joint, policy, d) for d in dref.domain}
     return BehaviouralDataset(dref, per_decision, utility=utility)
+
+
+def load_input(source) -> tuple[str, object]:
+    """(kind, payload) of a ``--data`` file, kind one of scm, dataset, table
+    and log (payload `load_csv_log`'s rows and weights)."""
+    path = Path(source)
+    if path.suffix.lower() == ".csv":
+        return "log", load_csv_log(path)
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise InputError(f"{source}: expected a JSON object, got {type(doc).__name__}")
+    # Called by name, not through a table built at import: a wrapped loader is the one run.
+    if "mechanisms" in doc:
+        return "scm", load_scm(doc)
+    if "per_decision" in doc:
+        return "dataset", load_dataset(doc)
+    if "entries" in doc:
+        return "table", load_table(doc)
+    raise InputError(f"{source}: unrecognised input format")
+
+
+def load_skeleton(source, scope: Sequence[VariableRef]) -> list[SkeletonVariable]:
+    """The skeleton file's variables, each named in `scope`, the data's."""
+    from .oracle import SkeletonVariable  # numpy only for the commands that read a skeleton
+
+    refs = {r.name: r for r in scope}
+    out = []
+    for item in _array(_load_json(source), "variables", "skeleton"):
+        name = _field(item, "name", "skeleton variables entry")
+        if name not in tuple(refs):  # compared, not hashed: a name may be any JSON value
+            raise InputError(f"skeleton variable {name!r} not in data scope")
+        owner = f"skeleton variable {name!r}"
+        domain = _array(item, "domain", owner, refs[name].domain)
+        out.append(SkeletonVariable(name, domain, _array(item, "parents", owner, ())))
+    return out

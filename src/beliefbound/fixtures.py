@@ -12,7 +12,6 @@ loads it as well.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 
 from .fileio import load_scm
@@ -24,14 +23,14 @@ def medai_scm() -> Scm:
     """Primary variant (`medai.scm.json`): D is 0, Z is 1 exactly when U is 1
     or 4, and treated recovery under Z=1 tracks every latent state but U=2.
     The do(Z=1) gap of treating is +3/5."""
-    return load_scm(json.loads(fixture_path("medai.scm.json").read_text(encoding="utf-8")))
+    return load_scm(fixture_path("medai.scm.json"))
 
 
 def medai_alt_scm() -> Scm:
     """Alternative variant (`medai_alt.scm.json`): the same D and Z, a recovery
     rule with the same per-decision tables, and the opposite optimum under
     do(Z=1): the gap of treating is -2/5."""
-    return load_scm(json.loads(fixture_path("medai_alt.scm.json").read_text(encoding="utf-8")))
+    return load_scm(fixture_path("medai_alt.scm.json"))
 
 
 def medai_dataset() -> BehaviouralDataset:
@@ -45,5 +44,5 @@ def medai_experiment_dataset() -> BehaviouralDataset:
 
 
 def fixture_path(name: str):
-    """Filesystem path of a shipped fixture file (context-manager free)."""
+    """A shipped fixture file, as an `importlib.resources` Traversable."""
     return resources.files("beliefbound").joinpath("fixtures", name)

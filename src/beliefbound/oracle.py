@@ -55,9 +55,9 @@ used, whose decision, names, parents, typed domains (1 is not True) and atom cap
 match, and a space memoises its class program per set of data blocks, with up to
 PHASE_ONE_PATHS phase-one paths its datasets took (`lp.PhaseOnePaths`), and its
 gap classes per question.  An entry is O(classes) per program row, its arrays
-read-only, and a path a column per pivot and the A-part it ends in; an error or
-an unhashable key is not kept.  A process asking one question, as one CLI call
-does, gains nothing: it records one path and reuses none.
+read-only, and a path a column per pivot and the A-part it ends in; an error is
+not kept.  A process asking one question, as one CLI call does, gains nothing:
+it records one path and reuses none.
 
 Also houses the constructive side: extracting a concrete model from any
 feasible point, the bound-achieving witness models for atomic shifts, and the
@@ -147,6 +147,11 @@ class SkeletonVariable:
     def __post_init__(self) -> None:
         object.__setattr__(self, "domain", tuple(self.domain))
         object.__setattr__(self, "parents", tuple(self.parents))
+        if not isinstance(self.name, str):
+            raise InputError(f"skeleton variable name {self.name!r:.40} is not a string")
+        if bad := [p for p in self.parents if not isinstance(p, str)]:
+            raise InputError(f"skeleton variable {self.name!r} has a parent that is not a "
+                             f"string: {bad[0]!r:.40}")
         if not self.domain:
             raise InputError(f"skeleton variable {self.name!r} has an empty domain")
 
@@ -181,7 +186,7 @@ class CanonicalAtomSpace:
         names = [v.name for v in variables]
         if len(set(names)) != len(names) or decision.name in names:
             raise InputError(f"bad skeleton variable names: {names}")
-        known = (*names, decision.name)  # compared, not hashed: a parent may be any value
+        known = (*names, decision.name)
         for v in variables:
             for p in v.parents:
                 if p not in known:
@@ -442,7 +447,8 @@ def build_polytope(
             raise InputError(
                 f"domain mismatch for {v.name!r}: skeleton {v.domain} vs data {ref.domain}"
             )
-    space = _space(data.decision, skeleton, domains, atom_limit(limit))
+    space = _kept_space(data.decision, _typed(data.decision.domain), tuple(skeleton),
+                        tuple(domains), atom_limit(limit))
     blocks = [space._fixed(d, dom.intervened) for dom in data.all_domains() for d in data.decisions]
     cells, first, merged, classes, paths = space._program(blocks)
     rhs = []
@@ -475,21 +481,11 @@ def _typed(values: tuple) -> tuple:
     return tuple((type(v), _typed(v) if isinstance(v, tuple) else v) for v in values)
 
 
-def _space(decision: VariableRef, skeleton: Sequence[SkeletonVariable], domains: list, cap: int):
-    """The space of this structure (`domains` its typed domains) and cap: a kept
-    one, or a fresh one for a structure that cannot be hashed."""
-    variables = tuple((v.name, domain, v.parents) for v, domain in zip(skeleton, domains))
-    key = (decision.name, _typed(decision.domain), variables, cap)
-    try:
-        hash(key)
-    except TypeError:
-        return CanonicalAtomSpace(decision, skeleton, cap)
-    return _kept_space(key, decision, tuple(skeleton), cap)
-
-
 @lru_cache(maxsize=SPACE_CACHE_SIZE)  # thread-safe, unlike a dict's pop and insert
-def _kept_space(key: tuple, decision: VariableRef, skeleton: tuple, cap: int):
-    """`_space` of a hashable structure `key`, kept per process."""
+def _kept_space(decision: VariableRef, typed: tuple, skeleton: tuple, domains: tuple, cap: int):
+    """The space of `skeleton` under `decision` and `cap`, kept per process.
+    `typed` and `domains`, the decision's and the variables' `_typed` domains,
+    only key it: equal domains of other types (1 and True) get spaces of their own."""
     return CanonicalAtomSpace(decision, skeleton, cap)
 
 

@@ -154,8 +154,8 @@ def approx_grounding_lower(
         )
     if method != "sample":
         raise InputError(f"method must be 'exact-lp' or 'sample', got {method!r}")
-    if seed is None:
-        raise InputError("the sampling method needs an explicit seed")
+    if seed is None or seed < 0:
+        raise InputError(f"the sampling method needs an explicit seed >= 0, got {seed}")
     if n_samples < 1:
         raise InputError("need at least one proposal")
     if not (isfinite(concentration) and concentration > 0):

@@ -715,6 +715,51 @@ def test_sample_without_seed_is_an_error():
     assert "seed" in result.stderr
 
 
+def test_sample_refuses_a_negative_seed(capsys, monkeypatch):
+    argv = GOLDEN_CASES["relax_sample_seed7"]
+    argv = [*argv[:argv.index("--seed")], "--seed", "-1", *argv[argv.index("--seed") + 2:]]
+    assert run_inprocess(argv, capsys, monkeypatch) == (
+        2, "", "error: the sampling method needs an explicit seed >= 0, got -1\n"
+    )
+
+
+@pytest.mark.parametrize("flag", ["--decision", "--baseline"])
+def test_predict_takes_no_decision_or_baseline(flag, capsys, monkeypatch):
+    """`predict` compares every decision, so it defines neither flag, and an
+    abbreviation does not turn one into ``--decision-var``."""
+    argv = [*GOLDEN_CASES["predict_weak"], flag, "1"]
+    assert run_inprocess(argv, capsys, monkeypatch) == (
+        2, "", f"error: unrecognized arguments: {flag} 1\n"
+    )
+
+
+@pytest.mark.parametrize("joint", [
+    DATA / "policy_joint.json",
+    # Harm value 1 gives an upper end of 1/4 here, and harm value 0 one clamped to 1.
+    {(0, 0): Fraction(2, 5), (0, 1): Fraction(1, 10), (1, 0): Fraction(2, 5),
+     (1, 1): Fraction(1, 10)},
+], ids=["policy_joint", "skewed"])
+@pytest.mark.parametrize("harm_value", [0, 1])
+def test_harm_value_picks_the_harm_event(joint, harm_value, tmp_path, capsys, monkeypatch):
+    if isinstance(joint, dict):
+        table = DistTable((VariableRef("D", (0, 1)), VariableRef("Y", (0, 1))), joint)
+        joint = tmp_path / "joint.json"
+        joint.write_text(json.dumps(fileio.dump_table(table)))
+    want = bounds.causal_harm_interval(fileio.load_table(joint), 1, 0, {}, harm_value=harm_value)
+    argv = ["bounds", "--theorem", "causal-harm", "--data", str(joint), "--decision", "1",
+            "--baseline", "0", "--harm-value", str(harm_value)]
+    code, out, err = run_inprocess(argv, capsys, monkeypatch)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["intervals"] == [want.as_dict()]
+
+
+def test_harm_value_outside_the_utility_domain_is_an_error(capsys, monkeypatch):
+    argv = [*GOLDEN_CASES["bounds_causal_harm"], "--harm-value", "5"]
+    assert run_inprocess(argv, capsys, monkeypatch) == (
+        2, "", "error: value 5 not in domain of 'Y' (0, 1)\n"
+    )
+
+
 @pytest.mark.parametrize("concentration", ["-1", "0", "nan", "inf"])
 def test_exit_two_on_bad_concentration(concentration, capsys, monkeypatch):
     argv = GOLDEN_CASES["relax_sample_seed7"] + ["--concentration", concentration]

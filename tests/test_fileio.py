@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import zipfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,9 +23,42 @@ from beliefbound.fileio import (
     load_scm,
     load_table,
 )
-from beliefbound.fixtures import fixture_path, medai_dataset, medai_scm
+from beliefbound.fixtures import (
+    fixture_path,
+    medai_dataset,
+    medai_experiment_dataset,
+    medai_scm,
+)
 from beliefbound.scm import joint_distribution, scm_dataset, submodel
 from beliefbound.tables import total_variation
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "beliefbound"
+
+
+def test_a_zipped_package_loads_its_fixtures(tmp_path):
+    """`beliefbound.fixtures` reads the shipped JSON through
+    `importlib.resources`, so the package imported from a zip archive builds
+    the checkout's model and dataset."""
+    archive = tmp_path / "beliefbound.zip"
+    with zipfile.ZipFile(archive, "w") as zipped:
+        for path in sorted(PACKAGE.rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zipped.write(path, Path("beliefbound") / path.relative_to(PACKAGE))
+    script = (
+        "import json, beliefbound\n"
+        "from beliefbound.fileio import dump_dataset, dump_scm\n"
+        "from beliefbound.fixtures import medai_experiment_dataset, medai_scm\n"
+        "print(json.dumps([beliefbound.__file__, dump_scm(medai_scm()),\n"
+        "                  dump_dataset(medai_experiment_dataset())]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(archive)}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            cwd=tmp_path, env=env, check=True)
+    where, model, data = json.loads(result.stdout)
+    assert where.startswith(str(archive))
+    checkout = json.loads(json.dumps([dump_scm(medai_scm()),
+                                      dump_dataset(medai_experiment_dataset())]))
+    assert [model, data] == checkout
 
 
 def test_scm_round_trip_produces_identical_behaviour(tmp_path):

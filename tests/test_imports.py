@@ -16,7 +16,9 @@ comments that name no definition.  The fifth keeps `numpy`, `hashlib` and
 `csv` out of the module-level imports of the modules that `import
 beliefbound.cli` loads: every CLI run pays for those, and only some commands
 read them.  The sixth keeps the CLI's exit path single: no code but
-`cli.main` calls `print` or reads `sys.stdout` or `sys.stderr`.
+`cli.main` calls `print` or reads `sys.stdout` or `sys.stderr`.  The seventh
+keeps every input reader in `fileio`: no other module opens or reads a file,
+parses JSON text, imports `csv` or reads a private name of `fileio`.
 """
 
 from __future__ import annotations
@@ -428,4 +430,87 @@ def test_check_sees_planted_writes():
     assert writers(sources) == [
         "cli.cmd_predict", "cli.main", "cli.main", "oracle", "oracle.Polytope.explain",
         "oracle.Polytope.explain", "oracle._log",
+    ]
+
+
+_OPENERS = {"open", "read_text"}  # as methods; `open` is also a builtin
+_JSON_READERS = {"load", "loads"}
+
+
+def file_readers(sources: dict[str, str]) -> list[str]:
+    """`module: what` for each place in `sources`, outside `fileio`, that
+    calls `open`, `.open` or `.read_text`, calls or imports `json.load` or
+    `json.loads`, imports `csv`, or reads a `_private` name of `fileio`."""
+    found = []
+    for module, source in sources.items():
+        if module == "fileio":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            what = None
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name) and func.id == "open":
+                    what = "open"
+                elif isinstance(func, ast.Attribute) and func.attr in _OPENERS:
+                    what = f".{func.attr}"
+                elif (
+                    isinstance(func, ast.Attribute) and func.attr in _JSON_READERS
+                    and isinstance(func.value, ast.Name) and func.value.id == "json"
+                ):
+                    what = f"json.{func.attr}"
+            elif isinstance(node, ast.Import):
+                what = next((a.name for a in node.names if a.name == "csv"), None)
+            elif isinstance(node, ast.ImportFrom):
+                names = sorted(a.name for a in node.names)
+                if node.module == "csv":
+                    what = "csv"
+                elif node.module == "json" and set(names) & _JSON_READERS:
+                    what = f"json.{min(set(names) & _JSON_READERS)}"
+                elif node.module == "fileio" and node.level:
+                    what = next((f"fileio.{n}" for n in names if n.startswith("_")), None)
+            elif (
+                isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id == "fileio"
+            ):
+                what = f"fileio.{node.attr}"
+            if what:
+                found.append(f"{module}: {what}")
+    return sorted(found)
+
+
+def test_only_fileio_reads_files():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert file_readers(sources) == []
+
+
+def test_check_sees_planted_readers():
+    sources = {
+        "fileio": (
+            "import csv, json\n"
+            "def _load_json(path):\n"
+            "    return json.loads(path.read_text())\n"
+            "def load_log(path):\n"
+            "    with open(path) as handle:\n"
+            "        return list(csv.reader(handle))\n"
+        ),
+        "cli": (
+            "import json\n"
+            "from . import fileio\n"
+            "from .fileio import _array, load_scm\n"
+            "def load(args):\n"
+            "    doc = fileio._load_json(args.data)\n"
+            "    return json.dumps(doc), fileio.load_input(args.data)\n"
+        ),
+        "fixtures": (
+            "import json\n"
+            "from json import loads\n"
+            "def medai(path):\n"
+            "    with path.open() as handle:\n"
+            "        return json.load(handle), loads(path.read_text())\n"
+        ),
+        "report": "from csv import writer\nimport json\nTEXT = json.dumps({})\n",
+    }
+    assert file_readers(sources) == [
+        "cli: fileio._array", "cli: fileio._load_json", "fixtures: .open", "fixtures: .read_text",
+        "fixtures: json.load", "fixtures: json.loads", "report: csv",
     ]

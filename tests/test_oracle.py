@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from fractions import Fraction
 from itertools import product
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from beliefbound.bounds import thm1_gap_interval
+from beliefbound.cli import main
 from beliefbound.errors import (
     AtomLimitError,
     DataError,
@@ -20,6 +22,7 @@ from beliefbound.errors import (
     UnsupportedError,
 )
 from beliefbound import lp
+from beliefbound.fixtures import fixture_path
 from beliefbound.oracle import (
     _GapClasses,
     _gap_classes,
@@ -1238,15 +1241,27 @@ def test_kept_arrays_are_read_only(medai):
     assert build_polytope(medai, SKELETON).first == poly.first[:-1]
 
 
+@pytest.mark.parametrize("name, parents", [("Y", (["D"], "Z")), ("Y", ("D", 1)), (["Y"], ())])
+def test_a_name_or_parent_that_is_not_a_string_is_refused(name, parents):
+    with pytest.raises(InputError, match=r"^skeleton variable .* not a string"):
+        SkeletonVariable(name, (0, 1), parents)
+
+
 @pytest.mark.usefixtures("cold_spaces")
-def test_a_skeleton_that_cannot_be_hashed_is_checked_and_not_kept(medai):
-    """A list for a parent name is refused as an unknown parent, with a
-    space already kept, and is not kept itself."""
+@pytest.mark.parametrize("parent", [["x"], 1])
+def test_a_skeleton_file_with_a_parent_that_is_not_a_string_keeps_no_space(
+    parent, medai, tmp_path, capsys
+):
+    """The file is refused in one line when read, before any space is built,
+    with a space already kept."""
     build_polytope(medai, SKELETON)
-    skeleton = [SkeletonVariable("Z", (0, 1)), SkeletonVariable("Y", (0, 1), (["D"], "Z"))]
-    for _ in range(2):
-        with pytest.raises(InputError, match="unknown parent"):
-            build_polytope(medai, skeleton)
+    path = tmp_path / "skeleton.json"
+    path.write_text(json.dumps({"variables": [{"name": "Z", "parents": [parent]}, {"name": "Y"}]}))
+    argv = ["oracle", "--data", str(fixture_path("medai.tables.json")), "--skeleton", str(path),
+            "--direction", "min", "--shift", "Z=1", "--decision", "1", "--baseline", "0"]
+    assert main(argv) == 2
+    message = f"skeleton variable 'Z' has a parent that is not a string: {parent!r}"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert kept_spaces() == 1
 
 

@@ -201,6 +201,12 @@ def test_sampling_needs_seed_and_accepts_something(medai):
         )
 
 
+def test_sampling_refuses_a_negative_seed_before_numpy_reads_it(medai):
+    with pytest.raises(InputError, match=r"^the sampling method needs an explicit seed >= 0, "
+                                         r"got -1$"):
+        approx_grounding_lower(medai, GroundingBall(0.1), Z1, Z1, 1, 0, method="sample", seed=-1)
+
+
 # -- the block sampler against the per-draw loop --------------------------------
 
 
